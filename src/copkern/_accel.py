@@ -1,39 +1,52 @@
-"""Loop-bound numeric kernels with numba acceleration and a pure-numpy fallback.
+"""Loop-bound numeric kernels, one vectorized numpy implementation each.
 
-Set the environment variable ``COPKERN_DISABLE_NUMBA=1`` to force the numpy
-path (also used automatically when numba is unavailable).  Both paths produce
-bit-identical results; ``benchmarks/bench_accel.py`` compares their speed.
+``dominance_counts`` gives the strict pairwise dominance counts behind the
+empirical Kendall distribution in O(n log^2 n) by counting over merge levels;
+``levy_distance`` resolves the Levy metric between tabulated CDFs by a binary
+search over grid shifts, each shift checked by ``_levy_check``.
 """
-
-import os
 
 import numpy as np
 
-_DISABLED = os.environ.get("COPKERN_DISABLE_NUMBA", "0") not in ("", "0")
-
-try:
-    if _DISABLED:
-        raise ImportError
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
+# numba is not used; the constant remains for callers that report it
+HAVE_NUMBA = False
 
 
-def _dominance_counts_np(x, y):
-    # #{j != i : x_j < x_i and y_j < y_i}, chunked to bound memory
+def dominance_counts(x, y):
+    """#{j : x_j < x_i and y_j < y_i} for every i (finite inputs, ties allowed).
+
+    After sorting by x ascending, and by y descending within x-ties, the count
+    of i is the number of earlier points with a smaller y.  With y replaced by
+    its min-ranks, ties in y stay non-dominating.  Each merge level with block
+    size b counts, for every element in the right half of a 2b-block, the
+    left-half elements of the same block with a smaller rank; every earlier
+    point is counted at exactly one level.
+    """
+    x = np.asarray(x)
+    y = np.asarray(y)
     n = x.shape[0]
+    rank = np.searchsorted(np.sort(y), y, side="left")
+    order = np.lexsort((-rank, x))
+    rank = rank[order]
+    pos = np.arange(n)
+    counts = np.zeros(n, dtype=np.int64)
+    b = 1
+    while b < n:
+        block = pos // (2 * b)
+        left = pos % (2 * b) < b
+        keys = block * n + rank
+        left_keys = np.sort(keys[left])
+        right = ~left
+        counts[right] += np.searchsorted(left_keys, keys[right], side="left") - np.searchsorted(
+            left_keys, block[right] * n, side="left"
+        )
+        b *= 2
     out = np.empty(n, dtype=np.int64)
-    step = max(1, 2 ** 22 // max(n, 1))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        block = (x[None, :] < x[lo:hi, None]) & (y[None, :] < y[lo:hi, None])
-        out[lo:hi] = block.sum(axis=1)
+    out[order] = counts
     return out
 
 
-def _levy_check_np(f, g, k):
+def _levy_check(f, g, k):
     # Levy condition F(y-eps)-eps <= G(y) <= F(y+eps)+eps at eps = k*h,
     # checked on the common grid (h = grid step, index shift k).
     m = f.shape[0]
@@ -41,38 +54,6 @@ def _levy_check_np(f, g, k):
     lo = np.concatenate((np.zeros(k), f[: m - k])) if k else f
     hi = np.concatenate((f[k:], np.ones(k))) if k else f
     return bool(np.all(lo - eps <= g + 1e-12) and np.all(g <= hi + eps + 1e-12))
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _dominance_counts_nb(x, y):
-        n = x.shape[0]
-        out = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            c = 0
-            for j in range(n):
-                if x[j] < x[i] and y[j] < y[i]:
-                    c += 1
-            out[i] = c
-        return out
-
-    @njit(cache=True)
-    def _levy_check_nb(f, g, k):
-        m = f.shape[0]
-        eps = k / (m - 1)
-        for j in range(m):
-            lo = f[j - k] if j - k >= 0 else 0.0
-            hi = f[j + k] if j + k < m else 1.0
-            if lo - eps > g[j] + 1e-12 or g[j] > hi + eps + 1e-12:
-                return False
-        return True
-
-    dominance_counts = _dominance_counts_nb
-    _levy_check = _levy_check_nb
-else:
-    dominance_counts = _dominance_counts_np
-    _levy_check = _levy_check_np
 
 
 def levy_distance(f, g):

@@ -155,13 +155,23 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+_CONVERGE_ARCH = ("clayton", "gumbel", "frank")
+_CONVERGE_EV = ("galambos", "gumbel-ev")
+
+
 def _converge_rows(args):
     name, params = parse_spec(args.copula)
+    if name not in _CONVERGE_ARCH + _CONVERGE_EV or len(params) != 1:
+        raise ValueError(
+            f"converge needs a one-parameter Archimedean or Extreme-Value spec with "
+            f"exactly one parameter ({', '.join(_CONVERGE_ARCH + _CONVERGE_EV)}), "
+            f"got '{args.copula}'"
+        )
     theta = params[0]
     ks = _int_list(args.ks)
     q = QuadratureSpec(m=args.m)
     scale = args.offset_scale
-    if name in ("clayton", "gumbel", "frank"):
+    if name in _CONVERGE_ARCH:
         g_lim = make_generator_for(name, [theta])
         limit = archimedean_copula(g_lim)
         f_lim = kendall_function(g_lim)
@@ -185,28 +195,26 @@ def _converge_rows(args):
                 )
             )
         return header, rows
-    if name in ("galambos", "gumbel-ev"):
-        p_lim = make_pickands_for(name, [theta])
-        limit = ev_copula(p_lim)
-        tgrid = np.linspace(0.01, 0.99, 99)
-        header = ["k", "theta", "d_inf", "a_sup", "da_sup", "d1", "wcc_max"]
-        rows = []
-        for k in ks:
-            pk = make_pickands_for(name, [theta + scale / k])
-            ck = ev_copula(pk)
-            rows.append(
-                (
-                    str(k),
-                    _fmt(theta + scale / k),
-                    _fmt(d_inf(ck, limit, q)),
-                    _fmt(np.max(np.abs(pk.a(tgrid) - p_lim.a(tgrid)))),
-                    _fmt(np.max(np.abs(pk.dplus_a(tgrid) - p_lim.dplus_a(tgrid)))),
-                    _fmt(d1(ck, limit, q)),
-                    _fmt(wcc_profile(ck, limit).summary["max"]),
-                )
+    p_lim = make_pickands_for(name, [theta])
+    limit = ev_copula(p_lim)
+    tgrid = np.linspace(0.01, 0.99, 99)
+    header = ["k", "theta", "d_inf", "a_sup", "da_sup", "d1", "wcc_max"]
+    rows = []
+    for k in ks:
+        pk = make_pickands_for(name, [theta + scale / k])
+        ck = ev_copula(pk)
+        rows.append(
+            (
+                str(k),
+                _fmt(theta + scale / k),
+                _fmt(d_inf(ck, limit, q)),
+                _fmt(np.max(np.abs(pk.a(tgrid) - p_lim.a(tgrid)))),
+                _fmt(np.max(np.abs(pk.dplus_a(tgrid) - p_lim.dplus_a(tgrid)))),
+                _fmt(d1(ck, limit, q)),
+                _fmt(wcc_profile(ck, limit).summary["max"]),
             )
-        return header, rows
-    raise ValueError("converge supports one-parameter Archimedean or Extreme-Value families")
+        )
+    return header, rows
 
 
 def cmd_converge(args) -> int:

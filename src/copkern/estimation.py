@@ -41,32 +41,31 @@ class EmpiricalKendall:
         return np.where(t >= 1.0, 1.0, np.minimum(out, 1.0))
 
 
-def _average_ranks(z: np.ndarray) -> np.ndarray:
+def _average_ranks(z: np.ndarray) -> tuple[np.ndarray, bool]:
+    """1-based ranks, each tie group at its mean rank, and whether `z` has ties."""
     order = np.argsort(z, kind="mergesort")
-    ranks = np.empty(len(z))
     sz = z[order]
-    # average ranks over tie groups
-    boundaries = np.flatnonzero(np.r_[True, sz[1:] != sz[:-1], True])
-    base = np.arange(1, len(z) + 1, dtype=float)
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        base[lo:hi] = base[lo:hi].mean()
-    ranks[order] = base
-    return ranks
+    bounds = np.flatnonzero(np.r_[True, sz[1:] != sz[:-1], True])
+    lo, hi = bounds[:-1], bounds[1:]
+    ranks = np.empty(len(z))
+    ranks[order] = np.repeat((lo + hi + 1) / 2, hi - lo)
+    return ranks, len(lo) < len(z)
 
 
-def pseudo_obs(s: SampleSet) -> PseudoObservations:
-    """Rank transform to (rank/(n+1)) pseudo-observations; ties get average ranks."""
+def _check_sample(s: SampleSet):
     if s.n < 2:
         raise ValueError("need at least two observations")
     if np.any(~np.isfinite(s.x)) or np.any(~np.isfinite(s.y)):
         raise ValueError("observations must be finite")
+
+
+def pseudo_obs(s: SampleSet) -> PseudoObservations:
+    """Rank transform to (rank/(n+1)) pseudo-observations; ties get average ranks."""
+    _check_sample(s)
     n = s.n
-    had_ties = len(np.unique(s.x)) < n or len(np.unique(s.y)) < n
-    return PseudoObservations(
-        u=_average_ranks(s.x) / (n + 1),
-        v=_average_ranks(s.y) / (n + 1),
-        had_ties=had_ties,
-    )
+    u, x_ties = _average_ranks(s.x)
+    v, y_ties = _average_ranks(s.y)
+    return PseudoObservations(u=u / (n + 1), v=v / (n + 1), had_ties=x_ties or y_ties)
 
 
 def empirical_copula_cdf(p: PseudoObservations, x, y):
@@ -84,9 +83,11 @@ def empirical_copula_cdf(p: PseudoObservations, x, y):
 
 
 def chatterjee_r(s: SampleSet, rng: np.random.Generator = None) -> float:
-    """Chatterjee's rank coefficient; x-ties broken uniformly at random."""
-    if s.n < 2:
-        raise ValueError("need at least two observations")
+    """Chatterjee's rank coefficient; x-ties broken uniformly at random.
+
+    Undefined, and rejected, for a constant y column: its denominator is 0.
+    """
+    _check_sample(s)
     n = s.n
     if rng is None:
         rng = np.random.default_rng(0)
@@ -98,6 +99,8 @@ def chatterjee_r(s: SampleSet, rng: np.random.Generator = None) -> float:
     l = (n - np.searchsorted(sorted_y, y, side="left")).astype(float)
     num = n * np.sum(np.abs(np.diff(r)))
     den = 2.0 * np.sum(l * (n - l))
+    if den == 0.0:
+        raise ValueError("chatterjee_r is undefined for a constant y column")
     return float(1.0 - num / den)
 
 
@@ -111,11 +114,7 @@ def empirical_kendall(p: PseudoObservations) -> EmpiricalKendall:
     n = p.n
     if n < 2:
         raise ValueError("need at least two observations")
-    counts = dominance_counts(
-        np.ascontiguousarray(p.u, dtype=np.float64),
-        np.ascontiguousarray(p.v, dtype=np.float64),
-    )
-    w = np.sort(counts / (n - 1))
+    w = np.sort(dominance_counts(p.u, p.v) / (n - 1))
     return EmpiricalKendall(w_values=w)
 
 

@@ -64,6 +64,20 @@ def test_sample_roundtrip_and_estimate(tmp_path):
     assert read_json(out)["r"] == pytest.approx(1.0 - 3.0 / 101.0)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    ["1,1\n2,nan\n3,3\n", "1,1\n2,inf\n3,3\n", "1,4\n2,4\n3,4\n"],
+    ids=["nan", "inf", "constant-y"],
+)
+def test_estimate_chatterjee_bad_input_exit_2(tmp_path, capsys, rows):
+    s = tmp_path / "bad.csv"
+    s.write_text("x,y\n" + rows)
+    out = tmp_path / "e.json"
+    assert run(["estimate", str(s), "--mode", "chatterjee", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_estimate_plugin_modes(tmp_path):
     s = tmp_path / "s.csv"
     assert run(["sample", "--copula", "gumbel:3", "--n", "500", "--seed", "42",
@@ -161,6 +175,12 @@ def test_converge_galambos_decreasing(tmp_path):
     for col in ("d_inf", "a_sup", "da_sup", "d1", "wcc_max"):
         vals = [float(r[col]) for r in rows]
         assert vals[0] > vals[-1]
+
+
+@pytest.mark.parametrize("spec", ["pi", "clayton", "clayton:2:3"])
+def test_converge_bad_spec_exit_2(spec, capsys):
+    assert run(["converge", "--copula", spec, "--ks", "1", "--m", "16"]) == 2
+    assert "exactly one parameter" in capsys.readouterr().err
 
 
 def test_approximate_identity_row(tmp_path):

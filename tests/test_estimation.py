@@ -82,6 +82,20 @@ def test_chatterjee_rank_invariance():
     assert a == b
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_chatterjee_rejects_non_finite(bad):
+    s = _sset([(1, 1), (2, 2), (3, bad), (4, 4)])
+    with pytest.raises(ValueError, match="observations must be finite"):
+        chatterjee_r(s)
+    with pytest.raises(ValueError, match="observations must be finite"):
+        chatterjee_r(_sset([(1, 1), (bad, 2), (3, 3)]))
+
+
+def test_chatterjee_rejects_constant_y():
+    with pytest.raises(ValueError, match="constant y column"):
+        chatterjee_r(_sset([(1, 5), (2, 5), (3, 5)]))
+
+
 def test_empirical_kendall_comonotone():
     p = pseudo_obs(_sset([(1, 1), (2, 2), (3, 3), (4, 4)]))
     k = empirical_kendall(p)
