@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .archimedean import archimedean_copula, kendall_function
+from .archimedean import kendall_function
 from .core import checkerboard_approx, checkerboard_copula
 from .estimation import (
     cfg_estimator,
@@ -21,10 +21,16 @@ from .estimation import (
     plugin_zeta1_r,
     pseudo_obs,
 )
-from .extreme_value import ev_copula
 from .fixtures import strip_copula
-from .metrics import QuadratureSpec, d1, d_inf, r_measure, wcc_profile, zeta1
-from .registry import make_copula, make_generator_for, make_pickands_for, parse_spec, read_knots_csv
+from .metrics import QuadratureSpec, d_inf, kernel_grid, pi_measures, wcc_profile
+from .registry import (
+    COPULA_OF_KIND,
+    FAMILIES,
+    build_component,
+    make_copula,
+    parse_spec,
+    read_knots_csv,
+)
 from .sampling import RngSpec, SampleSet, sample
 from .study import ESTIMATORS, StudyConfig, run_study
 
@@ -67,12 +73,13 @@ def _int_list(text: str):
 def cmd_measure(args) -> int:
     c = make_copula(args.copula, knots=_load_knots(args))
     q = QuadratureSpec(m=args.m)
+    d1_to_pi, z, r = pi_measures(c, q)
     report = {
         "copula": c.label,
         "m": args.m,
-        "zeta1": zeta1(c, q),
-        "r": r_measure(c, q),
-        "d1_to_pi": d1(c, make_copula("pi"), q),
+        "zeta1": z,
+        "r": r,
+        "d1_to_pi": d1_to_pi,
         "d_inf_to_pi": d_inf(c, make_copula("pi"), q),
     }
     _emit_json(report, args.out)
@@ -155,66 +162,56 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-_CONVERGE_ARCH = ("clayton", "gumbel", "frank")
-_CONVERGE_EV = ("galambos", "gumbel-ev")
+_TGRID = np.linspace(0.01, 0.99, 99)
+_PGRID = np.linspace(0.05, 1.0, 96)
+
+# family kind -> (its extra converge columns, the differences whose sups they are)
+_CONVERGE_SUPS = {
+    "archimedean": (["kendall_sup", "phi_sup", "dphi_sup"], lambda g, lim: (
+        kendall_function(g).eval(_TGRID) - kendall_function(lim).eval(_TGRID),
+        g.phi(_PGRID) - lim.phi(_PGRID),
+        g.dplus_phi(_TGRID) - lim.dplus_phi(_TGRID),
+    )),
+    "extreme-value": (["a_sup", "da_sup"], lambda p, lim: (
+        p.a(_TGRID) - lim.a(_TGRID),
+        p.dplus_a(_TGRID) - lim.dplus_a(_TGRID),
+    )),
+}
 
 
 def _converge_rows(args):
     name, params = parse_spec(args.copula)
-    if name not in _CONVERGE_ARCH + _CONVERGE_EV or len(params) != 1:
+    kind = FAMILIES[name].kind
+    if kind not in _CONVERGE_SUPS or len(params) != 1:
+        names = [n for n, f in FAMILIES.items() if f.kind in _CONVERGE_SUPS and f.arity == 1]
         raise ValueError(
             f"converge needs a one-parameter Archimedean or Extreme-Value spec with "
-            f"exactly one parameter ({', '.join(_CONVERGE_ARCH + _CONVERGE_EV)}), "
-            f"got '{args.copula}'"
+            f"exactly one parameter ({', '.join(names)}), got '{args.copula}'"
         )
-    theta = params[0]
     ks = _int_list(args.ks)
+    if any(k < 1 for k in ks):
+        raise ValueError("sequence indices k must be >= 1")
+    theta = params[0]
     q = QuadratureSpec(m=args.m)
-    scale = args.offset_scale
-    if name in _CONVERGE_ARCH:
-        g_lim = make_generator_for(name, [theta])
-        limit = archimedean_copula(g_lim)
-        f_lim = kendall_function(g_lim)
-        tgrid = np.linspace(0.01, 0.99, 99)
-        pgrid = np.linspace(0.05, 1.0, 96)
-        header = ["k", "theta", "d_inf", "kendall_sup", "phi_sup", "dphi_sup", "d1", "wcc_max"]
-        rows = []
-        for k in ks:
-            gk = make_generator_for(name, [theta + scale / k])
-            ck = archimedean_copula(gk)
-            rows.append(
-                (
-                    str(k),
-                    _fmt(theta + scale / k),
-                    _fmt(d_inf(ck, limit, q)),
-                    _fmt(np.max(np.abs(kendall_function(gk).eval(tgrid) - f_lim.eval(tgrid)))),
-                    _fmt(np.max(np.abs(gk.phi(pgrid) - g_lim.phi(pgrid)))),
-                    _fmt(np.max(np.abs(gk.dplus_phi(tgrid) - g_lim.dplus_phi(tgrid)))),
-                    _fmt(d1(ck, limit, q)),
-                    _fmt(wcc_profile(ck, limit).summary["max"]),
-                )
-            )
-        return header, rows
-    p_lim = make_pickands_for(name, [theta])
-    limit = ev_copula(p_lim)
-    tgrid = np.linspace(0.01, 0.99, 99)
-    header = ["k", "theta", "d_inf", "a_sup", "da_sup", "d1", "wcc_max"]
+    columns, diffs = _CONVERGE_SUPS[kind]
+    to_copula = COPULA_OF_KIND[kind]
+    part_lim = build_component(name, [theta])
+    limit = to_copula(part_lim)
+    k_lim = kernel_grid(limit, q)
     rows = []
     for k in ks:
-        pk = make_pickands_for(name, [theta + scale / k])
-        ck = ev_copula(pk)
-        rows.append(
-            (
-                str(k),
-                _fmt(theta + scale / k),
-                _fmt(d_inf(ck, limit, q)),
-                _fmt(np.max(np.abs(pk.a(tgrid) - p_lim.a(tgrid)))),
-                _fmt(np.max(np.abs(pk.dplus_a(tgrid) - p_lim.dplus_a(tgrid)))),
-                _fmt(d1(ck, limit, q)),
-                _fmt(wcc_profile(ck, limit).summary["max"]),
-            )
-        )
-    return header, rows
+        theta_k = theta + args.offset_scale / k
+        part = build_component(name, [theta_k])
+        ck = to_copula(part)
+        rows.append((
+            str(k),
+            _fmt(theta_k),
+            _fmt(d_inf(ck, limit, q)),
+            *(_fmt(np.max(np.abs(d))) for d in diffs(part, part_lim)),
+            _fmt(np.mean(np.abs(kernel_grid(ck, q) - k_lim))),   # D1(C_k, C)
+            _fmt(wcc_profile(ck, limit).summary["max"]),
+        ))
+    return ["k", "theta", "d_inf", *columns, "d1", "wcc_max"], rows
 
 
 def cmd_converge(args) -> int:

@@ -116,8 +116,9 @@ def kernel_from_cdf(cdf: Callable, h: float = 1e-5) -> Callable:
     """Markov kernel as a symmetric difference quotient of the CDF in x.
 
     dC/dx exists almost everywhere for any copula; the quotient is clamped to
-    [0,1].  Grid-based consumers additionally monotonize along y (running
-    maximum), see :func:`copkern.metrics.kernel_grid`.
+    [0,1].  It need not be monotone in y: every kernel array the metrics build
+    (`kernel_grid`, `wcc_profile`) passes through one helper,
+    `copkern.metrics._monotone_in_y`, which takes the running maximum along y.
     """
 
     def kernel(x, y):

@@ -9,7 +9,7 @@ import numpy as np
 from ._accel import dominance_counts
 from .archimedean import Generator, archimedean_copula, make_generator
 from .extreme_value import PickandsFunction, ev_copula, make_piecewise_linear_pickands
-from .metrics import QuadratureSpec, r_measure, zeta1
+from .metrics import QuadratureSpec, pi_measures
 from .sampling import SampleSet
 
 _EULER_GAMMA = 0.5772156649015329
@@ -41,15 +41,15 @@ class EmpiricalKendall:
         return np.where(t >= 1.0, 1.0, np.minimum(out, 1.0))
 
 
-def _average_ranks(z: np.ndarray) -> tuple[np.ndarray, bool]:
-    """1-based ranks, each tie group at its mean rank, and whether `z` has ties."""
+def _average_ranks(z: np.ndarray) -> tuple[np.ndarray, int]:
+    """1-based ranks, each tie group at its mean rank, and the number of groups."""
     order = np.argsort(z, kind="mergesort")
     sz = z[order]
     bounds = np.flatnonzero(np.r_[True, sz[1:] != sz[:-1], True])
     lo, hi = bounds[:-1], bounds[1:]
     ranks = np.empty(len(z))
     ranks[order] = np.repeat((lo + hi + 1) / 2, hi - lo)
-    return ranks, len(lo) < len(z)
+    return ranks, len(lo)
 
 
 def _check_sample(s: SampleSet):
@@ -60,12 +60,18 @@ def _check_sample(s: SampleSet):
 
 
 def pseudo_obs(s: SampleSet) -> PseudoObservations:
-    """Rank transform to (rank/(n+1)) pseudo-observations; ties get average ranks."""
+    """Rank transform to (rank/(n+1)) pseudo-observations; ties get average ranks.
+
+    A constant column (a single tie group) has no ranks and is rejected.
+    """
     _check_sample(s)
     n = s.n
-    u, x_ties = _average_ranks(s.x)
-    v, y_ties = _average_ranks(s.y)
-    return PseudoObservations(u=u / (n + 1), v=v / (n + 1), had_ties=x_ties or y_ties)
+    u, x_groups = _average_ranks(s.x)
+    v, y_groups = _average_ranks(s.y)
+    if 1 in (x_groups, y_groups):
+        col = "x" if x_groups == 1 else "y"
+        raise ValueError(f"pseudo-observations are undefined for a constant {col} column")
+    return PseudoObservations(u=u / (n + 1), v=v / (n + 1), had_ties=min(x_groups, y_groups) < n)
 
 
 def empirical_copula_cdf(p: PseudoObservations, x, y):
@@ -73,12 +79,9 @@ def empirical_copula_cdf(p: PseudoObservations, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     shape = np.broadcast_shapes(x.shape, y.shape)
-    xb = np.broadcast_to(x, shape).ravel()
-    yb = np.broadcast_to(y, shape).ravel()
-    out = np.array(
-        [np.count_nonzero((p.u <= xi) & (p.v <= yi)) for xi, yi in zip(xb, yb)],
-        dtype=float,
-    ) / p.n
+    xb = np.broadcast_to(x, shape).reshape(-1, 1)
+    yb = np.broadcast_to(y, shape).reshape(-1, 1)
+    out = np.count_nonzero((p.u <= xb) & (p.v <= yb), axis=1) / p.n
     return out.reshape(shape) if shape else float(out[0])
 
 
@@ -259,4 +262,5 @@ def plugin_zeta1_r(
         model = ev_copula(convexify_pickands(cfg_estimator(p)))
     else:
         raise ValueError("structural assumption must be 'archimedean' or 'extreme-value'")
-    return zeta1(model, q), r_measure(model, q)
+    _, z, r = pi_measures(model, q)
+    return z, r

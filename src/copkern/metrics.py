@@ -8,12 +8,12 @@ metrizes weak convergence even in the presence of atoms.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ._accel import levy_distance
-from .core import CopulaModel, make_pi, transpose
+from .core import CopulaModel, transpose
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -41,16 +41,20 @@ def midpoints(m: int) -> np.ndarray:
     return (np.arange(m) + 0.5) / m
 
 
+def _monotone_in_y(K) -> np.ndarray:
+    """Clip a kernel array to [0, 1] and take its running maximum along y."""
+    return np.maximum.accumulate(np.clip(np.asarray(K, dtype=float), 0.0, 1.0), axis=1)
+
+
 def kernel_grid(c: CopulaModel, q: QuadratureSpec) -> np.ndarray:
     """K(x_i, [0, y_j]) on the midpoint grid, monotonized along y.
 
     The running maximum along y is a no-op for exact kernels and repairs the
-    difference-quotient kernels of transposed copulas.
+    difference-quotient kernels of transposed copulas.  Every measure against
+    Pi is a reduction of this one array: Pi's own grid is the midpoint vector.
     """
     x = midpoints(q.m)
-    K = np.asarray(c.kernel_cdf(x[:, None], x[None, :]), dtype=float)
-    K = np.maximum.accumulate(np.clip(K, 0.0, 1.0), axis=1)
-    return K
+    return _monotone_in_y(c.kernel_cdf(x[:, None], x[None, :]))
 
 
 def d_inf(c1: CopulaModel, c2: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
@@ -77,13 +81,8 @@ def d_infty_metric(c1: CopulaModel, c2: CopulaModel, q: QuadratureSpec = Quadrat
     return float(np.max(np.mean(diff, axis=0)))
 
 
-def zeta1(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
-    """Dependence measure zeta_1(C) = 3 * D1(C, Pi); 0 iff independence."""
-    return 3.0 * d1(c, make_pi(), q)
-
-
-def r_identity_residual(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
-    """Residual of the identity r(C) = 6*D2^2(C,Pi) on the shared grid.
+def _r_and_residual(K: np.ndarray, y: np.ndarray):
+    """r = 6*mean(K^2) - 2 on the grid `K`, and the residual of r = 6*D2^2(C,Pi).
 
     The identity is exact in the continuum; on a finite grid the two routes
     differ by the cross-moment defect 12*E[K y] - 6*E[y^2] - 2, which is the
@@ -91,22 +90,41 @@ def r_identity_residual(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
     O(1/m) term for kernels with atoms).  The residual after removing that
     defect must vanish to rounding for any correct kernel.
     """
-    K = kernel_grid(c, q)
-    y = midpoints(q.m)
-    direct = 6.0 * float(np.mean(K ** 2)) - 2.0
-    via_d2 = 6.0 * d2_squared(c, make_pi(), q)
-    defect = 12.0 * float(np.mean(K * y[None, :])) - 6.0 * float(np.mean(y ** 2)) - 2.0
-    return abs(direct - via_d2 - defect)
+    r = 6.0 * float(np.mean(K ** 2)) - 2.0
+    via_d2 = 6.0 * float(np.mean((K - y) ** 2))
+    defect = 12.0 * float(np.mean(K * y)) - 6.0 * float(np.mean(y ** 2)) - 2.0
+    return r, abs(r - via_d2 - defect)
+
+
+def _checked_r(K: np.ndarray, y: np.ndarray) -> float:
+    r, residual = _r_and_residual(K, y)
+    if residual > 1e-6:
+        raise RuntimeError(
+            "r(C) and 6*D2^2(C,Pi) disagree beyond quadrature: kernel bug"
+        )
+    return r
+
+
+def zeta1(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
+    """Dependence measure zeta_1(C) = 3 * D1(C, Pi); 0 iff independence."""
+    return 3.0 * float(np.mean(np.abs(kernel_grid(c, q) - midpoints(q.m))))
+
+
+def r_identity_residual(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
+    """Residual of the identity r(C) = 6*D2^2(C,Pi) on the kernel grid."""
+    return _r_and_residual(kernel_grid(c, q), midpoints(q.m))[1]
 
 
 def r_measure(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
     """Dependence measure r(C) = 6 * integral of K^2 - 2 = 6 * D2^2(C, Pi)."""
-    if r_identity_residual(c, q) > 1e-6:
-        raise RuntimeError(
-            "r(C) and 6*D2^2(C,Pi) disagree beyond quadrature: kernel bug"
-        )
-    K = kernel_grid(c, q)
-    return 6.0 * float(np.mean(K ** 2)) - 2.0
+    return _checked_r(kernel_grid(c, q), midpoints(q.m))
+
+
+def pi_measures(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
+    """(D1(C, Pi), zeta1(C), r(C)) from one kernel grid of `c`."""
+    K, y = kernel_grid(c, q), midpoints(q.m)
+    d = float(np.mean(np.abs(K - y)))
+    return d, 3.0 * d, _checked_r(K, y)
 
 
 def partial_distance(c1: CopulaModel, c2: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
@@ -134,12 +152,8 @@ def wcc_profile(
         xs = golden_xs()
     xs = np.asarray(xs, dtype=float)
     y = np.linspace(0.0, 1.0, y_grid + 1)
-    K1 = np.maximum.accumulate(
-        np.clip(np.asarray(c1.kernel_cdf(xs[:, None], y[None, :]), float), 0, 1), axis=1
-    )
-    K2 = np.maximum.accumulate(
-        np.clip(np.asarray(c2.kernel_cdf(xs[:, None], y[None, :]), float), 0, 1), axis=1
-    )
+    K1 = _monotone_in_y(c1.kernel_cdf(xs[:, None], y[None, :]))
+    K2 = _monotone_in_y(c2.kernel_cdf(xs[:, None], y[None, :]))
     dist = np.array([levy_distance(K1[i], K2[i]) for i in range(len(xs))])
     summary = {
         "max": float(np.max(dist)),

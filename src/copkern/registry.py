@@ -1,44 +1,70 @@
 """Family registry: build copula models from ``name:params`` spec strings."""
 
 import csv
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .archimedean import (
-    Generator,
-    archimedean_copula,
-    make_clayton,
-    make_frank,
-    make_gumbel,
-    make_w_generator,
-)
+from .archimedean import archimedean_copula, make_clayton, make_frank, make_gumbel
 from .core import CopulaModel, MarshallOlkinParams, make_m, make_marshall_olkin, make_pi, make_w
 from .extreme_value import (
-    PickandsFunction,
     ev_copula,
     make_galambos,
     make_gumbel_pickands,
     make_piecewise_linear_pickands,
 )
 
-FAMILY_NAMES = (
-    "pi",
-    "m",
-    "w",
-    "clayton",
-    "gumbel",
-    "frank",
-    "galambos",
-    "gumbel-ev",
-    "marshall-olkin",
-    "pickands-pwl",
-)
+
+class Family(NamedTuple):
+    arity: int
+    # (params, knots) -> the family's component: a CopulaModel for kind
+    # "closed-form", a Generator for "archimedean", a PickandsFunction for
+    # "extreme-value"
+    build: Callable
+    kind: str
+    # parameter suffix of the family's registered example; None for none
+    example: Optional[str] = None
+
+
+def _of_params(factory: Callable) -> Callable:
+    return lambda params, knots: factory(*params)
+
+
+def _pwl_from_knots(params, knots):
+    if knots is None:
+        raise ValueError("pickands-pwl requires a knots table (--knots CSV)")
+    return make_piecewise_linear_pickands(knots)
+
+
+FAMILIES = {
+    "pi": Family(0, _of_params(make_pi), "closed-form", ""),
+    "m": Family(0, _of_params(make_m), "closed-form", ""),
+    "w": Family(0, _of_params(make_w), "closed-form", ""),
+    "clayton": Family(1, _of_params(make_clayton), "archimedean", ":2"),
+    "gumbel": Family(1, _of_params(make_gumbel), "archimedean", ":3"),
+    "frank": Family(1, _of_params(make_frank), "archimedean", ":5"),
+    "galambos": Family(1, _of_params(make_galambos), "extreme-value", ":3"),
+    "gumbel-ev": Family(1, _of_params(make_gumbel_pickands), "extreme-value", ":2.5"),
+    "marshall-olkin": Family(
+        2, lambda params, knots: make_marshall_olkin(MarshallOlkinParams(*params)),
+        "closed-form", ":0.5:0.7",
+    ),
+    "pickands-pwl": Family(0, _pwl_from_knots, "extreme-value"),
+}
+
+# kind -> copula of a built component.  The lambdas look the model factories
+# up at call time, so a wrapper installed on this module's attributes (as
+# perfbench's tracer does) sees every model the registry builds.
+COPULA_OF_KIND = {
+    "closed-form": lambda model: model,
+    "archimedean": lambda g: archimedean_copula(g),
+    "extreme-value": lambda p: ev_copula(p),
+}
 
 
 def parse_spec(spec: str) -> Tuple[str, List[float]]:
     parts = spec.split(":")
     name = parts[0].strip().lower()
-    if name not in FAMILY_NAMES:
-        raise ValueError(f"unknown copula family '{name}' (known: {', '.join(FAMILY_NAMES)})")
+    if name not in FAMILIES:
+        raise ValueError(f"unknown copula family '{name}' (known: {', '.join(FAMILIES)})")
     try:
         params = [float(p) for p in parts[1:]]
     except ValueError:
@@ -55,73 +81,20 @@ def read_knots_csv(path: str) -> List[Tuple[float, float]]:
         return [(float(row["x"]), float(row["a"])) for row in reader]
 
 
-def make_generator_for(name: str, params: Sequence[float]) -> Generator:
-    if name == "clayton":
-        return make_clayton(*params)
-    if name == "gumbel":
-        return make_gumbel(*params)
-    if name == "frank":
-        return make_frank(*params)
-    if name == "w":
-        return make_w_generator()
-    raise ValueError(f"family '{name}' is not Archimedean")
-
-
-def make_pickands_for(
-    name: str, params: Sequence[float], knots=None
-) -> PickandsFunction:
-    if name == "galambos":
-        return make_galambos(*params)
-    if name == "gumbel-ev":
-        return make_gumbel_pickands(*params)
-    if name == "pickands-pwl":
-        if knots is None:
-            raise ValueError("pickands-pwl requires a knots table (--knots CSV)")
-        return make_piecewise_linear_pickands(knots)
-    raise ValueError(f"family '{name}' is not Extreme-Value")
+def build_component(name: str, params: Sequence[float], knots=None):
+    """The component of family `name`, after checking the parameter count."""
+    family = FAMILIES[name]
+    if len(params) != family.arity:
+        raise ValueError(f"{name} takes {family.arity} inline parameter(s), got {len(params)}")
+    return family.build(params, knots)
 
 
 def make_copula(spec: str, knots: Optional[Sequence[Tuple[float, float]]] = None) -> CopulaModel:
     """Build the copula model described by ``spec``, e.g. ``clayton:2``."""
     name, params = parse_spec(spec)
-    try:
-        if name == "pi":
-            return make_pi()
-        if name == "m":
-            return make_m()
-        if name == "w":
-            return make_w()
-        if name == "marshall-olkin":
-            if len(params) != 2:
-                raise ValueError("marshall-olkin takes two parameters alpha:beta")
-            return make_marshall_olkin(MarshallOlkinParams(*params))
-        if name in ("clayton", "gumbel", "frank"):
-            if len(params) != 1:
-                raise ValueError(f"{name} takes exactly one parameter")
-            return archimedean_copula(make_generator_for(name, params))
-        if name in ("galambos", "gumbel-ev"):
-            if len(params) != 1:
-                raise ValueError(f"{name} takes exactly one parameter")
-            return ev_copula(make_pickands_for(name, params))
-        if name == "pickands-pwl":
-            if params:
-                raise ValueError("pickands-pwl takes its knots from --knots, not inline")
-            return ev_copula(make_pickands_for(name, params, knots))
-    except TypeError:
-        raise ValueError(f"wrong parameter count in copula spec '{spec}'")
-    raise ValueError(f"unknown copula family '{name}'")
+    return COPULA_OF_KIND[FAMILIES[name].kind](build_component(name, params, knots))
 
 
 def registered_examples() -> List[str]:
     """One representative spec per registered family (used by oracle sweeps)."""
-    return [
-        "pi",
-        "m",
-        "w",
-        "clayton:2",
-        "gumbel:3",
-        "frank:5",
-        "galambos:3",
-        "gumbel-ev:2.5",
-        "marshall-olkin:0.5:0.7",
-    ]
+    return [name + f.example for name, f in FAMILIES.items() if f.example is not None]

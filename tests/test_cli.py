@@ -45,6 +45,9 @@ def test_measure_unknown_family_exit_2(capsys):
 def test_measure_bad_parameter_exit_2():
     assert run(["measure", "--copula", "clayton:-1"]) == 2
     assert run(["measure", "--copula", "clayton:abc"]) == 2
+    # a parameter count other than the family's is an error, not dropped
+    for spec in ("pi:3", "m:1", "w:2", "pickands-pwl:1"):
+        assert run(["measure", "--copula", spec]) == 2
 
 
 def test_sample_roundtrip_and_estimate(tmp_path):
@@ -97,6 +100,20 @@ def test_estimate_plugin_modes(tmp_path):
     rep = read_json(out)
     assert 0.65 <= rep["zeta1"] <= 0.85
     assert "pickands_table" in rep
+
+
+@pytest.mark.parametrize("mode", ["plugin-arch", "plugin-ev"])
+@pytest.mark.parametrize(
+    "rows", ["1,4\n2,4\n3,4\n4,4\n", "5,1\n5,2\n5,3\n5,4\n"],
+    ids=["constant-y", "constant-x"],
+)
+def test_estimate_plugin_constant_column_exit_2(tmp_path, capsys, mode, rows):
+    s = tmp_path / "const.csv"
+    s.write_text("x,y\n" + rows)
+    out = tmp_path / "e.json"
+    assert run(["estimate", str(s), "--mode", mode, "--m", "16", "--out", str(out)]) == 2
+    assert "constant" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sample_determinism_byte_identical(tmp_path):
@@ -181,6 +198,15 @@ def test_converge_galambos_decreasing(tmp_path):
 def test_converge_bad_spec_exit_2(spec, capsys):
     assert run(["converge", "--copula", spec, "--ks", "1", "--m", "16"]) == 2
     assert "exactly one parameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ks", ["0", "-1", "1,0,2"])
+def test_converge_rejects_k_below_one(ks, tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert run(["converge", "--copula", "clayton:3", f"--ks={ks}", "--m", "16",
+                "--out", str(out)]) == 2
+    assert "sequence indices k must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_approximate_identity_row(tmp_path):

@@ -144,3 +144,20 @@ def test_kernel_monotone_and_reaches_one(spec):
     K = np.asarray(c.kernel_cdf(x[:, None], y[None, :]))
     assert np.min(np.diff(K, axis=1)) >= -1e-9
     assert np.allclose(K[:, -1], 1.0)
+
+
+def test_registered_examples_order():
+    assert registered_examples() == [
+        "pi", "m", "w", "clayton:2", "gumbel:3", "frank:5", "galambos:3",
+        "gumbel-ev:2.5", "marshall-olkin:0.5:0.7",
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [("pi:3", 0), ("m:1", 0), ("w:2", 0), ("clayton", 1), ("galambos:1:2", 1),
+     ("marshall-olkin:0.5", 2), ("pickands-pwl:1", 0)],
+)
+def test_make_copula_rejects_wrong_parameter_count(spec, expected):
+    with pytest.raises(ValueError, match=rf"takes {expected} inline parameter"):
+        make_copula(spec)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from copkern.archimedean import kendall_function, make_gumbel
+from copkern.archimedean import archimedean_copula, kendall_function, make_gumbel
+from copkern.core import CopulaModel
 from copkern.estimation import (
     EmpiricalKendall,
     cfg_estimator,
@@ -13,8 +14,8 @@ from copkern.estimation import (
     pseudo_obs,
     reconstruct_generator,
 )
-from copkern.extreme_value import make_galambos
-from copkern.metrics import QuadratureSpec
+from copkern.extreme_value import ev_copula, make_galambos
+from copkern.metrics import QuadratureSpec, r_measure, zeta1
 from copkern.registry import make_copula
 from copkern.sampling import RngSpec, SampleSet, sample
 
@@ -43,6 +44,15 @@ def test_pseudo_obs_ties_average_ranks():
     p = pseudo_obs(_sset([(1, 1), (1, 2), (2, 3)]))
     assert p.had_ties
     assert np.allclose(p.u, [1.5 / 4, 1.5 / 4, 3 / 4])
+
+
+@pytest.mark.parametrize(
+    "pairs", [[(1, 7), (2, 7), (3, 7)], [(4, 1), (4, 3), (4, 2)]],
+    ids=["constant-y", "constant-x"],
+)
+def test_pseudo_obs_rejects_constant_column(pairs):
+    with pytest.raises(ValueError, match="constant"):
+        pseudo_obs(_sset(pairs))
 
 
 def test_empirical_copula_values():
@@ -228,3 +238,42 @@ def test_plugin_rejects_unknown_assumption():
     p = pseudo_obs(SampleSet(x=rng.random(50), y=rng.random(50)))
     with pytest.raises(ValueError):
         plugin_zeta1_r(p, "gaussian")
+
+
+def _plugin_sample(n=200):
+    return pseudo_obs(sample(make_copula("gumbel:3"), n, RngSpec(seed=5)))
+
+
+@pytest.mark.parametrize("which", ["archimedean", "extreme-value"])
+def test_plugin_equals_single_measures_of_rebuilt_model(which):
+    p = _plugin_sample()
+    q = QuadratureSpec(m=64)
+    if which == "archimedean":
+        model = archimedean_copula(reconstruct_generator(empirical_kendall(p)))
+    else:
+        model = ev_copula(convexify_pickands(cfg_estimator(p)))
+    assert plugin_zeta1_r(p, which, q) == (zeta1(model, q), r_measure(model, q))
+
+
+@pytest.mark.parametrize(
+    "which, factory",
+    [("archimedean", "archimedean_copula"), ("extreme-value", "ev_copula")],
+)
+def test_plugin_evaluates_one_kernel_grid(monkeypatch, which, factory):
+    import copkern.estimation as est
+
+    sizes = []
+    build = getattr(est, factory)
+
+    def counting_factory(component):
+        model = build(component)
+
+        def kernel_cdf(x, y):
+            sizes.append(np.broadcast(np.asarray(x), np.asarray(y)).size)
+            return model.kernel_cdf(x, y)
+
+        return CopulaModel(cdf=model.cdf, kernel_cdf=kernel_cdf, label=model.label)
+
+    monkeypatch.setattr(est, factory, counting_factory)
+    plugin_zeta1_r(_plugin_sample(), which, QuadratureSpec(m=32))
+    assert sizes == [32 * 32]

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from copkern._accel import levy_distance
-from copkern.core import checkerboard_approx, checkerboard_copula, make_m, make_pi, make_w
+from copkern.core import (
+    CopulaModel,
+    checkerboard_approx,
+    checkerboard_copula,
+    make_m,
+    make_pi,
+    make_w,
+)
 from copkern.fixtures import shift_copula, strip_copula, strip_index
 from copkern.metrics import (
     QuadratureSpec,
@@ -13,6 +20,8 @@ from copkern.metrics import (
     disintegration_defect,
     golden_xs,
     partial_distance,
+    pi_measures,
+    r_identity_residual,
     r_measure,
     wcc_profile,
     zeta1,
@@ -71,6 +80,29 @@ def test_r_internal_identity_consistency(spec):
     v = r_measure(make_copula(spec), Q)
     # atomic kernels (M, W) carry a +3/m midpoint-rule bias at the top end
     assert -0.51 <= v <= 1.0 + 3.0 / Q.m + 1e-9
+
+
+def test_r_measure_evaluates_one_kernel_grid():
+    # the identity guard runs on the same grid r is read from
+    base = make_copula("gumbel:3")
+    sizes = []
+
+    def kernel_cdf(x, y):
+        sizes.append(np.broadcast(np.asarray(x), np.asarray(y)).size)
+        return base.kernel_cdf(x, y)
+
+    counted = CopulaModel(cdf=base.cdf, kernel_cdf=kernel_cdf, label=base.label)
+    q = QuadratureSpec(m=64)
+    assert r_measure(counted, q) == r_measure(base, q)
+    assert sizes == [64 * 64]
+
+
+@pytest.mark.parametrize("spec", registered_examples())
+def test_pi_measures_equal_single_measures(spec):
+    c = make_copula(spec)
+    q = QuadratureSpec(m=128)
+    assert pi_measures(c, q) == (d1(c, make_pi(), q), zeta1(c, q), r_measure(c, q))
+    assert r_identity_residual(c, q) <= 1e-6
 
 
 @pytest.mark.parametrize("spec", registered_examples())

@@ -3,7 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copkern._accel import dominance_counts, levy_distance
-from copkern.estimation import _average_ranks, convexify_pickands
+from copkern.estimation import (
+    PseudoObservations,
+    _average_ranks,
+    convexify_pickands,
+    empirical_copula_cdf,
+)
 
 
 @st.composite
@@ -76,6 +81,27 @@ def test_average_ranks_match_tie_group_means(xy):
     positions = np.empty(len(z))
     positions[order] = np.arange(1, len(z) + 1)
     expected = np.array([positions[z == v].mean() for v in z])
-    ranks, tied = _average_ranks(z)
+    ranks, groups = _average_ranks(z)
     assert np.array_equal(ranks, expected)
-    assert tied == (len(np.unique(z)) < len(z))
+    assert groups == len(np.unique(z))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_points(), st.data())
+def test_empirical_copula_cdf_matches_brute_force(xy, data):
+    u, v = xy
+    p = PseudoObservations(u=u, v=v)
+    # query points on the same integer grids, one beyond each end
+    qx = np.asarray(data.draw(st.lists(st.integers(-1, 13), min_size=1, max_size=20)), float)
+    qy = np.asarray(data.draw(st.lists(st.integers(-1, 13), min_size=len(qx),
+                                       max_size=len(qx))), float)
+    expected = [sum(1 for ui, vi in zip(u, v) if ui <= a and vi <= b) / len(u)
+                for a, b in zip(qx, qy)]
+    got = empirical_copula_cdf(p, qx, qy)
+    assert got.shape == qx.shape
+    assert np.array_equal(got, expected)
+    grid = empirical_copula_cdf(p, qx[:, None], qy[None, :])
+    assert grid.shape == (len(qx), len(qy))
+    assert np.array_equal(np.diagonal(grid), expected)
+    scalar = empirical_copula_cdf(p, qx[0], qy[0])
+    assert isinstance(scalar, float) and scalar == expected[0]
