@@ -22,7 +22,7 @@ from .estimation import (
     pseudo_obs,
 )
 from .fixtures import strip_copula
-from .metrics import QuadratureSpec, d_inf, kernel_grid, pi_measures, wcc_profile
+from .metrics import QuadratureSpec, d1_grids, d_inf, kernel_grid, pi_measures, wcc_profile
 from .registry import (
     COPULA_OF_KIND,
     FAMILIES,
@@ -208,7 +208,7 @@ def _converge_rows(args):
             _fmt(theta_k),
             _fmt(d_inf(ck, limit, q)),
             *(_fmt(np.max(np.abs(d))) for d in diffs(part, part_lim)),
-            _fmt(np.mean(np.abs(kernel_grid(ck, q) - k_lim))),   # D1(C_k, C)
+            _fmt(d1_grids(kernel_grid(ck, q), k_lim)),
             _fmt(wcc_profile(ck, limit).summary["max"]),
         ))
     return ["k", "theta", "d_inf", *columns, "d1", "wcc_max"], rows

@@ -9,7 +9,8 @@ import numpy as np
 from ._accel import dominance_counts
 from .archimedean import Generator, archimedean_copula, make_generator
 from .extreme_value import PickandsFunction, ev_copula, make_piecewise_linear_pickands
-from .metrics import QuadratureSpec, pi_measures
+# zeta1 is not used here; the binding remains for callers that trace it
+from .metrics import QuadratureSpec, pi_measures, zeta1  # noqa: F401
 from .sampling import SampleSet
 
 _EULER_GAMMA = 0.5772156649015329

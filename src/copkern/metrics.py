@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from ._accel import levy_distance
-from .core import CopulaModel, transpose
+from .core import CopulaModel, make_pi, transpose
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -50,8 +50,9 @@ def kernel_grid(c: CopulaModel, q: QuadratureSpec) -> np.ndarray:
     """K(x_i, [0, y_j]) on the midpoint grid, monotonized along y.
 
     The running maximum along y is a no-op for exact kernels and repairs the
-    difference-quotient kernels of transposed copulas.  Every measure against
-    Pi is a reduction of this one array: Pi's own grid is the midpoint vector.
+    difference-quotient kernels of transposed copulas.  Each measure of one
+    model is a reduction of this one array; r and `pi_measures` compare it
+    with the midpoint vector, which is Pi's grid.
     """
     x = midpoints(q.m)
     return _monotone_in_y(c.kernel_cdf(x[:, None], x[None, :]))
@@ -65,9 +66,14 @@ def d_inf(c1: CopulaModel, c2: CopulaModel, q: QuadratureSpec = QuadratureSpec()
     return float(np.max(d))
 
 
+def d1_grids(K1: np.ndarray, K2: np.ndarray) -> float:
+    """D1 between two kernel grids (or a grid and Pi's midpoint vector)."""
+    return float(np.mean(np.abs(K1 - K2)))
+
+
 def d1(c1: CopulaModel, c2: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
     """D1: double integral of |K1(x,[0,y]) - K2(x,[0,y])|."""
-    return float(np.mean(np.abs(kernel_grid(c1, q) - kernel_grid(c2, q))))
+    return d1_grids(kernel_grid(c1, q), kernel_grid(c2, q))
 
 
 def d2_squared(c1: CopulaModel, c2: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
@@ -107,7 +113,7 @@ def _checked_r(K: np.ndarray, y: np.ndarray) -> float:
 
 def zeta1(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
     """Dependence measure zeta_1(C) = 3 * D1(C, Pi); 0 iff independence."""
-    return 3.0 * float(np.mean(np.abs(kernel_grid(c, q) - midpoints(q.m))))
+    return 3.0 * d1(c, make_pi(), q)
 
 
 def r_identity_residual(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
@@ -123,7 +129,7 @@ def r_measure(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
 def pi_measures(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
     """(D1(C, Pi), zeta1(C), r(C)) from one kernel grid of `c`."""
     K, y = kernel_grid(c, q), midpoints(q.m)
-    d = float(np.mean(np.abs(K - y)))
+    d = d1_grids(K, y)
     return d, 3.0 * d, _checked_r(K, y)
 
 

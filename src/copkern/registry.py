@@ -20,8 +20,6 @@ class Family(NamedTuple):
     # "extreme-value"
     build: Callable
     kind: str
-    # parameter suffix of the family's registered example; None for none
-    example: Optional[str] = None
 
 
 def _of_params(factory: Callable) -> Callable:
@@ -35,17 +33,17 @@ def _pwl_from_knots(params, knots):
 
 
 FAMILIES = {
-    "pi": Family(0, _of_params(make_pi), "closed-form", ""),
-    "m": Family(0, _of_params(make_m), "closed-form", ""),
-    "w": Family(0, _of_params(make_w), "closed-form", ""),
-    "clayton": Family(1, _of_params(make_clayton), "archimedean", ":2"),
-    "gumbel": Family(1, _of_params(make_gumbel), "archimedean", ":3"),
-    "frank": Family(1, _of_params(make_frank), "archimedean", ":5"),
-    "galambos": Family(1, _of_params(make_galambos), "extreme-value", ":3"),
-    "gumbel-ev": Family(1, _of_params(make_gumbel_pickands), "extreme-value", ":2.5"),
+    "pi": Family(0, _of_params(make_pi), "closed-form"),
+    "m": Family(0, _of_params(make_m), "closed-form"),
+    "w": Family(0, _of_params(make_w), "closed-form"),
+    "clayton": Family(1, _of_params(make_clayton), "archimedean"),
+    "gumbel": Family(1, _of_params(make_gumbel), "archimedean"),
+    "frank": Family(1, _of_params(make_frank), "archimedean"),
+    "galambos": Family(1, _of_params(make_galambos), "extreme-value"),
+    "gumbel-ev": Family(1, _of_params(make_gumbel_pickands), "extreme-value"),
     "marshall-olkin": Family(
         2, lambda params, knots: make_marshall_olkin(MarshallOlkinParams(*params)),
-        "closed-form", ":0.5:0.7",
+        "closed-form",
     ),
     "pickands-pwl": Family(0, _pwl_from_knots, "extreme-value"),
 }
@@ -97,4 +95,5 @@ def make_copula(spec: str, knots: Optional[Sequence[Tuple[float, float]]] = None
 
 def registered_examples() -> List[str]:
     """One representative spec per registered family (used by oracle sweeps)."""
-    return [name + f.example for name, f in FAMILIES.items() if f.example is not None]
+    return ["pi", "m", "w", "clayton:2", "gumbel:3", "frank:5", "galambos:3",
+            "gumbel-ev:2.5", "marshall-olkin:0.5:0.7"]
