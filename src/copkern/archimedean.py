@@ -228,7 +228,9 @@ def kendall_function(g: Generator) -> KendallFunction:
 
     def eval(x):
         x = np.asarray(x, dtype=float)
-        xs = np.clip(x, 1e-12, 1.0 - 1e-15)
+        # x = 0 is kept: a strict generator's phi / D+phi is inf / -inf there,
+        # read as 0, so K(0) = 0 exactly, which is what marks it strict
+        xs = np.clip(x, 0.0, 1.0 - 1e-15)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             ratio = g.phi(xs) / g.dplus_phi(xs)
         ratio = np.where(np.isfinite(ratio), ratio, 0.0)

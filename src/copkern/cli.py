@@ -195,7 +195,7 @@ def _converge_rows(args):
     q = QuadratureSpec(m=args.m)
     columns, diffs = _CONVERGE_SUPS[kind]
     to_copula = COPULA_OF_KIND[kind]
-    part_lim = build_component(name, [theta])
+    part_lim = build_component(name, [theta], _load_knots(args))
     limit = to_copula(part_lim)
     k_lim = kernel_grid(limit, q)
     rows = []

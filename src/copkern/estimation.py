@@ -29,10 +29,9 @@ class PseudoObservations:
 
 @dataclass(frozen=True)
 class EmpiricalKendall:
-    """Validity-projected step estimate of the Kendall distribution function."""
+    """Step estimate K(t) = (1/n) #{W_i <= t} of the Kendall distribution function."""
 
     w_values: np.ndarray          # sorted normalized concordance statistics
-    projected: bool = True
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
@@ -111,98 +110,93 @@ def chatterjee_r(s: SampleSet, rng: np.random.Generator = None) -> float:
 def empirical_kendall(p: PseudoObservations) -> EmpiricalKendall:
     """Empirical Kendall distribution from strict pairwise dominance counts.
 
-    W_i = #{j != i : u_j < u_i, v_j < v_i} / (n-1); the raw step function
-    (1/n) #{W_i <= t} is then projected to a valid Kendall function
-    (max with the identity, nondecreasing, right-continuous, value 1 at 1).
+    W_i = #{j : u_j < u_i, v_j < v_i} / (n+1), the divisor of the ranks.  A
+    point with count c dominates c points of smaller count, so the step
+    function (1/n) #{W_i <= t} is at least c/n > c/(n+1) below each atom: it
+    exceeds the identity on [0, 1) and is a valid Kendall function as it is.
     """
     n = p.n
     if n < 2:
         raise ValueError("need at least two observations")
-    w = np.sort(dominance_counts(p.u, p.v) / (n - 1))
-    return EmpiricalKendall(w_values=w)
+    return EmpiricalKendall(w_values=np.sort(dominance_counts(p.u, p.v) / (n + 1)))
 
 
-def reconstruct_generator(
-    k: EmpiricalKendall, grid: int = 10_000, eps: float = 1e-6
-) -> Generator:
-    """Normalized Archimedean generator from a Kendall distribution estimate.
+# knots on which a Kendall function known only through `eval` is tabulated
+_KENDALL_GRID = np.linspace(0.0, 1.0, 10_001)
 
-    phi(x) = exp( int_{1/2}^{x} dt / (t - F(t)) ) tabulated by the trapezoid
-    rule on [1e-4, 1]; the denominator is floored at -eps so that stretches
-    where F(t) = t cannot blow up the integral.
+
+def _log_mean(a, b):
+    """Logarithmic mean (b - a) / log(b / a) of same-sign a, b; a when a == b."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(a == b, a, (b - a) / np.log(b / a))
+
+
+def reconstruct_generator(k) -> Generator:
+    """Archimedean generator of a Kendall function K, normalized to phi(1/2) = 1.
+
+    log phi(x) = int_{1/2}^x dt / g(t) with g(t) = t - K(t) < 0 on (0, 1).
+    Between knots K is taken constant (the atoms of an EmpiricalKendall) or
+    linear (a tabulation of any other K on _KENDALL_GRID); g is then linear,
+    and the integral over a segment is exactly dt / L(g_lo, g_hi), L the
+    logarithmic mean.  For the step estimate phi is linear between atoms with
+    its root at K's value there, so the knot table is the exact generator,
+    decreasing and convex.  The last segment's integral diverges (K(1) = 1),
+    which gives phi(1) = 0.  The generator is strict exactly when the first
+    segment's integral diverges, i.e. when K(0) = 0; the table then starts at
+    the first positive knot t1 and, with K the chord through the origin on
+    [0, t1], phi(x) = phi(t1) (t1 / x)**alpha below it.
     """
-    ts = np.union1d(np.linspace(1e-4, 1.0, grid), [0.5])
-    denom = np.minimum(ts - k.eval(ts), -eps)
-    integrand = 1.0 / denom
-    # cumulative trapezoid from the left end, then re-anchor at t = 1/2
-    cum = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(ts)))
-    )
-    anchor = cum[np.searchsorted(ts, 0.5)]
-    # cap the exponent: near-degenerate stretches of F would overflow phi to
-    # inf and poison the table; 1e12 is far above the strictness threshold
-    phis = np.exp(np.minimum(cum - anchor, np.log(1e12)))
-    phis[-1] = 0.0                      # phi(1) = 0 exactly
-    return table_generator(ts, phis, label="reconstructed")
-
-
-def _pava_nondecreasing(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted isotonic projection onto nondecreasing sequences (pool adjacent
-    violators); preserves the weighted total of `values`."""
-    v, w, sizes = [], [], []
-    for x, wt in zip(values, weights):
-        v.append(x)
-        w.append(wt)
-        sizes.append(1)
-        while len(v) >= 2 and v[-2] > v[-1]:
-            wv = w[-2] + w[-1]
-            v[-2] = (w[-2] * v[-2] + w[-1] * v[-1]) / wv
-            w[-2] = wv
-            sizes[-2] += sizes[-1]
-            v.pop(); w.pop(); sizes.pop()
-    return np.repeat(v, sizes)
-
-
-def table_generator(ts: np.ndarray, phis: np.ndarray, label: str,
-                    strict_threshold: float = 1e6) -> Generator:
-    """Generator backed by a monotone table, convexified by slope projection.
-
-    The chord slopes are projected onto nondecreasing sequences (weighted
-    isotonic regression), which preserves the total increment, so phi(1) = 0
-    survives the projection; the table is then rescaled so that phi(1/2) = 1
-    holds exactly.
-    """
-    ts = np.asarray(ts, dtype=float)
-    phis = np.asarray(phis, dtype=float)
-    dt = np.diff(ts)
-    d = _pava_nondecreasing(np.diff(phis) / dt, dt)
-    # rebuild the convex table backwards from phi(1) and renormalize at 1/2
-    phis = phis[-1] - np.concatenate(([0.0], np.cumsum((d * dt)[::-1])))[::-1]
-    scale = np.interp(0.5, ts, phis)
-    if scale > 0:
-        phis = phis / scale
-        d = d / scale
-    strict = bool(phis[0] > strict_threshold)
-    rev_p = phis[::-1]
-    rev_t = ts[::-1]
+    if isinstance(k, EmpiricalKendall):
+        ts = np.union1d(k.w_values, [0.0, 0.5, 1.0])
+        k_lo = k_hi = k.eval(ts[:-1])
+    else:
+        ts = _KENDALL_GRID
+        kv = k.eval(ts)
+        k_lo, k_hi = kv[:-1], kv[1:]
+    g_lo, g_hi = ts[:-1] - k_lo, ts[1:] - k_hi
+    if not (np.all(g_lo[1:] < 0) and np.all(g_hi[:-1] < 0) and g_lo[0] <= 0 and g_hi[-1] == 0):
+        raise ValueError("a Kendall function must exceed the identity on (0, 1) and reach 1 at 1")
+    strict = bool(g_lo[0] == 0)
+    with np.errstate(divide="ignore"):
+        steps = np.diff(ts) / _log_mean(g_lo, g_hi)
+    if strict:
+        alpha = -ts[1] / g_hi[0]
+        ts, steps = ts[1:], steps[1:]
+    log_phi = np.concatenate(([0.0], np.cumsum(steps)))
+    with np.errstate(over="ignore"):
+        phis = np.exp(log_phi - log_phi[np.searchsorted(ts, 0.5)])    # 1/2 is a knot
+    if not (np.isfinite(phis[0]) and np.all(phis[:-1] > 0)):
+        raise ValueError("the generator's range exceeds floating point "
+                         "(a Kendall estimate too close to comonotone)")
+    d = np.diff(phis) / np.diff(ts)
+    t1, phi1 = ts[0], phis[0]
 
     def phi(t):
-        t = np.asarray(t, dtype=float)
-        return np.interp(np.clip(t, ts[0], 1.0), ts, phis)
+        t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+        out = np.interp(t, ts, phis)
+        if strict:
+            with np.errstate(divide="ignore"):
+                out = np.where(t < t1, phi1 * (t1 / t) ** alpha, out)
+        return out
 
     def dplus(t):
         t = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(d) - 1)
-        return d[idx]
+        out = d[np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(d) - 1)]
+        if strict:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = np.where(t < t1, -alpha / t * phi1 * (t1 / t) ** alpha, out)
+        return out
 
     def inverse(s):
+        # beyond phi(0) = phis[0] a non-strict table gives ts[0] = 0
         s = np.asarray(s, dtype=float)
-        out = np.interp(s, rev_p, rev_t)
-        return np.where(s >= phis[0], 0.0, out)
+        out = np.interp(s, phis[::-1], ts[::-1])
+        if strict:
+            with np.errstate(divide="ignore"):
+                out = np.where(s > phi1, t1 * (phi1 / s) ** (1.0 / alpha), out)
+        return out
 
-    return make_generator(
-        phi, dplus, np.inf if strict else float(phis[0]), label, inverse
-    )
+    return make_generator(phi, dplus, np.inf if strict else float(phi1), "reconstructed", inverse)
 
 
 def cfg_estimator(p: PseudoObservations, t_grid: int = 1000) -> dict:

@@ -20,16 +20,11 @@ class Family(NamedTuple):
     # "extreme-value"
     build: Callable
     kind: str
+    takes_knots: bool = False
 
 
 def _of_params(factory: Callable) -> Callable:
     return lambda params, knots: factory(*params)
-
-
-def _pwl_from_knots(params, knots):
-    if knots is None:
-        raise ValueError("pickands-pwl requires a knots table (--knots CSV)")
-    return make_piecewise_linear_pickands(knots)
 
 
 FAMILIES = {
@@ -45,7 +40,10 @@ FAMILIES = {
         2, lambda params, knots: make_marshall_olkin(MarshallOlkinParams(*params)),
         "closed-form",
     ),
-    "pickands-pwl": Family(0, _pwl_from_knots, "extreme-value"),
+    "pickands-pwl": Family(
+        0, lambda params, knots: make_piecewise_linear_pickands(knots), "extreme-value",
+        takes_knots=True,
+    ),
 }
 
 # kind -> copula of a built component.  The lambdas look the model factories
@@ -80,10 +78,13 @@ def read_knots_csv(path: str) -> List[Tuple[float, float]]:
 
 
 def build_component(name: str, params: Sequence[float], knots=None):
-    """The component of family `name`, after checking the parameter count."""
+    """The component of family `name`, after checking its parameters and knots."""
     family = FAMILIES[name]
     if len(params) != family.arity:
         raise ValueError(f"{name} takes {family.arity} inline parameter(s), got {len(params)}")
+    if (knots is not None) != family.takes_knots:
+        need = "requires a" if family.takes_knots else "takes no"
+        raise ValueError(f"{name} {need} knots table (--knots CSV)")
     return family.build(params, knots)
 
 

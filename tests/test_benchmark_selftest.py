@@ -1,0 +1,13 @@
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's own checks import copkern from src/ and trace its bindings
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "0 self-test failure(s)" in proc.stdout

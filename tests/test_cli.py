@@ -116,6 +116,19 @@ def test_estimate_plugin_constant_column_exit_2(tmp_path, capsys, mode, rows):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_estimate_plugin_arch_comonotone_is_a_copula(tmp_path, n):
+    s = tmp_path / "comonotone.csv"
+    s.write_text("x,y\n" + "".join(f"{i},{i}\n" for i in range(1, n + 1)))
+    out = tmp_path / "e.json"
+    m = 64
+    assert run(["estimate", str(s), "--mode", "plugin-arch", "--m", str(m),
+                "--out", str(out)]) == 0
+    rep = read_json(out)
+    assert 0.0 <= rep["zeta1"] <= 1.0
+    assert -3.0 / m <= rep["r"] <= 1.0 + 3.0 / m
+
+
 def test_sample_determinism_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for p in (a, b):
@@ -224,6 +237,16 @@ def test_knots_csv_flow(tmp_path):
     assert run(["measure", "--copula", "pickands-pwl", "--knots", str(knots),
                 "--m", "128", "--out", str(out)]) == 0
     assert 0.0 < read_json(out)["zeta1"] < 1.0
+
+
+@pytest.mark.parametrize("cmd", [["measure"], ["sample", "--n", "5"], ["converge", "--ks", "1"]])
+def test_knots_rejected_for_families_without_knots(tmp_path, capsys, cmd):
+    knots = tmp_path / "k.csv"
+    knots.write_text("x,a\n0,1\n0.5,0.75\n1,1\n")
+    out = tmp_path / "o.txt"
+    assert run([*cmd, "--copula", "clayton:2", "--knots", str(knots), "--out", str(out)]) == 2
+    assert "clayton takes no knots table" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_knots_csv_bad_header(tmp_path):

@@ -15,7 +15,7 @@ from copkern.estimation import (
     reconstruct_generator,
 )
 from copkern.extreme_value import ev_copula, make_galambos
-from copkern.metrics import QuadratureSpec, r_measure, zeta1
+from copkern.metrics import QuadratureSpec, disintegration_defect, r_measure, zeta1
 from copkern.registry import make_copula
 from copkern.sampling import RngSpec, SampleSet, sample
 
@@ -109,7 +109,7 @@ def test_chatterjee_rejects_constant_y():
 def test_empirical_kendall_comonotone():
     p = pseudo_obs(_sset([(1, 1), (2, 2), (3, 3), (4, 4)]))
     k = empirical_kendall(p)
-    assert np.allclose(k.w_values, [0.0, 1 / 3, 2 / 3, 1.0])
+    assert np.allclose(k.w_values, [0.0, 1 / 5, 2 / 5, 3 / 5])
     assert k.eval(0.0) == pytest.approx(0.25)
     assert k.eval(1.0) == 1.0
 
@@ -160,6 +160,56 @@ def test_reconstruct_generator_anchor_exact():
     assert np.all(np.diff(phi) <= 1e-12)
     slopes = np.diff(phi) / np.diff(t)
     assert np.min(np.diff(slopes)) >= -1e-8
+
+
+def test_reconstruct_generator_strict_iff_kendall_zero_at_zero():
+    class ZeroAtZero:            # Pi's Kendall function, exact 0 at 0
+        def eval(self, t):
+            t = np.asarray(t, dtype=float)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(t > 0, t - t * np.log(t), 0.0)
+
+    g = reconstruct_generator(ZeroAtZero())
+    assert g.strict and g.phi_at_zero == np.inf
+    assert g.phi(0.0) == np.inf and g.inverse(np.inf) == 0.0
+    x = np.array([1e-9, 1e-6, 1e-5])
+    assert np.all(np.diff(g.phi(x)) < 0) and np.allclose(g.inverse(g.phi(x)), x)
+    assert reconstruct_generator(kendall_function(make_gumbel(3.0))).strict
+    # the step estimate has an atom at 0, so its generator is never strict
+    p = pseudo_obs(sample(make_copula("clayton:2"), 200, RngSpec(seed=1)))
+    k = empirical_kendall(p)
+    assert k.eval(0.0) > 0
+    g = reconstruct_generator(k)
+    assert not g.strict and np.isfinite(g.phi(0.0)) and g.phi(0.0) == g.phi_at_zero
+
+
+def test_reconstruct_generator_rejects_kendall_at_identity():
+    k = EmpiricalKendall(w_values=np.array([0.9, 0.95, 1.0]))   # K(t) = t below 0.9
+    with pytest.raises(ValueError, match="exceed the identity"):
+        reconstruct_generator(k)
+
+
+def test_reconstruct_generator_rejects_range_beyond_float():
+    # comonotone n = 1000: phi(0) / phi(1/2) is about e^955
+    p = pseudo_obs(_sset([(i, i) for i in range(1000)]))
+    with pytest.raises(ValueError, match="exceeds floating point"):
+        reconstruct_generator(empirical_kendall(p))
+
+
+@pytest.mark.parametrize("n", [50, 2000])
+@pytest.mark.parametrize("spec", ["gumbel:3", "clayton:2"])
+def test_plugin_models_satisfy_disintegration(spec, n):
+    bad = []
+    for seed in range(10):
+        p = pseudo_obs(sample(make_copula(spec), n, RngSpec(seed=seed)))
+        for which, model in (
+            ("arch", archimedean_copula(reconstruct_generator(empirical_kendall(p)))),
+            ("ev", ev_copula(convexify_pickands(cfg_estimator(p)))),
+        ):
+            defect = disintegration_defect(model)
+            if defect > 1e-3:
+                bad.append(f"{which} seed={seed}: {defect:.2e}")
+    assert not bad, bad
 
 
 def test_cfg_endpoints_exact_one():

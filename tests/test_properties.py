@@ -3,12 +3,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copkern._accel import dominance_counts, levy_distance
+from copkern.archimedean import kendall_function
 from copkern.estimation import (
     PseudoObservations,
     _average_ranks,
     convexify_pickands,
     empirical_copula_cdf,
+    empirical_kendall,
+    pseudo_obs,
+    reconstruct_generator,
 )
+from copkern.sampling import SampleSet
 
 
 @st.composite
@@ -105,3 +110,20 @@ def test_empirical_copula_cdf_matches_brute_force(xy, data):
     assert np.array_equal(np.diagonal(grid), expected)
     scalar = empirical_copula_cdf(p, qx[0], qy[0])
     assert isinstance(scalar, float) and scalar == expected[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_points().filter(lambda xy: np.ptp(xy[0]) > 0 and np.ptp(xy[1]) > 0))
+def test_reconstructed_generator_is_exact_on_the_step_estimate(xy):
+    k = empirical_kendall(pseudo_obs(SampleSet(x=xy[0], y=xy[1])))
+    g = reconstruct_generator(k)
+    atoms = np.union1d(k.w_values, [1.0])
+    mids = 0.5 * (atoms[1:] + atoms[:-1])
+    assert np.max(np.abs(kendall_function(g).eval(mids) - k.eval(mids))) <= 1e-9
+    t = np.union1d(np.r_[0.0, 0.5, atoms], mids)
+    phi = g.phi(t)
+    assert g.phi(0.5) == 1.0 and g.phi(1.0) == 0.0
+    assert np.isfinite(g.phi(0.0)) and not g.strict
+    assert np.all(np.diff(phi) < 0)
+    slopes = np.diff(phi) / np.diff(t)
+    assert np.all(np.diff(slopes) >= -1e-9 * np.abs(slopes[:-1]))
