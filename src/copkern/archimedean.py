@@ -184,8 +184,7 @@ def archimedean_copula(g: Generator) -> CopulaModel:
     """Copula phi^-(phi(x) + phi(y)) with the strict / non-strict Markov kernel."""
 
     def cdf(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         with np.errstate(divide="ignore", over="ignore"):
             px = g.phi(np.maximum(x, 1e-300))
             py = g.phi(np.maximum(y, 1e-300))
@@ -197,9 +196,7 @@ def archimedean_copula(g: Generator) -> CopulaModel:
         return np.minimum(out, np.minimum(np.maximum(x, 0), np.maximum(y, 0)))
 
     def kernel_cdf(x, y):
-        x, y = np.broadcast_arrays(
-            np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        )
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         C = cdf(x, y)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             num = g.dplus_phi(np.clip(x, 1e-300, 1.0))
@@ -208,19 +205,17 @@ def archimedean_copula(g: Generator) -> CopulaModel:
         ratio = np.where(np.isfinite(ratio), ratio, 0.0)
         out = np.clip(ratio, 0.0, 1.0)
         if not g.strict:
-            f0 = level_function(g, np.zeros_like(x), x)
-            out = np.where(y < f0, 0.0, out)
+            out = np.where(y < level_function(g, 0.0, x), 0.0, out)
         out = np.where(y >= 1.0, 1.0, out)
         return np.where((x <= 0.0) | (x >= 1.0), 1.0, out)
 
-    model = CopulaModel(
+    # archimedean copulas are symmetric
+    return CopulaModel(
         cdf=cdf,
         kernel_cdf=kernel_cdf,
         label=f"archimedean[{g.label}]",
+        transpose_factory=lambda c: c,
     )
-    # archimedean copulas are symmetric
-    object.__setattr__(model, "transpose_factory", lambda: model)
-    return model
 
 
 def kendall_function(g: Generator) -> KendallFunction:

@@ -29,6 +29,7 @@ from .registry import (
     build_component,
     make_copula,
     parse_spec,
+    read_float_csv,
     read_knots_csv,
 )
 from .sampling import RngSpec, SampleSet, sample
@@ -87,15 +88,8 @@ def cmd_measure(args) -> int:
 
 
 def _read_sample_csv(path: str) -> SampleSet:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["x", "y"]:
-            raise ValueError("sample CSV must have header 'x,y'")
-        xs, ys = [], []
-        for row in reader:
-            xs.append(float(row["x"]))
-            ys.append(float(row["y"]))
-    return SampleSet(x=np.asarray(xs), y=np.asarray(ys))
+    x, y = np.array(read_float_csv(path, ("x", "y"), "sample")).reshape(-1, 2).T.copy()
+    return SampleSet(x=x, y=y)
 
 
 def cmd_estimate(args) -> int:

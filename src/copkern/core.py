@@ -1,10 +1,4 @@
-"""Bivariate copulas represented by their CDF and conditional-CDF Markov kernel.
-
-A copula model bundles two vectorized callables: ``cdf(x, y)`` and
-``kernel_cdf(x, y)``, the latter being the conditional distribution function
-K(x, [0,y]) of the second coordinate given the first.  Models are immutable
-and safe for concurrent reads.
-"""
+"""Bivariate copulas represented by their CDF and conditional-CDF Markov kernel."""
 
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -14,11 +8,22 @@ import numpy as np
 
 @dataclass(frozen=True)
 class CopulaModel:
+    """A copula given by ``cdf(x, y)`` and its Markov kernel ``kernel_cdf(x, y)``.
+
+    ``kernel_cdf(x, y)`` is K(x, [0, y]), the conditional distribution
+    function of the second coordinate given the first.  Both callables take
+    broadcast-compatible inputs (scalars, vectors of one length, or an (m, 1)
+    column against a (1, m) row) and compute on the arrays as given, so a
+    term in x alone is evaluated once per x; the result has the broadcast
+    shape.  ``transpose_factory(c)`` returns the transpose of the model `c`
+    it is called with; a symmetric model is built with ``lambda c: c``.
+    Without one, `transpose` falls back to a difference-quotient kernel.
+    Models are immutable and safe for concurrent reads.
+    """
+
     cdf: Callable
     kernel_cdf: Callable
     label: str
-    # closed-form transpose, when one is known; otherwise transpose() falls
-    # back to a difference-quotient kernel
     transpose_factory: Optional[Callable] = field(default=None, repr=False)
 
 
@@ -44,47 +49,37 @@ class CheckerboardMatrix:
         object.__setattr__(self, "mass", m)
 
 
-def _as_xy(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return np.broadcast_arrays(x, y)
-
-
 def make_pi() -> CopulaModel:
     """Independence copula."""
-    model = CopulaModel(
+    return CopulaModel(
         cdf=lambda x, y: np.asarray(x, float) * np.asarray(y, float),
+        # the kernel ignores x, so it broadcasts to the shape of (x, y) itself
         kernel_cdf=lambda x, y: np.broadcast_arrays(
             np.asarray(x, float), np.asarray(y, float)
         )[1].copy(),
         label="pi",
+        transpose_factory=lambda c: c,
     )
-    object.__setattr__(model, "transpose_factory", lambda: model)
-    return model
 
 
 def make_m() -> CopulaModel:
     """Comonotonicity copula min(x, y); its kernel is a point mass at y = x."""
-    model = CopulaModel(
-        cdf=lambda x, y: np.minimum(*_as_xy(x, y)),
-        kernel_cdf=lambda x, y: (_as_xy(x, y)[0] <= _as_xy(x, y)[1]).astype(float),
+    return CopulaModel(
+        cdf=lambda x, y: np.minimum(np.asarray(x, float), y),
+        kernel_cdf=lambda x, y: (np.asarray(x, float) <= y).astype(float),
         label="m",
+        transpose_factory=lambda c: c,
     )
-    object.__setattr__(model, "transpose_factory", lambda: model)
-    return model
 
 
 def make_w() -> CopulaModel:
     """Countermonotonicity copula max(x+y-1, 0); point mass at y = 1-x."""
-    model = CopulaModel(
-        cdf=lambda x, y: np.maximum(sum(_as_xy(x, y)) - 1.0, 0.0),
-        kernel_cdf=lambda x, y: (_as_xy(x, y)[1] >= 1.0 - _as_xy(x, y)[0]).astype(
-            float
-        ),
+    return CopulaModel(
+        cdf=lambda x, y: np.maximum(np.asarray(x, float) + y - 1.0, 0.0),
+        kernel_cdf=lambda x, y: (1.0 - np.asarray(x, float) <= y).astype(float),
         label="w",
+        transpose_factory=lambda c: c,
     )
-    object.__setattr__(model, "transpose_factory", lambda: model)
-    return model
 
 
 def make_marshall_olkin(p: MarshallOlkinParams) -> CopulaModel:
@@ -92,14 +87,14 @@ def make_marshall_olkin(p: MarshallOlkinParams) -> CopulaModel:
     a, b = p.alpha, p.beta
 
     def cdf(x, y):
-        x, y = _as_xy(x, y)
+        x, y = np.asarray(x, float), np.asarray(y, float)
         with np.errstate(divide="ignore", invalid="ignore"):
             upper = np.where(x > 0, x ** (1.0 - a) * y, 0.0)
             lower = np.where(y > 0, x * y ** (1.0 - b), 0.0)
         return np.where(x ** a >= y ** b, upper, lower)
 
     def kernel_cdf(x, y):
-        x, y = _as_xy(x, y)
+        x, y = np.asarray(x, float), np.asarray(y, float)
         with np.errstate(divide="ignore", invalid="ignore"):
             below = np.where(x > 0, (1.0 - a) * x ** (-a) * y, 0.0)
         return np.clip(np.where(y ** b < x ** a, below, y ** (1.0 - b)), 0.0, 1.0)
@@ -108,7 +103,7 @@ def make_marshall_olkin(p: MarshallOlkinParams) -> CopulaModel:
         cdf=cdf,
         kernel_cdf=kernel_cdf,
         label=f"marshall-olkin:{a}:{b}",
-        transpose_factory=lambda: make_marshall_olkin(MarshallOlkinParams(b, a)),
+        transpose_factory=lambda c: make_marshall_olkin(MarshallOlkinParams(b, a)),
     )
 
 
@@ -122,7 +117,7 @@ def kernel_from_cdf(cdf: Callable, h: float = 1e-5) -> Callable:
     """
 
     def kernel(x, y):
-        x, y = _as_xy(x, y)
+        x = np.asarray(x, float)
         lo = np.maximum(x - h, 0.0)
         hi = np.minimum(x + h, 1.0)
         span = np.where(hi > lo, hi - lo, 1.0)
@@ -135,7 +130,7 @@ def kernel_from_cdf(cdf: Callable, h: float = 1e-5) -> Callable:
 def transpose(c: CopulaModel) -> CopulaModel:
     """Transposed copula C^t(x,y) = C(y,x)."""
     if c.transpose_factory is not None:
-        return c.transpose_factory()
+        return c.transpose_factory(c)
 
     def cdf(x, y):
         return c.cdf(y, x)
@@ -144,7 +139,7 @@ def transpose(c: CopulaModel) -> CopulaModel:
         cdf=cdf,
         kernel_cdf=kernel_from_cdf(cdf),
         label=c.label + "^t",
-        transpose_factory=lambda: c,
+        transpose_factory=lambda t: c,
     )
 
 
@@ -178,7 +173,7 @@ def checkerboard_copula(m: CheckerboardMatrix, tol: float = 1e-9) -> CopulaModel
     P[1:, 1:] = np.cumsum(np.cumsum(mass, axis=0), axis=1)
 
     def _cells(x, y):
-        x, y = _as_xy(x, y)
+        x, y = np.asarray(x, float), np.asarray(y, float)
         i = np.clip(np.floor(x * N).astype(int), 0, N - 1)
         j = np.clip(np.floor(y * N).astype(int), 0, N - 1)
         fx = np.clip(x * N - i, 0.0, 1.0)
@@ -202,7 +197,7 @@ def checkerboard_copula(m: CheckerboardMatrix, tol: float = 1e-9) -> CopulaModel
         cdf=cdf,
         kernel_cdf=kernel_cdf,
         label=f"checkerboard:{N}",
-        transpose_factory=lambda: checkerboard_copula(
+        transpose_factory=lambda c: checkerboard_copula(
             CheckerboardMatrix(N, mass.T.copy())
         ),
     )

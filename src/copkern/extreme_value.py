@@ -81,7 +81,7 @@ def make_piecewise_linear_pickands(
     pts = sorted((float(x), float(v)) for x, v in knots)
     xs = np.array([p[0] for p in pts])
     vs = np.array([p[1] for p in pts])
-    if xs[0] != 0.0 or xs[-1] != 1.0:
+    if len(xs) < 2 or xs[0] != 0.0 or xs[-1] != 1.0:
         raise ValueError("pickands knots must cover [0,1] (missing endpoint knot)")
     if abs(vs[0] - 1.0) > 1e-12 or abs(vs[-1] - 1.0) > 1e-12:
         raise ValueError("pickands endpoint values must satisfy A(0)=A(1)=1")
@@ -138,22 +138,19 @@ def ev_copula(p: PickandsFunction) -> CopulaModel:
         return lx, ly, t
 
     def cdf(x, y):
-        x, y = np.broadcast_arrays(
-            np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        )
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         lx, ly, t = _interior(x, y)
         val = np.exp((lx + ly) * p.a(t))
         val = np.where(x >= 1.0, y, np.where(y >= 1.0, x, val))
         return np.where((x <= 0.0) | (y <= 0.0), 0.0, val)
 
     def kernel_cdf(x, y):
-        x, y = np.broadcast_arrays(
-            np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        )
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         lx, ly, t = _interior(x, y)
-        c = np.exp((lx + ly) * p.a(t))
+        a = p.a(t)
+        c = np.exp((lx + ly) * a)
         with np.errstate(divide="ignore", invalid="ignore"):
-            val = c * (p.dplus_a(t) * ly / (x * (lx + ly)) + p.a(t) / x)
+            val = c * (p.dplus_a(t) * ly / (x * (lx + ly)) + a / x)
         val = np.clip(val, 0.0, 1.0)
         val = np.where((y <= 0.0) | (y >= 1.0), np.clip(y, 0.0, 1.0), val)
         return np.where((x <= 0.0) | (x >= 1.0), 1.0, val)
@@ -162,7 +159,7 @@ def ev_copula(p: PickandsFunction) -> CopulaModel:
         cdf=cdf,
         kernel_cdf=kernel_cdf,
         label=f"ev[{p.label}]",
-        transpose_factory=lambda: ev_copula(transpose_pickands(p)),
+        transpose_factory=lambda c: ev_copula(transpose_pickands(p)),
     )
 
 

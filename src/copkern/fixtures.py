@@ -39,7 +39,7 @@ def strip_copula(n: int) -> CopulaModel:
         return y * (np.clip(x, 0.0, 1.0) - s) + np.minimum(s, y * w)
 
     def kernel_cdf(x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+        x, y = np.asarray(x, float), np.asarray(y, float)
         h = (x - lo) / w
         on_strip = (x >= lo) & (x <= lo + w)
         return np.where(on_strip, (h <= y).astype(float), np.clip(y, 0.0, 1.0))
@@ -61,25 +61,24 @@ def shift_copula(n: int) -> CopulaModel:
         return (p * y + np.minimum(frac, y)) / k
 
     def kernel_cdf(x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+        x, y = np.asarray(x, float), np.asarray(y, float)
         h = k * np.clip(x, 0.0, 1.0) % 1.0
         return (h <= y).astype(float)
 
-    def transpose_factory():
+    def transpose_factory(c):
         def t_cdf(x, y):
             return cdf(y, x)
 
         def t_kernel(x, y):
             # discrete uniform on {(x+i)/2^n : i = 0..2^n - 1}
-            x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+            x, y = np.asarray(x, float), np.asarray(y, float)
             cnt = np.floor(k * np.clip(y, 0, 1) - np.clip(x, 0, 1)) + 1.0
             return np.clip(cnt / k, 0.0, 1.0)
 
-        model = CopulaModel(
-            cdf=t_cdf, kernel_cdf=t_kernel, label=f"shift:{n}^t"
+        return CopulaModel(
+            cdf=t_cdf, kernel_cdf=t_kernel, label=f"shift:{n}^t",
+            transpose_factory=lambda t: c,
         )
-        object.__setattr__(model, "transpose_factory", lambda: shift_copula(n))
-        return model
 
     return CopulaModel(
         cdf=cdf,

@@ -21,13 +21,10 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 @dataclass(frozen=True)
 class QuadratureSpec:
     m: int = 512
-    rule: str = "midpoint"
 
     def __post_init__(self):
         if self.m < 8:
             raise ValueError("quadrature resolution must be >= 8")
-        if self.rule != "midpoint":
-            raise ValueError("only the midpoint rule is supported")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Family registry: build copula models from ``name:params`` spec strings."""
 
 import csv
+import math
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .archimedean import archimedean_copula, make_clayton, make_frank, make_gumbel
@@ -68,13 +69,29 @@ def parse_spec(spec: str) -> Tuple[str, List[float]]:
     return name, params
 
 
+def read_float_csv(path: str, header: Sequence[str], what: str) -> List[Tuple[float, ...]]:
+    """Rows of a CSV of floats with the given header; a malformed row names its line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if [f.strip() for f in next(reader, [])] != list(header):
+            raise ValueError(f"{what} CSV must have header '{','.join(header)}'")
+        rows = []
+        for row in filter(None, reader):        # blank lines are skipped
+            try:
+                if len(row) != len(header):
+                    raise ValueError
+                rows.append(tuple(map(float, row)))
+            except ValueError:
+                raise ValueError(
+                    f"{what} CSV line {reader.line_num}: expected {len(header)} numbers, "
+                    f"got '{','.join(row)}'"
+                ) from None
+        return rows
+
+
 def read_knots_csv(path: str) -> List[Tuple[float, float]]:
     """Read piecewise-linear Pickands knots from a CSV with header ``x,a``."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["x", "a"]:
-            raise ValueError("knots CSV must have header 'x,a'")
-        return [(float(row["x"]), float(row["a"])) for row in reader]
+    return read_float_csv(path, ("x", "a"), "knots")
 
 
 def build_component(name: str, params: Sequence[float], knots=None):
@@ -82,6 +99,8 @@ def build_component(name: str, params: Sequence[float], knots=None):
     family = FAMILIES[name]
     if len(params) != family.arity:
         raise ValueError(f"{name} takes {family.arity} inline parameter(s), got {len(params)}")
+    if not all(math.isfinite(p) for p in params):
+        raise ValueError(f"{name} parameters must be finite, got {list(params)}")
     if (knots is not None) != family.takes_knots:
         need = "requires a" if family.takes_knots else "takes no"
         raise ValueError(f"{name} {need} knots table (--knots CSV)")

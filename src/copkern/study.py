@@ -34,6 +34,8 @@ class StudyConfig:
         for e in self.estimators:
             if e not in ESTIMATORS:
                 raise ValueError(f"unknown estimator '{e}' (known: {', '.join(ESTIMATORS)})")
+        if not self.sizes:
+            raise ValueError("sample size list must be non-empty")
         if any(n < 10 for n in self.sizes):
             raise ValueError("sample sizes must be >= 10")
 

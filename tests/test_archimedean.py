@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,26 @@ def test_kernel_level_curve_consistency(g):
         lhs = c.kernel_cdf(xs, f)
         rhs = g.dplus_phi(xs) / g.dplus_phi(t)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
+
+
+def test_kernel_evaluates_x_terms_once_per_x():
+    """On an (m, 1) x (1, m) grid, phi(x), D+phi(x) and the zero level see m points."""
+    sizes = {"phi": [], "dplus_phi": []}
+
+    def counted(name, f):
+        def wrapped(t):
+            sizes[name].append(np.size(t))
+            return f(t)
+        return wrapped
+
+    g = make_w_generator()        # non-strict: the kernel also reads the zero level
+    g = replace(g, phi=counted("phi", g.phi), dplus_phi=counted("dplus_phi", g.dplus_phi))
+    m = 16
+    x = (np.arange(m) + 0.5) / m
+    K = archimedean_copula(g).kernel_cdf(x[:, None], x[None, :])
+    assert K.shape == (m, m)
+    assert max(sizes["phi"]) == m
+    assert sorted(sizes["dplus_phi"]) == [m, m * m]
 
 
 def test_kendall_function_pi_form():

@@ -253,3 +253,47 @@ def test_knots_csv_bad_header(tmp_path):
     knots = tmp_path / "k.csv"
     knots.write_text("u,v\n0,1\n1,1\n")
     assert run(["measure", "--copula", "pickands-pwl", "--knots", str(knots)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "--copula", "clayton:nan"],
+        ["measure", "--copula", "gumbel:inf"],
+        ["measure", "--copula", "galambos:nan"],
+        ["converge", "--copula", "clayton:2", "--ks", "1,2", "--offset-scale", "nan"],
+    ],
+    ids=["clayton-nan", "gumbel-inf", "galambos-nan", "converge-offset-nan"],
+)
+def test_non_finite_parameter_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "o.txt"
+    assert run([*argv, "--m", "16", "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_KNOTS = ["measure", "--copula", "pickands-pwl", "--knots"]
+
+
+@pytest.mark.parametrize(
+    "cmd,text,msg",
+    [
+        (["estimate", "--mode", "chatterjee"], "x,y\n0.1,0.2\n0.3\n", "line 3"),
+        (_KNOTS, "x,a\n0,1\n0.5\n1,1\n", "line 3"),
+        (_KNOTS, "x,a\n", "must cover"),
+    ],
+    ids=["sample-missing-field", "knots-missing-field", "knots-header-only"],
+)
+def test_malformed_csv_exit_2(tmp_path, capsys, cmd, text, msg):
+    f = tmp_path / "in.csv"
+    f.write_text(text)
+    assert run([*cmd, str(f), "--m", "16", "--out", str(tmp_path / "o.json")]) == 2
+    assert msg in capsys.readouterr().err
+
+
+def test_simulate_empty_sizes_exit_2(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    assert run(["simulate", "--copula", "gumbel:3", "--sizes", "", "--R", "1",
+                "--out", str(out)]) == 2
+    assert "sample size list must be non-empty" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from copkern.archimedean import archimedean_copula
 from copkern.core import (
     CheckerboardMatrix,
     MarshallOlkinParams,
@@ -12,7 +13,17 @@ from copkern.core import (
     make_w,
     transpose,
 )
+from copkern.estimation import (
+    cfg_estimator,
+    convexify_pickands,
+    empirical_kendall,
+    pseudo_obs,
+    reconstruct_generator,
+)
+from copkern.extreme_value import ev_copula
+from copkern.fixtures import shift_copula, strip_copula
 from copkern.registry import FAMILIES, make_copula, parse_spec, registered_examples
+from copkern.sampling import RngSpec, sample
 
 
 def check_copula_axioms(c, grid=100, tol=1e-10):
@@ -159,3 +170,49 @@ def test_registered_examples_cover_the_table():
 def test_make_copula_rejects_wrong_parameter_count(spec, expected):
     with pytest.raises(ValueError, match=rf"takes {expected} inline parameter"):
         make_copula(spec)
+
+
+def _plugin_fit():
+    return pseudo_obs(sample(make_copula("gumbel:3"), 200, RngSpec(seed=3)))
+
+
+_SYMMETRIC = {"pi", "m", "w", "clayton:2", "gumbel:3", "frank:5"}
+
+# (model builder, transpose identity): "self" for symmetric models, "pair" for
+# models whose transpose names them back, None where transposing builds anew
+_CONTRACT_MODELS = [
+    *(pytest.param(lambda s=spec: make_copula(s), "self" if spec in _SYMMETRIC else None,
+                   id=spec) for spec in registered_examples()),
+    pytest.param(lambda: checkerboard_copula(checkerboard_approx(make_copula("clayton:2"), 8)),
+                 None, id="checkerboard"),
+    pytest.param(lambda: strip_copula(5), "pair", id="strip"),
+    pytest.param(lambda: transpose(strip_copula(5)), None, id="strip^t"),
+    pytest.param(lambda: shift_copula(2), "pair", id="shift"),
+    pytest.param(lambda: transpose(shift_copula(2)), None, id="shift^t"),
+    pytest.param(lambda: archimedean_copula(reconstruct_generator(empirical_kendall(_plugin_fit()))),
+                 "self", id="plugin-arch"),
+    pytest.param(lambda: ev_copula(convexify_pickands(cfg_estimator(_plugin_fit()))),
+                 None, id="plugin-ev"),
+]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("build,transposed", _CONTRACT_MODELS)
+def test_model_contract(build, transposed):
+    """cdf and kernel_cdf compute on broadcast-compatible inputs as given."""
+    c = build()
+    g = np.linspace(0.0, 1.0, 33)
+    X, Y = np.broadcast_arrays(g[:, None], g[None, :])
+    for f in (c.cdf, c.kernel_cdf):
+        out = np.asarray(f(g[:, None], g[None, :]))
+        assert out.shape == (33, 33)
+        assert _same_bits(out, f(X, Y))
+        assert _same_bits(out, np.array([f(x, g) for x in g]))
+    if transposed == "self":
+        assert transpose(c) is c
+    elif transposed == "pair":
+        assert transpose(transpose(c)) is c

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,7 @@ def test_gumbel_pickands_midpoint_value():
         ([(0.0, 0.9), (1.0, 1.0)], "endpoint values"),
         ([(0.0, 1.0), (0.5, 0.4), (1.0, 1.0)], "lower bound"),
         ([(0.0, 1.0), (0.3, 0.8), (0.6, 0.9), (1.0, 1.0)], "convexity"),
+        ([], "must cover"),
     ],
 )
 def test_pwl_validation_errors(knots, msg):
@@ -128,3 +131,16 @@ def test_ev_kernel_transpose_disintegration():
 
     ct = transpose(ev_copula(make_piecewise_linear_pickands(paper_pwl_knots())))
     assert disintegration_defect(ct) <= 1e-3
+
+
+def test_ev_kernel_evaluates_pickands_once():
+    calls = []
+    p = make_galambos(3.0)
+
+    def a(t):
+        calls.append(np.shape(t))
+        return p.a(t)
+
+    x = (np.arange(16) + 0.5) / 16
+    ev_copula(replace(p, a=a)).kernel_cdf(x[:, None], x[None, :])
+    assert calls == [(16, 16)]

@@ -34,8 +34,6 @@ Q = QuadratureSpec(m=512)
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(m=4)
-    with pytest.raises(ValueError):
-        QuadratureSpec(rule="trapezoid")
 
 
 def test_d1_m_pi_is_one_third():
