@@ -8,7 +8,6 @@ from .archimedean import (
     level_function,
     make_clayton,
     make_frank,
-    make_generator,
     make_gumbel,
     make_w_generator,
     pseudo_inverse,

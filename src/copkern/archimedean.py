@@ -22,57 +22,17 @@ class Generator:
     dplus_phi: Callable      # right derivative on (0,1), vectorized
     inverse: Callable        # pseudo-inverse phi^- on [0,inf], vectorized
     phi_at_zero: float       # phi(0+), may be inf
-    strict: bool
     label: str
+
+    @property
+    def strict(self) -> bool:
+        """phi(0+) = +inf."""
+        return bool(np.isinf(self.phi_at_zero))
 
 
 @dataclass(frozen=True)
 class KendallFunction:
     eval: Callable           # [0,1] -> [0,1], nondecreasing, eval(t) >= t
-
-
-def _bisect_inverse(phi: Callable, phi_at_zero: float) -> Callable:
-    """Monotone bisection pseudo-inverse for generators without a closed form."""
-
-    def inverse(s):
-        s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        lo = np.zeros_like(s)
-        hi = np.ones_like(s)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                v = np.asarray(phi(np.maximum(mid, 1e-300)))
-            above = v > s
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-        out = 0.5 * (lo + hi)
-        out = np.where(s >= phi_at_zero, 0.0, out)
-        out = np.where(s <= 0.0, 1.0, out)
-        return float(out[0]) if scalar else out
-
-    return inverse
-
-
-def make_generator(
-    phi: Callable,
-    dplus_phi: Callable,
-    phi_at_zero: float,
-    label: str,
-    inverse: Callable = None,
-) -> Generator:
-    strict = np.isinf(phi_at_zero)
-    if inverse is None:
-        inverse = _bisect_inverse(phi, phi_at_zero)
-    return Generator(
-        phi=phi,
-        dplus_phi=dplus_phi,
-        inverse=inverse,
-        phi_at_zero=phi_at_zero,
-        strict=strict,
-        label=label,
-    )
 
 
 def make_clayton(theta: float) -> Generator:
@@ -95,7 +55,7 @@ def make_clayton(theta: float) -> Generator:
         with np.errstate(over="ignore"):
             return np.where(s <= 0.0, 1.0, (1.0 + c * s) ** (-1.0 / theta))
 
-    return make_generator(phi, dplus, np.inf, f"clayton:{theta:g}", inverse)
+    return Generator(phi, dplus, inverse, np.inf, f"clayton:{theta:g}")
 
 
 def make_gumbel(theta: float) -> Generator:
@@ -117,12 +77,40 @@ def make_gumbel(theta: float) -> Generator:
         with np.errstate(over="ignore"):
             return np.where(s <= 0.0, 1.0, np.exp(-_LN2 * s ** (1.0 / theta)))
 
-    return make_generator(phi, dplus, np.inf, f"gumbel:{theta:g}", inverse)
+    return Generator(phi, dplus, inverse, np.inf, f"gumbel:{theta:g}")
 
 
 def make_frank(theta: float) -> Generator:
+    """Frank generator -log((e^{-theta t} - 1) / (e^{-theta} - 1)), normalized.
+
+    For theta > 0 the normalizer is about e^{-theta/2}, so phi, D+phi and the
+    inverse use log1p / expm1 / logaddexp forms that do not cancel.
+    """
     if theta == 0:
         raise ValueError("Frank parameter must be nonzero")
+    if theta > 0:
+        l1 = np.log1p(-np.exp(-theta))
+        norm = l1 - np.log1p(-np.exp(-theta / 2.0))
+
+        def phi(t):
+            t = np.asarray(t, dtype=float)
+            with np.errstate(divide="ignore"):
+                return (l1 - np.log1p(-np.exp(-theta * t))) / norm
+
+        def dplus(t):
+            t = np.asarray(t, dtype=float)
+            with np.errstate(divide="ignore", over="ignore"):
+                return -theta / (np.expm1(theta * t) * norm)
+
+        def inverse(s):
+            s = np.asarray(s, dtype=float)
+            sn = s * norm
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = -np.logaddexp(np.log(-np.expm1(-sn)), -theta - sn) / theta
+            return np.where(s <= 0.0, 1.0, out)
+
+        return Generator(phi, dplus, inverse, np.inf, f"frank:{theta:g}")
+
     em1 = np.expm1(-theta)           # e^{-theta} - 1
     norm = -np.log(np.expm1(-theta / 2.0) / em1)
 
@@ -142,7 +130,7 @@ def make_frank(theta: float) -> Generator:
             out = -np.log1p(np.exp(-s * norm) * em1) / theta
         return np.where(s <= 0.0, 1.0, out)
 
-    return make_generator(phi, dplus, np.inf, f"frank:{theta:g}", inverse)
+    return Generator(phi, dplus, inverse, np.inf, f"frank:{theta:g}")
 
 
 def make_w_generator() -> Generator:
@@ -158,7 +146,7 @@ def make_w_generator() -> Generator:
         s = np.asarray(s, dtype=float)
         return np.clip(1.0 - s / 2.0, 0.0, 1.0)
 
-    return make_generator(phi, dplus, 2.0, "w", inverse)
+    return Generator(phi, dplus, inverse, 2.0, "w")
 
 
 def pseudo_inverse(g: Generator, s):
@@ -175,13 +163,14 @@ def level_function(g: Generator, t, x):
     with np.errstate(invalid="ignore"):
         phit = np.where(t > 0, g.phi(np.maximum(t, 1e-300)), g.phi_at_zero)
     s = phit - g.phi(np.maximum(x, 1e-300))
-    if np.isinf(g.phi_at_zero):
+    if g.strict:
         s = np.where(np.isinf(phit), np.inf, s)
     return g.inverse(np.maximum(s, 0.0))
 
 
 def archimedean_copula(g: Generator) -> CopulaModel:
     """Copula phi^-(phi(x) + phi(y)) with the strict / non-strict Markov kernel."""
+    strict = g.strict
 
     def cdf(x, y):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -204,7 +193,7 @@ def archimedean_copula(g: Generator) -> CopulaModel:
             ratio = num / den
         ratio = np.where(np.isfinite(ratio), ratio, 0.0)
         out = np.clip(ratio, 0.0, 1.0)
-        if not g.strict:
+        if not strict:
             out = np.where(y < level_function(g, 0.0, x), 0.0, out)
         out = np.where(y >= 1.0, 1.0, out)
         return np.where((x <= 0.0) | (x >= 1.0), 1.0, out)

@@ -100,25 +100,15 @@ def cmd_estimate(args) -> int:
         report["r"] = chatterjee_r(s, np.random.default_rng(args.seed))
     else:
         p = pseudo_obs(s)
+        grid = np.linspace(0.0, 1.0, 101)
         if args.mode == "plugin-arch":
-            k = empirical_kendall(p)
-            grid = np.linspace(0.0, 1.0, 101)
-            report["kendall_table"] = {
-                "t": [float(t) for t in grid],
-                "f": [float(v) for v in k.eval(grid)],
-            }
-            z, r = plugin_zeta1_r(p, "archimedean", q)
+            which, table, column = "archimedean", "kendall_table", "f"
+            values = empirical_kendall(p).eval(grid)
         else:
-            raw = cfg_estimator(p)
-            pickands = convexify_pickands(raw)
-            grid = np.linspace(0.0, 1.0, 101)
-            report["pickands_table"] = {
-                "t": [float(t) for t in grid],
-                "a": [float(v) for v in pickands.a(grid)],
-            }
-            z, r = plugin_zeta1_r(p, "extreme-value", q)
-        report["zeta1"] = z
-        report["r"] = r
+            which, table, column = "extreme-value", "pickands_table", "a"
+            values = convexify_pickands(cfg_estimator(p)).a(grid)
+        report[table] = {"t": [float(t) for t in grid], column: [float(v) for v in values]}
+        report["zeta1"], report["r"] = plugin_zeta1_r(p, which, q)
     _emit_json(report, args.out)
     return 0
 
@@ -215,26 +205,18 @@ def cmd_converge(args) -> int:
 
 
 def cmd_approximate(args) -> int:
+    pi = make_copula("pi")
     if args.copula.startswith("strip:"):
         # counterexample fixture rows: the strip family never wcc-converges
-        n = int(args.copula.split(":")[1])
-        target = strip_copula(n)
+        if args.knots:
+            raise ValueError("strip takes no knots table (--knots CSV)")
+        target, reference = strip_copula(int(args.copula.split(":")[1])), pi
     else:
-        target = make_copula(args.copula, knots=_load_knots(args))
-    pi = make_copula("pi")
-    reference = pi if args.copula.startswith("strip:") else target
+        target = reference = make_copula(args.copula, knots=_load_knots(args))
     rows = []
     for N in _int_list(args.resolutions):
-        cb = checkerboard_copula(checkerboard_approx(target, N))
-        prof = wcc_profile(cb, reference)
-        rows.append(
-            (
-                str(N),
-                _fmt(prof.summary["max"]),
-                _fmt(prof.summary["mean"]),
-                _fmt(prof.summary["q95"]),
-            )
-        )
+        prof = wcc_profile(checkerboard_copula(checkerboard_approx(target, N)), reference)
+        rows.append((str(N), *(_fmt(prof.summary[k]) for k in ("max", "mean", "q95"))))
     _emit_csv(["resolution", "wcc_max", "wcc_mean", "wcc_q95"], rows, args.out)
     return 0
 

@@ -107,6 +107,34 @@ def make_marshall_olkin(p: MarshallOlkinParams) -> CopulaModel:
     )
 
 
+def _bisect(at_or_below: Callable, like: np.ndarray, steps: int):
+    """Bracket (lo, hi), shaped like `like`, of a monotone root in [0, 1] after
+    `steps` halvings; ``at_or_below(mid)`` is True where the root is <= mid."""
+    lo = np.zeros_like(like)
+    hi = np.ones_like(like)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        below = at_or_below(mid)
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid)
+    return lo, hi
+
+
+def _piecewise_linear(xs: np.ndarray, vs: np.ndarray):
+    """Value (t clipped to [0, 1]) and right slope (the first segment's below
+    xs[0], the last's from xs[-1]) of the linear interpolant of (xs, vs)."""
+    slopes = np.diff(vs) / np.diff(xs)
+
+    def value(t):
+        return np.interp(np.clip(np.asarray(t, dtype=float), 0.0, 1.0), xs, vs)
+
+    def right_slope(t):
+        idx = np.searchsorted(xs, np.asarray(t, dtype=float), side="right") - 1
+        return slopes[np.clip(idx, 0, len(slopes) - 1)]
+
+    return value, right_slope
+
+
 def kernel_from_cdf(cdf: Callable, h: float = 1e-5) -> Callable:
     """Markov kernel as a symmetric difference quotient of the CDF in x.
 

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import dominance_counts
-from .archimedean import Generator, archimedean_copula, make_generator
+from .archimedean import Generator, archimedean_copula
+from .core import _piecewise_linear
 from .extreme_value import PickandsFunction, ev_copula, make_piecewise_linear_pickands
 # zeta1 is not used here; the binding remains for callers that trace it
 from .metrics import QuadratureSpec, pi_measures, zeta1  # noqa: F401
@@ -81,7 +82,12 @@ def empirical_copula_cdf(p: PseudoObservations, x, y):
     shape = np.broadcast_shapes(x.shape, y.shape)
     xb = np.broadcast_to(x, shape).reshape(-1, 1)
     yb = np.broadcast_to(y, shape).reshape(-1, 1)
-    out = np.count_nonzero((p.u <= xb) & (p.v <= yb), axis=1) / p.n
+    # query blocks keep each comparison array near 2^22 entries
+    step = max(1, 2 ** 22 // p.n)
+    out = np.concatenate([
+        np.count_nonzero((p.u <= xb[i:i + step]) & (p.v <= yb[i:i + step]), axis=1)
+        for i in range(0, len(xb) or 1, step)
+    ]) / p.n
     return out.reshape(shape) if shape else float(out[0])
 
 
@@ -168,24 +174,20 @@ def reconstruct_generator(k) -> Generator:
     if not (np.isfinite(phis[0]) and np.all(phis[:-1] > 0)):
         raise ValueError("the generator's range exceeds floating point "
                          "(a Kendall estimate too close to comonotone)")
-    d = np.diff(phis) / np.diff(ts)
     t1, phi1 = ts[0], phis[0]
-
-    def phi(t):
-        t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-        out = np.interp(t, ts, phis)
-        if strict:
+    table_phi, table_dplus = _piecewise_linear(ts, phis)
+    if not strict:
+        phi, dplus = table_phi, table_dplus
+    else:
+        def phi(t):
+            t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
             with np.errstate(divide="ignore"):
-                out = np.where(t < t1, phi1 * (t1 / t) ** alpha, out)
-        return out
+                return np.where(t < t1, phi1 * (t1 / t) ** alpha, table_phi(t))
 
-    def dplus(t):
-        t = np.asarray(t, dtype=float)
-        out = d[np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(d) - 1)]
-        if strict:
+        def dplus(t):
+            t = np.asarray(t, dtype=float)
             with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.where(t < t1, -alpha / t * phi1 * (t1 / t) ** alpha, out)
-        return out
+                return np.where(t < t1, -alpha / t * phi1 * (t1 / t) ** alpha, table_dplus(t))
 
     def inverse(s):
         # beyond phi(0) = phis[0] a non-strict table gives ts[0] = 0
@@ -196,7 +198,7 @@ def reconstruct_generator(k) -> Generator:
                 out = np.where(s > phi1, t1 * (phi1 / s) ** (1.0 / alpha), out)
         return out
 
-    return make_generator(phi, dplus, np.inf if strict else float(phi1), "reconstructed", inverse)
+    return Generator(phi, dplus, inverse, np.inf if strict else float(phi1), "reconstructed")
 
 
 def cfg_estimator(p: PseudoObservations, t_grid: int = 1000) -> dict:

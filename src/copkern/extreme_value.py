@@ -5,7 +5,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .core import CopulaModel
+from .core import CopulaModel, _piecewise_linear
 
 _EPS = 1e-15
 
@@ -81,6 +81,8 @@ def make_piecewise_linear_pickands(
     pts = sorted((float(x), float(v)) for x, v in knots)
     xs = np.array([p[0] for p in pts])
     vs = np.array([p[1] for p in pts])
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
+        raise ValueError("pickands knots must be finite")
     if len(xs) < 2 or xs[0] != 0.0 or xs[-1] != 1.0:
         raise ValueError("pickands knots must cover [0,1] (missing endpoint knot)")
     if abs(vs[0] - 1.0) > 1e-12 or abs(vs[-1] - 1.0) > 1e-12:
@@ -97,15 +99,7 @@ def make_piecewise_linear_pickands(
     if np.any(slopes < -1.0 - 1e-10) or np.any(slopes > 1.0 + 1e-10):
         raise ValueError("pickands slope bound violated: |D+A| <= 1")
 
-    def a(x):
-        return np.interp(np.clip(np.asarray(x, dtype=float), 0.0, 1.0), xs, vs)
-
-    def dplus(x):
-        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(slopes) - 1)
-        return slopes[idx]
-
-    return PickandsFunction(a=a, dplus_a=dplus, label=label)
+    return PickandsFunction(*_piecewise_linear(xs, vs), label=label)
 
 
 def paper_pwl_knots() -> list:

@@ -9,8 +9,8 @@ to independence although the copula itself does not.
 
 import numpy as np
 
-from .archimedean import make_generator, make_w_generator
-from .core import CopulaModel
+from .archimedean import Generator, make_w_generator
+from .core import CopulaModel, _bisect
 
 
 def strip_index(n: int):
@@ -110,7 +110,16 @@ def strict_generators_approaching_w(k: int):
         with np.errstate(divide="ignore"):
             return (-2.0 - 1.0 / (k * ln2 * t)) / scale
 
-    return make_generator(phi, dplus, np.inf, f"w-approx:{k}")
+    def inverse(s):
+        # phi has no closed-form inverse: bisect for phi(t) = s
+        s = np.asarray(s, dtype=float)
+        scalar = s.ndim == 0
+        s = np.atleast_1d(s)
+        lo, hi = _bisect(lambda t: ~(phi(np.maximum(t, 1e-300)) > s), s, 80)
+        out = np.select([s <= 0.0, s == np.inf], [1.0, 0.0], 0.5 * (lo + hi))
+        return float(out[0]) if scalar else out
+
+    return Generator(phi, dplus, inverse, np.inf, f"w-approx:{k}")
 
 
 def w_limit_generator():

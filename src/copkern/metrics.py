@@ -88,10 +88,11 @@ def _r_and_residual(K: np.ndarray, y: np.ndarray):
     """r = 6*mean(K^2) - 2 on the grid `K`, and the residual of r = 6*D2^2(C,Pi).
 
     The identity is exact in the continuum; on a finite grid the two routes
-    differ by the cross-moment defect 12*E[K y] - 6*E[y^2] - 2, which is the
-    exactly-attributable discretization of the disintegration identity (an
-    O(1/m) term for kernels with atoms).  The residual after removing that
-    defect must vanish to rounding for any correct kernel.
+    differ by the cross-moment defect 12*E[K y] - 6*E[y^2] - 2, the
+    discretization of the disintegration identity (exactly 3/m - 1/(2m^2)
+    for M).  Expanding 6*E[(K - y)^2] shows that r - 6*D2^2 - defect is 0
+    for every array K, so the residual is rounding only: it cannot detect a
+    wrong kernel.  The informative number is the defect itself.
     """
     r = 6.0 * float(np.mean(K ** 2)) - 2.0
     via_d2 = 6.0 * float(np.mean((K - y) ** 2))

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CopulaModel
+from .core import CopulaModel, _bisect
 
 
 @dataclass(frozen=True)
@@ -36,15 +36,7 @@ def conditional_inverse(c: CopulaModel, x: np.ndarray, u: np.ndarray) -> np.ndar
     60 bisection steps resolve y far below double precision; the inf
     convention lands on atoms and flat segments uniformly for all families.
     """
-    lo = np.zeros_like(u)
-    hi = np.ones_like(u)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        k = np.asarray(c.kernel_cdf(x, mid))
-        reached = k >= u
-        hi = np.where(reached, mid, hi)
-        lo = np.where(reached, lo, mid)
-    return hi
+    return _bisect(lambda y: np.asarray(c.kernel_cdf(x, y)) >= u, u, 60)[1]
 
 
 def sample(c: CopulaModel, n: int, rng: RngSpec) -> SampleSet:
@@ -59,14 +51,12 @@ def sample(c: CopulaModel, n: int, rng: RngSpec) -> SampleSet:
 
 
 def sample_fidelity(c: CopulaModel, n: int, rng: RngSpec, grid: int = 50) -> float:
-    """Sup distance on a lattice between the sample's empirical copula and `c`."""
-    s = sample(c, n, rng)
-    from .estimation import pseudo_obs
+    """Sup distance on the (grid+1)^2 lattice between `c` and the sample's
+    empirical copula (1/n) #{i : u_i <= x, v_i <= y}."""
+    from .estimation import empirical_copula_cdf, pseudo_obs
 
-    p = pseudo_obs(s)
+    p = pseudo_obs(sample(c, n, rng))
     edges = np.linspace(0.0, 1.0, grid + 1)
-    hist, _, _ = np.histogram2d(p.u, p.v, bins=[edges, edges])
-    emp = np.zeros((grid + 1, grid + 1))
-    emp[1:, 1:] = np.cumsum(np.cumsum(hist, axis=0), axis=1) / n
+    emp = empirical_copula_cdf(p, edges[:, None], edges[None, :])
     true = np.asarray(c.cdf(edges[:, None], edges[None, :]))
     return float(np.max(np.abs(emp - true)))

@@ -38,6 +38,10 @@ class StudyConfig:
             raise ValueError("sample size list must be non-empty")
         if any(n < 10 for n in self.sizes):
             raise ValueError("sample sizes must be >= 10")
+        # a repeated cell would run every replication twice under the same seeds
+        for what, vals in (("sample sizes", self.sizes), ("estimators", self.estimators)):
+            if len(set(vals)) < len(vals):
+                raise ValueError(f"{what} must be distinct, got {list(vals)}")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from copkern.archimedean import (
+    Generator,
     archimedean_copula,
     kendall_function,
     level_function,
@@ -15,6 +17,7 @@ from copkern.archimedean import (
 )
 from copkern.core import make_w
 from copkern.fixtures import strict_generators_approaching_w
+from copkern.metrics import QuadratureSpec, disintegration_defect, pi_measures
 
 _LN2 = np.log(2.0)
 
@@ -174,3 +177,32 @@ def test_strict_generators_converge_pointwise_to_w():
         assert sup < sup_prev
         sup_prev = sup
     assert sup_prev < 1e-2
+
+
+def test_generator_strictness_follows_phi_at_zero():
+    w = make_w_generator()
+    assert not w.strict
+    assert Generator(w.phi, w.dplus_phi, w.inverse, np.inf, "w-as-strict").strict
+
+
+@pytest.mark.parametrize("theta", [5.0, 50.0, 300.0])
+def test_frank_inverse_round_trip(theta):
+    g = make_frank(theta)
+    s = np.logspace(-6, 1, 71)
+    assert np.allclose(g.phi(g.inverse(s)), s, rtol=1e-6, atol=0.0)
+
+
+def test_frank_large_theta_measures():
+    # phi(1/2) ~ e^{-theta/2}: the generator must not cancel at large theta
+    m = 512
+    rs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for theta in (50.0, 100.0, 200.0, 300.0):
+            c = archimedean_copula(make_frank(theta))
+            _, z, r = pi_measures(c, QuadratureSpec(m))
+            assert 0.0 <= z <= 1.0
+            assert -3.0 / m <= r <= 1.0 + 3.0 / m
+            assert disintegration_defect(c) <= 1e-3
+            rs.append(r)
+    assert np.all(np.diff(rs) >= 0.0)

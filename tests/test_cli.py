@@ -239,13 +239,19 @@ def test_knots_csv_flow(tmp_path):
     assert 0.0 < read_json(out)["zeta1"] < 1.0
 
 
-@pytest.mark.parametrize("cmd", [["measure"], ["sample", "--n", "5"], ["converge", "--ks", "1"]])
+@pytest.mark.parametrize("cmd", [
+    ["measure", "--copula", "clayton:2"],
+    ["sample", "--n", "5", "--copula", "clayton:2"],
+    ["converge", "--ks", "1", "--copula", "clayton:2"],
+    ["approximate", "--resolutions", "8", "--copula", "strip:5"],
+])
 def test_knots_rejected_for_families_without_knots(tmp_path, capsys, cmd):
     knots = tmp_path / "k.csv"
     knots.write_text("x,a\n0,1\n0.5,0.75\n1,1\n")
     out = tmp_path / "o.txt"
-    assert run([*cmd, "--copula", "clayton:2", "--knots", str(knots), "--out", str(out)]) == 2
-    assert "clayton takes no knots table" in capsys.readouterr().err
+    assert run([*cmd, "--knots", str(knots), "--out", str(out)]) == 2
+    family = cmd[-1].split(":")[0]
+    assert f"{family} takes no knots table" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -281,8 +287,11 @@ _KNOTS = ["measure", "--copula", "pickands-pwl", "--knots"]
         (["estimate", "--mode", "chatterjee"], "x,y\n0.1,0.2\n0.3\n", "line 3"),
         (_KNOTS, "x,a\n0,1\n0.5\n1,1\n", "line 3"),
         (_KNOTS, "x,a\n", "must cover"),
+        (_KNOTS, "x,a\n0,1\n0.5,nan\n1,1\n", "must be finite"),
+        (_KNOTS, "x,a\n0,1\nnan,0.8\n1,1\n", "must be finite"),
     ],
-    ids=["sample-missing-field", "knots-missing-field", "knots-header-only"],
+    ids=["sample-missing-field", "knots-missing-field", "knots-header-only", "knots-nan-a",
+         "knots-nan-x"],
 )
 def test_malformed_csv_exit_2(tmp_path, capsys, cmd, text, msg):
     f = tmp_path / "in.csv"
@@ -296,4 +305,20 @@ def test_simulate_empty_sizes_exit_2(tmp_path, capsys):
     assert run(["simulate", "--copula", "gumbel:3", "--sizes", "", "--R", "1",
                 "--out", str(out)]) == 2
     assert "sample size list must be non-empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,msg",
+    [
+        (["--sizes", "50,50"], "sample sizes must be distinct"),
+        (["--sizes", "50", "--estimators", "chatterjee,chatterjee"],
+         "estimators must be distinct"),
+    ],
+    ids=["sizes", "estimators"],
+)
+def test_simulate_duplicates_exit_2(tmp_path, capsys, flags, msg):
+    out = tmp_path / "sim.csv"
+    assert run(["simulate", "--copula", "gumbel:3", "--R", "1", *flags, "--out", str(out)]) == 2
+    assert msg in capsys.readouterr().err
     assert not out.exists()

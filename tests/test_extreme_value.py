@@ -63,6 +63,8 @@ def test_gumbel_pickands_midpoint_value():
         ([(0.0, 1.0), (0.5, 0.4), (1.0, 1.0)], "lower bound"),
         ([(0.0, 1.0), (0.3, 0.8), (0.6, 0.9), (1.0, 1.0)], "convexity"),
         ([], "must cover"),
+        ([(0.0, 1.0), (0.5, np.nan), (1.0, 1.0)], "must be finite"),
+        ([(0.0, 1.0), (np.nan, 0.8), (1.0, 1.0)], "must be finite"),
     ],
 )
 def test_pwl_validation_errors(knots, msg):

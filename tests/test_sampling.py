@@ -51,6 +51,19 @@ def test_sample_fidelity_small_n_band():
     assert sample_fidelity(make_pi(), 100, RngSpec(seed=11)) <= 0.2
 
 
+@pytest.mark.parametrize("n", [49, 99])
+def test_sample_fidelity_counts_closed_lower_orthants(n):
+    # with n + 1 a multiple of the grid, pseudo-observations land on lattice
+    # points; the empirical copula counts u_i <= x there, not only u_i < x
+    c, grid = make_copula("clayton:2"), 50
+    s = sample(c, n, RngSpec(seed=3))
+    u, v = ((np.argsort(np.argsort(z)) + 1.0) / (n + 1) for z in (s.x, s.y))
+    e = np.linspace(0.0, 1.0, grid + 1)
+    emp = np.mean((u <= e[:, None, None]) & (v <= e[None, :, None]), axis=2)
+    want = np.max(np.abs(emp - c.cdf(e[:, None], e[None, :])))
+    assert sample_fidelity(c, n, RngSpec(seed=3), grid) == want
+
+
 def test_marginal_uniformity_ks():
     # one-sample Kolmogorov statistic below 1.63/sqrt(n) in >= 95% of runs
     c = make_copula("gumbel:3")
