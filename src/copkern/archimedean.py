@@ -80,54 +80,40 @@ def make_gumbel(theta: float) -> Generator:
     return Generator(phi, dplus, inverse, np.inf, f"gumbel:{theta:g}")
 
 
+def _log_abs_expm1(a):
+    """log|e^a - 1| = max(a, 0) + log(1 - e^{-|a|}), the last term log1p(-e^{-x})
+    for x > ln 2 and log(-expm1(-x)) below, where the log1p form is -inf."""
+    x = np.abs(a)
+    with np.errstate(divide="ignore"):
+        log1mexp = np.where(x > _LN2, np.log1p(-np.exp(-x)), np.log(-np.expm1(-x)))
+    return np.maximum(a, 0.0) + log1mexp
+
+
 def make_frank(theta: float) -> Generator:
     """Frank generator -log((e^{-theta t} - 1) / (e^{-theta} - 1)), normalized.
 
-    For theta > 0 the normalizer is about e^{-theta/2}, so phi, D+phi and the
-    inverse use log1p / expm1 / logaddexp forms that do not cancel.
+    The normalizer is about e^{-theta/2} for theta > 0 and |theta|/2 for
+    theta < 0, so phi, D+phi and the inverse use one log|expm1| / expm1 /
+    logaddexp form for both signs that neither cancels nor overflows.
     """
     if theta == 0:
         raise ValueError("Frank parameter must be nonzero")
-    if theta > 0:
-        l1 = np.log1p(-np.exp(-theta))
-        norm = l1 - np.log1p(-np.exp(-theta / 2.0))
-
-        def phi(t):
-            t = np.asarray(t, dtype=float)
-            with np.errstate(divide="ignore"):
-                return (l1 - np.log1p(-np.exp(-theta * t))) / norm
-
-        def dplus(t):
-            t = np.asarray(t, dtype=float)
-            with np.errstate(divide="ignore", over="ignore"):
-                return -theta / (np.expm1(theta * t) * norm)
-
-        def inverse(s):
-            s = np.asarray(s, dtype=float)
-            sn = s * norm
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = -np.logaddexp(np.log(-np.expm1(-sn)), -theta - sn) / theta
-            return np.where(s <= 0.0, 1.0, out)
-
-        return Generator(phi, dplus, inverse, np.inf, f"frank:{theta:g}")
-
-    em1 = np.expm1(-theta)           # e^{-theta} - 1
-    norm = -np.log(np.expm1(-theta / 2.0) / em1)
+    l1 = _log_abs_expm1(-theta)
+    norm = l1 - _log_abs_expm1(-theta / 2.0)
 
     def phi(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            return -np.log(np.expm1(-theta * t) / em1) / norm
+        return (l1 - _log_abs_expm1(-theta * np.asarray(t, dtype=float))) / norm
 
     def dplus(t):
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore", over="ignore"):
-            return theta * np.exp(-theta * t) / np.expm1(-theta * t) / norm
+            return -theta / (np.expm1(theta * t) * norm)
 
     def inverse(s):
         s = np.asarray(s, dtype=float)
-        with np.errstate(over="ignore"):
-            out = -np.log1p(np.exp(-s * norm) * em1) / theta
+        sn = s * norm
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = -np.logaddexp(np.log(-np.expm1(-sn)), -theta - sn) / theta
         return np.where(s <= 0.0, 1.0, out)
 
     return Generator(phi, dplus, inverse, np.inf, f"frank:{theta:g}")

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .archimedean import kendall_function
-from .core import checkerboard_approx, checkerboard_copula
+from .core import cdf_lattice, checkerboard_approx, checkerboard_copula
 from .estimation import (
     cfg_estimator,
     chatterjee_r,
@@ -22,7 +22,8 @@ from .estimation import (
     pseudo_obs,
 )
 from .fixtures import strip_copula
-from .metrics import QuadratureSpec, d1_grids, d_inf, kernel_grid, pi_measures, wcc_profile
+from .metrics import QuadratureSpec, d1_grids, d_inf, kernel_grid, levy_grids, pi_measures
+from .metrics import sup_distance, wcc_grid, wcc_profile
 from .registry import (
     COPULA_OF_KIND,
     FAMILIES,
@@ -67,8 +68,11 @@ def _load_knots(args):
     return read_knots_csv(args.knots) if getattr(args, "knots", None) else None
 
 
-def _int_list(text: str):
-    return [int(p) for p in text.split(",") if p]
+def _int_list(text: str, what: str):
+    values = [int(p) for p in text.split(",") if p]
+    if not values:
+        raise ValueError(f"{what} list must be non-empty")
+    return values
 
 
 def cmd_measure(args) -> int:
@@ -123,7 +127,7 @@ def cmd_sample(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = StudyConfig(
         copula_spec=args.copula,
-        sizes=_int_list(args.sizes),
+        sizes=_int_list(args.sizes, "sample size"),
         replications=args.R,
         estimators=args.estimators.split(","),
         base_seed=args.seed,
@@ -149,18 +153,21 @@ def cmd_simulate(args) -> int:
 _TGRID = np.linspace(0.01, 0.99, 99)
 _PGRID = np.linspace(0.05, 1.0, 96)
 
-# family kind -> (its extra converge columns, the differences whose sups they are)
+# family kind -> its extra converge columns: sups of component-table differences
 _CONVERGE_SUPS = {
-    "archimedean": (["kendall_sup", "phi_sup", "dphi_sup"], lambda g, lim: (
-        kendall_function(g).eval(_TGRID) - kendall_function(lim).eval(_TGRID),
-        g.phi(_PGRID) - lim.phi(_PGRID),
-        g.dplus_phi(_TGRID) - lim.dplus_phi(_TGRID),
-    )),
-    "extreme-value": (["a_sup", "da_sup"], lambda p, lim: (
-        p.a(_TGRID) - lim.a(_TGRID),
-        p.dplus_a(_TGRID) - lim.dplus_a(_TGRID),
-    )),
+    "archimedean": {
+        "kendall_sup": lambda g: kendall_function(g).eval(_TGRID),
+        "phi_sup": lambda g: g.phi(_PGRID),
+        "dphi_sup": lambda g: g.dplus_phi(_TGRID),
+    },
+    "extreme-value": {"a_sup": lambda p: p.a(_TGRID), "da_sup": lambda p: p.dplus_a(_TGRID)},
 }
+
+
+def _against_limit(grid, reduce, limit, terms):
+    """reduce(grid(t), grid(limit)) per term t, building the limit's grid once."""
+    at_limit = grid(limit)
+    return [reduce(grid(t), at_limit) for t in terms]
 
 
 def _converge_rows(args):
@@ -172,35 +179,29 @@ def _converge_rows(args):
             f"converge needs a one-parameter Archimedean or Extreme-Value spec with "
             f"exactly one parameter ({', '.join(names)}), got '{args.copula}'"
         )
-    ks = _int_list(args.ks)
+    ks = _int_list(args.ks, "sequence index")
     if any(k < 1 for k in ks):
         raise ValueError("sequence indices k must be >= 1")
     theta = params[0]
     q = QuadratureSpec(m=args.m)
-    columns, diffs = _CONVERGE_SUPS[kind]
-    to_copula = COPULA_OF_KIND[kind]
+    sups, to_copula = _CONVERGE_SUPS[kind], COPULA_OF_KIND[kind]
+    thetas = [theta + args.offset_scale / k for k in ks]
     part_lim = build_component(name, [theta], _load_knots(args))
-    limit = to_copula(part_lim)
-    k_lim = kernel_grid(limit, q)
-    rows = []
-    for k in ks:
-        theta_k = theta + args.offset_scale / k
-        part = build_component(name, [theta_k])
-        ck = to_copula(part)
-        rows.append((
-            str(k),
-            _fmt(theta_k),
-            _fmt(d_inf(ck, limit, q)),
-            *(_fmt(np.max(np.abs(d))) for d in diffs(part, part_lim)),
-            _fmt(d1_grids(kernel_grid(ck, q), k_lim)),
-            _fmt(wcc_profile(ck, limit).summary["max"]),
-        ))
-    return ["k", "theta", "d_inf", *columns, "d1", "wcc_max"], rows
+    parts = [build_component(name, [t]) for t in thetas]
+    limit, models = to_copula(part_lim), [to_copula(p) for p in parts]
+    # one column at a time, so that one limit-sized grid is alive at a time
+    columns = [
+        _against_limit(lambda c: cdf_lattice(c, q.m), sup_distance, limit, models),
+        *(_against_limit(table, sup_distance, part_lim, parts) for table in sups.values()),
+        _against_limit(lambda c: kernel_grid(c, q), d1_grids, limit, models),
+        _against_limit(wcc_grid, lambda a, b: np.max(levy_grids(a, b)), limit, models),
+    ]
+    header = ["k", "theta", "d_inf", *sups, "d1", "wcc_max"]
+    return header, [(str(k), t, *vals) for k, t, *vals in zip(ks, thetas, *columns)]
 
 
 def cmd_converge(args) -> int:
-    header, rows = _converge_rows(args)
-    _emit_csv(header, rows, args.out)
+    _emit_csv(*_converge_rows(args), args.out)
     return 0
 
 
@@ -210,11 +211,14 @@ def cmd_approximate(args) -> int:
         # counterexample fixture rows: the strip family never wcc-converges
         if args.knots:
             raise ValueError("strip takes no knots table (--knots CSV)")
-        target, reference = strip_copula(int(args.copula.split(":")[1])), pi
+        index = args.copula[len("strip:"):]
+        if not index.isdecimal():
+            raise ValueError(f"strip spec must be strip:N with an integer N, got '{args.copula}'")
+        target, reference = strip_copula(int(index)), pi
     else:
         target = reference = make_copula(args.copula, knots=_load_knots(args))
     rows = []
-    for N in _int_list(args.resolutions):
+    for N in _int_list(args.resolutions, "resolution"):
         prof = wcc_profile(checkerboard_copula(checkerboard_approx(target, N)), reference)
         rows.append((str(N), *(_fmt(prof.summary[k]) for k in ("max", "mean", "q95"))))
     _emit_csv(["resolution", "wcc_max", "wcc_mean", "wcc_q95"], rows, args.out)

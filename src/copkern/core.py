@@ -140,8 +140,8 @@ def kernel_from_cdf(cdf: Callable, h: float = 1e-5) -> Callable:
 
     dC/dx exists almost everywhere for any copula; the quotient is clamped to
     [0,1].  It need not be monotone in y: every kernel array the metrics build
-    (`kernel_grid`, `wcc_profile`) passes through one helper,
-    `copkern.metrics._monotone_in_y`, which takes the running maximum along y.
+    (`kernel_grid`, `wcc_grid`) comes from one evaluator,
+    `copkern.metrics._kernel_lattice`, which takes the running maximum along y.
     """
 
     def kernel(x, y):
@@ -171,12 +171,17 @@ def transpose(c: CopulaModel) -> CopulaModel:
     )
 
 
+def cdf_lattice(c: CopulaModel, m: int) -> np.ndarray:
+    """C(i/m, j/m) for i, j = 0..m, an (m+1, m+1) array."""
+    g = np.arange(m + 1) / m
+    return np.asarray(c.cdf(g[:, None], g[None, :]))
+
+
 def checkerboard_approx(c: CopulaModel, N: int) -> CheckerboardMatrix:
     """Cell masses of the N-checkerboard approximation of `c`."""
     if N < 1:
         raise ValueError("checkerboard resolution must be >= 1")
-    grid = np.arange(N + 1) / N
-    C = np.asarray(c.cdf(grid[:, None], grid[None, :]))
+    C = cdf_lattice(c, N)
     mass = C[1:, 1:] - C[:-1, 1:] - C[1:, :-1] + C[:-1, :-1]
     return CheckerboardMatrix(resolution=N, mass=mass)
 

@@ -192,17 +192,34 @@ def test_frank_inverse_round_trip(theta):
     assert np.allclose(g.phi(g.inverse(s)), s, rtol=1e-6, atol=0.0)
 
 
-def test_frank_large_theta_measures():
-    # phi(1/2) ~ e^{-theta/2}: the generator must not cancel at large theta
-    m = 512
-    rs = []
+_FRANK_THETAS = (0.5, -0.5, 5.0, -5.0, 50.0, -50.0, 300.0, -300.0, -800.0, -1000.0)
+
+
+@pytest.mark.parametrize("theta", _FRANK_THETAS)
+def test_frank_round_trip_in_t(theta):
+    # one form serves both signs; a linear-space theta < 0 form overflows at -800
+    g = make_frank(theta)
+    t = np.linspace(1e-3, 0.999, 999)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for theta in (50.0, 100.0, 200.0, 300.0):
-            c = archimedean_copula(make_frank(theta))
-            _, z, r = pi_measures(c, QuadratureSpec(m))
-            assert 0.0 <= z <= 1.0
-            assert -3.0 / m <= r <= 1.0 + 3.0 / m
-            assert disintegration_defect(c) <= 1e-3
-            rs.append(r)
-    assert np.all(np.diff(rs) >= 0.0)
+        back = g.inverse(g.phi(t))
+    assert np.max(np.abs(back - t) / t) <= 1e-12
+
+
+def test_frank_large_theta_measures():
+    # phi(1/2) ~ e^{-theta/2} for theta > 0 and e^{-theta t} overflows for
+    # theta < 0: the generator must neither cancel nor overflow
+    m = 512
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for thetas in ((50.0, 100.0, 200.0, 300.0), (-50.0, -300.0, -800.0, -1000.0)):
+            rs = []
+            for theta in thetas:
+                c = archimedean_copula(make_frank(theta))
+                _, z, r = pi_measures(c, QuadratureSpec(m))
+                assert 0.0 <= z <= 1.0
+                assert -3.0 / m <= r <= 1.0 + 3.0 / m
+                assert disintegration_defect(c) <= 1e-3
+                rs.append(r)
+            # r is non-decreasing in |theta|
+            assert np.all(np.diff(rs) >= 0.0)

@@ -4,7 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from copkern.cli import main
+from copkern.archimedean import kendall_function
+from copkern.cli import _PGRID, _TGRID, _fmt, main
+from copkern.metrics import QuadratureSpec, d1, d_inf, wcc_profile
+from copkern.registry import COPULA_OF_KIND, FAMILIES, build_component, parse_spec
 
 
 def run(args):
@@ -322,3 +325,58 @@ def test_simulate_duplicates_exit_2(tmp_path, capsys, flags, msg):
     assert run(["simulate", "--copula", "gumbel:3", "--R", "1", *flags, "--out", str(out)]) == 2
     assert msg in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,msg",
+    [
+        (["converge", "--copula", "clayton:3", "--ks", ","], "sequence index list must be non-empty"),
+        (["approximate", "--copula", "clayton:2", "--resolutions", ","],
+         "resolution list must be non-empty"),
+        (["approximate", "--copula", "strip:5:9"], "strip:N"),
+        (["approximate", "--copula", "strip:x"], "strip:N"),
+        (["approximate", "--copula", "strip:2.5"], "strip:N"),
+    ],
+    ids=["converge-empty-ks", "approximate-empty-resolutions", "strip-extra-field",
+         "strip-not-a-number", "strip-not-an-integer"],
+)
+def test_converge_approximate_bad_lists_exit_2(tmp_path, capsys, argv, msg):
+    out = tmp_path / "o.csv"
+    assert run([*argv, "--m", "16", "--out", str(out)]) == 2
+    assert msg in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["clayton:3", "galambos:3"])
+def test_converge_columns_are_the_public_metrics(tmp_path, spec):
+    out = tmp_path / "c.csv"
+    assert run(["converge", "--copula", spec, "--ks", "1,2", "--m", "64",
+                "--out", str(out)]) == 0
+    name, (theta,) = parse_spec(spec)
+    kind = FAMILIES[name].kind
+    q = QuadratureSpec(m=64)
+
+    def tables(part):
+        if kind == "archimedean":
+            return {"kendall_sup": kendall_function(part).eval(_TGRID),
+                    "phi_sup": part.phi(_PGRID), "dphi_sup": part.dplus_phi(_TGRID)}
+        return {"a_sup": part.a(_TGRID), "da_sup": part.dplus_a(_TGRID)}
+
+    part_lim = build_component(name, [theta])
+    limit = COPULA_OF_KIND[kind](part_lim)
+    rows = read_csv(out)
+    assert [r["k"] for r in rows] == ["1", "2"]
+    for row in rows:
+        part = build_component(name, [theta + 1.0 / int(row["k"])])
+        ck = COPULA_OF_KIND[kind](part)
+        expected = {
+            "d_inf": d_inf(ck, limit, q),
+            "d1": d1(ck, limit, q),
+            "wcc_max": wcc_profile(ck, limit).summary["max"],
+        }
+        lim_tables = tables(part_lim)
+        for col, table in tables(part).items():
+            expected[col] = np.max(np.abs(table - lim_tables[col]))
+        assert set(row) == {"k", "theta", *expected}
+        for col, value in expected.items():
+            assert row[col] == _fmt(value), col
