@@ -10,7 +10,6 @@ from .archimedean import (
     make_frank,
     make_gumbel,
     make_w_generator,
-    pseudo_inverse,
 )
 from .core import (
     CheckerboardMatrix,

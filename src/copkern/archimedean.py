@@ -1,9 +1,9 @@
 """Archimedean generators and the induced copulas, kernels and Kendall functions.
 
-Generators are normalized so that phi(1/2) = 1 and treated as right-continuous
-at 0.  Strict generators have phi(0+) = +inf; the right derivative D+phi is
-non-decreasing, right-continuous, with D+phi(1) = 0 and D+phi(0) = -inf in the
-strict case.
+Generators are normalized so that phi(1/2) = 1 and are right-continuous at 0:
+every phi returns phi(0+) at 0.  Strict generators have phi(0+) = +inf; the
+right derivative D+phi is non-decreasing, right-continuous, with D+phi(1) = 0
+and D+phi(0) = -inf in the strict case.
 """
 
 from dataclasses import dataclass
@@ -18,16 +18,15 @@ _LN2 = np.log(2.0)
 
 @dataclass(frozen=True)
 class Generator:
-    phi: Callable            # (0,1] -> [0,inf), vectorized
+    phi: Callable            # [0,1] -> [0,inf], phi(0) = phi(0+), vectorized
     dplus_phi: Callable      # right derivative on (0,1), vectorized
-    inverse: Callable        # pseudo-inverse phi^- on [0,inf], vectorized
-    phi_at_zero: float       # phi(0+), may be inf
+    inverse: Callable        # pseudo-inverse phi^- on [0,inf], zero beyond phi(0)
     label: str
 
     @property
     def strict(self) -> bool:
         """phi(0+) = +inf."""
-        return bool(np.isinf(self.phi_at_zero))
+        return bool(np.isinf(self.phi(0.0)))
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ def make_clayton(theta: float) -> Generator:
         with np.errstate(over="ignore"):
             return np.where(s <= 0.0, 1.0, (1.0 + c * s) ** (-1.0 / theta))
 
-    return Generator(phi, dplus, inverse, np.inf, f"clayton:{theta:g}")
+    return Generator(phi, dplus, inverse, f"clayton:{theta:g}")
 
 
 def make_gumbel(theta: float) -> Generator:
@@ -77,7 +76,7 @@ def make_gumbel(theta: float) -> Generator:
         with np.errstate(over="ignore"):
             return np.where(s <= 0.0, 1.0, np.exp(-_LN2 * s ** (1.0 / theta)))
 
-    return Generator(phi, dplus, inverse, np.inf, f"gumbel:{theta:g}")
+    return Generator(phi, dplus, inverse, f"gumbel:{theta:g}")
 
 
 def _log_abs_expm1(a):
@@ -116,7 +115,7 @@ def make_frank(theta: float) -> Generator:
             out = -np.logaddexp(np.log(-np.expm1(-sn)), -theta - sn) / theta
         return np.where(s <= 0.0, 1.0, out)
 
-    return Generator(phi, dplus, inverse, np.inf, f"frank:{theta:g}")
+    return Generator(phi, dplus, inverse, f"frank:{theta:g}")
 
 
 def make_w_generator() -> Generator:
@@ -132,12 +131,7 @@ def make_w_generator() -> Generator:
         s = np.asarray(s, dtype=float)
         return np.clip(1.0 - s / 2.0, 0.0, 1.0)
 
-    return Generator(phi, dplus, inverse, 2.0, "w")
-
-
-def pseudo_inverse(g: Generator, s):
-    """phi^-(s): the inverse of phi for s < phi(0+), zero beyond."""
-    return g.inverse(s)
+    return Generator(phi, dplus, inverse, "w")
 
 
 def level_function(g: Generator, t, x):
@@ -146,11 +140,10 @@ def level_function(g: Generator, t, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < t - 1e-12):
         raise ValueError("level function requires x >= t")
+    phit = g.phi(t)
+    # phi(0) = inf (strict) is the level of every x, x = 0 included
     with np.errstate(invalid="ignore"):
-        phit = np.where(t > 0, g.phi(np.maximum(t, 1e-300)), g.phi_at_zero)
-    s = phit - g.phi(np.maximum(x, 1e-300))
-    if g.strict:
-        s = np.where(np.isinf(phit), np.inf, s)
+        s = np.where(np.isinf(phit), np.inf, phit - g.phi(x))
     return g.inverse(np.maximum(s, 0.0))
 
 
@@ -160,9 +153,8 @@ def archimedean_copula(g: Generator) -> CopulaModel:
 
     def cdf(x, y):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore", over="ignore"):
-            px = g.phi(np.maximum(x, 1e-300))
-            py = g.phi(np.maximum(y, 1e-300))
+        # phi lives on [0, 1]; the result is 0 at x <= 0 or y <= 0 anyway
+        px, py = g.phi(np.maximum(x, 0.0)), g.phi(np.maximum(y, 0.0))
         # guard underflow near (1,1): tiny phi values act as exact zero
         px = np.where(px < 1e-300, 0.0, px)
         py = np.where(py < 1e-300, 0.0, py)

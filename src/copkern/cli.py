@@ -69,7 +69,10 @@ def _load_knots(args):
 
 
 def _int_list(text: str, what: str):
-    values = [int(p) for p in text.split(",") if p]
+    try:
+        values = [int(p) for p in text.split(",") if p]
+    except ValueError:
+        raise ValueError(f"{what} list must be comma-separated integers, got '{text}'") from None
     if not values:
         raise ValueError(f"{what} list must be non-empty")
     return values
@@ -79,15 +82,18 @@ def cmd_measure(args) -> int:
     c = make_copula(args.copula, knots=_load_knots(args))
     q = QuadratureSpec(m=args.m)
     d1_to_pi, z, r = pi_measures(c, q)
-    report = {
-        "copula": c.label,
-        "m": args.m,
+    measures = {
         "zeta1": z,
         "r": r,
         "d1_to_pi": d1_to_pi,
         "d_inf_to_pi": d_inf(c, make_copula("pi"), q),
     }
-    _emit_json(report, args.out)
+    # JSON has no NaN or infinity
+    bad = [k for k, v in measures.items() if not np.isfinite(v)]
+    if bad:
+        raise ValueError(f"the measures of '{args.copula}' are not finite at m = {args.m}: "
+                         f"{', '.join(bad)}")
+    _emit_json({"copula": c.label, "m": args.m, **measures}, args.out)
     return 0
 
 

@@ -39,13 +39,15 @@ class MarshallOlkinParams:
 
 @dataclass(frozen=True)
 class CheckerboardMatrix:
-    resolution: int
+    """Cell masses of an N-checkerboard; N is the side of the square `mass`."""
+
     mass: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.mass, dtype=float)
-        if m.shape != (self.resolution, self.resolution):
-            raise ValueError("mass matrix shape must match resolution")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise ValueError(f"checkerboard mass matrix must be square and non-empty, "
+                             f"got shape {m.shape}")
         object.__setattr__(self, "mass", m)
 
 
@@ -183,22 +185,26 @@ def checkerboard_approx(c: CopulaModel, N: int) -> CheckerboardMatrix:
         raise ValueError("checkerboard resolution must be >= 1")
     C = cdf_lattice(c, N)
     mass = C[1:, 1:] - C[:-1, 1:] - C[1:, :-1] + C[:-1, :-1]
-    return CheckerboardMatrix(resolution=N, mass=mass)
+    return CheckerboardMatrix(mass)
 
 
-def checkerboard_copula(m: CheckerboardMatrix, tol: float = 1e-9) -> CopulaModel:
+# rounding allowed in a checkerboard's masses and margins
+_MASS_TOL = 1e-9
+
+
+def checkerboard_copula(m: CheckerboardMatrix) -> CopulaModel:
     """Copula spreading each cell mass uniformly over its rectangle.
 
     The CDF is the exact piecewise-bilinear accumulation of the cell masses;
     the kernel is constant in x on each cell and piecewise linear in y.
     """
-    N = m.resolution
     mass = m.mass
-    if np.any(mass < -tol):
+    N = len(mass)
+    if np.any(mass < -_MASS_TOL):
         raise ValueError("checkerboard mass matrix has negative entries")
     if (
-        np.max(np.abs(mass.sum(axis=0) - 1.0 / N)) > tol
-        or np.max(np.abs(mass.sum(axis=1) - 1.0 / N)) > tol
+        np.max(np.abs(mass.sum(axis=0) - 1.0 / N)) > _MASS_TOL
+        or np.max(np.abs(mass.sum(axis=1) - 1.0 / N)) > _MASS_TOL
     ):
         raise ValueError("checkerboard mass matrix is not doubly stochastic")
 
@@ -230,7 +236,5 @@ def checkerboard_copula(m: CheckerboardMatrix, tol: float = 1e-9) -> CopulaModel
         cdf=cdf,
         kernel_cdf=kernel_cdf,
         label=f"checkerboard:{N}",
-        transpose_factory=lambda c: checkerboard_copula(
-            CheckerboardMatrix(N, mass.T.copy())
-        ),
+        transpose_factory=lambda c: checkerboard_copula(CheckerboardMatrix(mass.T.copy())),
     )

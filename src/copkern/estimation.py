@@ -198,17 +198,21 @@ def reconstruct_generator(k) -> Generator:
                 out = np.where(s > phi1, t1 * (phi1 / s) ** (1.0 / alpha), out)
         return out
 
-    return Generator(phi, dplus, inverse, np.inf if strict else float(phi1), "reconstructed")
+    return Generator(phi, dplus, inverse, "reconstructed")
 
 
-def cfg_estimator(p: PseudoObservations, t_grid: int = 1000) -> dict:
+# the CFG estimate is tabulated on t = i / _CFG_GRID, i = 0.._CFG_GRID
+_CFG_GRID = 1000
+
+
+def cfg_estimator(p: PseudoObservations) -> dict:
     """Endpoint-corrected CFG estimate of the Pickands dependence function.
 
     log A(t) = -gamma - mean(log min((-log u_i)/(1-t), (-log v_i)/t)),
     followed by the affine endpoint correction forcing A(0) = A(1) = 1.
     Returns the raw table {'t': grid, 'a': values}.
     """
-    t = np.linspace(0.0, 1.0, t_grid + 1)
+    t = np.linspace(0.0, 1.0, _CFG_GRID + 1)
     lu = -np.log(p.u)
     lv = -np.log(p.v)
     with np.errstate(divide="ignore"):
@@ -221,32 +225,23 @@ def cfg_estimator(p: PseudoObservations, t_grid: int = 1000) -> dict:
     return {"t": t, "a": np.exp(log_a)}
 
 
-def convexify_pickands(raw: dict, label: str = "cfg") -> PickandsFunction:
+def convexify_pickands(raw: dict) -> PickandsFunction:
     """Greatest convex minorant of max(min(raw, 1), id, 1 - id).
 
-    The lower convex hull of the clamped point set yields a function meeting
-    every Pickands constraint exactly.
+    Its knots are the lower convex hull of the clamped point set, so it meets
+    every Pickands constraint exactly.  A point on or above the chord of its
+    two neighbours is no hull vertex: each pass drops all such points at
+    once, until none is left.
     """
     t = np.asarray(raw["t"], dtype=float)
     a = np.asarray(raw["a"], dtype=float)
     g = np.maximum(np.minimum(a, 1.0), np.maximum(t, 1.0 - t))
-    # monotone-chain lower hull over the tabulated points
-    hull_t = [t[0]]
-    hull_a = [g[0]]
-    for i in range(1, len(t)):
-        while len(hull_t) >= 2:
-            cross = (hull_t[-1] - hull_t[-2]) * (g[i] - hull_a[-2]) - (
-                t[i] - hull_t[-2]
-            ) * (hull_a[-1] - hull_a[-2])
-            if cross <= 0.0:
-                hull_t.pop()
-                hull_a.pop()
-            else:
-                break
-        hull_t.append(t[i])
-        hull_a.append(g[i])
-    knots = list(zip(hull_t, hull_a))
-    return make_piecewise_linear_pickands(knots, label=label)
+    while True:
+        above = np.diff(t)[:-1] * (g[2:] - g[:-2]) <= (t[2:] - t[:-2]) * np.diff(g)[:-1]
+        if not above.any():
+            return make_piecewise_linear_pickands(list(zip(t, g)), label="cfg")
+        keep = np.r_[True, ~above, True]
+        t, g = t[keep], g[keep]
 
 
 def plugin_zeta1_r(

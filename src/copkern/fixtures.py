@@ -9,7 +9,7 @@ to independence although the copula itself does not.
 
 import numpy as np
 
-from .archimedean import Generator, make_w_generator
+from .archimedean import Generator
 from .core import CopulaModel, _bisect
 
 
@@ -89,7 +89,8 @@ def shift_copula(n: int) -> CopulaModel:
 
 
 def strict_generators_approaching_w(k: int):
-    """Strict generators converging pointwise on (0,1] to the W generator.
+    """Strict generators converging pointwise on (0,1] to the W generator
+    (`archimedean.make_w_generator`).
 
     phi_k(t) = (2(1-t) + (1/k)(-log t)/log 2) / (1 + 1/k); each phi_k is
     convex, strictly decreasing, normalized and strict, while the limit is
@@ -115,12 +116,8 @@ def strict_generators_approaching_w(k: int):
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
         s = np.atleast_1d(s)
-        lo, hi = _bisect(lambda t: ~(phi(np.maximum(t, 1e-300)) > s), s, 80)
+        lo, hi = _bisect(lambda t: ~(phi(t) > s), s, 80)
         out = np.select([s <= 0.0, s == np.inf], [1.0, 0.0], 0.5 * (lo + hi))
         return float(out[0]) if scalar else out
 
-    return Generator(phi, dplus, inverse, np.inf, f"w-approx:{k}")
-
-
-def w_limit_generator():
-    return make_w_generator()
+    return Generator(phi, dplus, inverse, f"w-approx:{k}")

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CopulaModel, _bisect
+from .metrics import sup_distance
 
 
 @dataclass(frozen=True)
@@ -58,5 +59,4 @@ def sample_fidelity(c: CopulaModel, n: int, rng: RngSpec, grid: int = 50) -> flo
     p = pseudo_obs(sample(c, n, rng))
     edges = np.linspace(0.0, 1.0, grid + 1)
     emp = empirical_copula_cdf(p, edges[:, None], edges[None, :])
-    true = np.asarray(c.cdf(edges[:, None], edges[None, :]))
-    return float(np.max(np.abs(emp - true)))
+    return sup_distance(emp, np.asarray(c.cdf(edges[:, None], edges[None, :])))

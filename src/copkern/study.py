@@ -90,6 +90,8 @@ def _run_one(args) -> StudyRecord:
 
 def run_study(cfg: StudyConfig, jobs: int = 1) -> StudyResult:
     """Run the full replication grid; record order is canonical regardless of jobs."""
+    if jobs < 1:
+        raise ValueError(f"worker count must be >= 1, got {jobs}")
     tasks = [
         (
             cfg.copula_spec,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from copkern.archimedean import (
-    Generator,
+    KendallFunction,
     archimedean_copula,
     kendall_function,
     level_function,
@@ -13,11 +13,13 @@ from copkern.archimedean import (
     make_frank,
     make_gumbel,
     make_w_generator,
-    pseudo_inverse,
 )
 from copkern.core import make_w
+from copkern.estimation import empirical_kendall, pseudo_obs, reconstruct_generator
 from copkern.fixtures import strict_generators_approaching_w
 from copkern.metrics import QuadratureSpec, disintegration_defect, pi_measures
+from copkern.registry import make_copula
+from copkern.sampling import RngSpec, sample
 
 _LN2 = np.log(2.0)
 
@@ -56,8 +58,8 @@ def test_clayton_closed_form():
 
 def test_pseudo_inverse_beyond_range_is_zero():
     g = make_w_generator()          # phi(0) = 2, non-strict
-    assert pseudo_inverse(g, 2.5) == 0.0
-    assert pseudo_inverse(g, 1.0) == pytest.approx(0.5)
+    assert g.inverse(2.5) == 0.0
+    assert g.inverse(1.0) == pytest.approx(0.5)
 
 
 def test_level_function_zero_level_of_w():
@@ -179,10 +181,46 @@ def test_strict_generators_converge_pointwise_to_w():
     assert sup_prev < 1e-2
 
 
+def _pi_kendall(t):
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(t > 0, t - t * np.log(t), 0.0)
+
+
+# every kind of generator the library builds, with its expected strictness
+_LIBRARY_GENERATORS = {
+    "clayton": (lambda: make_clayton(2.0), True),
+    "gumbel": (lambda: make_gumbel(3.0), True),
+    "frank+": (lambda: make_frank(5.0), True),
+    "frank-": (lambda: make_frank(-5.0), True),
+    "w": (make_w_generator, False),
+    "w-approx": (lambda: strict_generators_approaching_w(3), True),
+    "plugin-step": (lambda: reconstruct_generator(empirical_kendall(
+        pseudo_obs(sample(make_copula("clayton:2"), 200, RngSpec(seed=1)))
+    )), False),
+    "pi-reconstructed": (lambda: reconstruct_generator(KendallFunction(_pi_kendall)), True),
+}
+
+
 def test_generator_strictness_follows_phi_at_zero():
-    w = make_w_generator()
-    assert not w.strict
-    assert Generator(w.phi, w.dplus_phi, w.inverse, np.inf, "w-as-strict").strict
+    # strictness is read off phi itself: phi(0) = phi(0+) is inf exactly when strict
+    for name, (build, strict) in _LIBRARY_GENERATORS.items():
+        g = build()
+        assert g.strict == bool(np.isinf(g.phi(0.0))) == strict, name
+
+
+@pytest.mark.parametrize("build", [b for b, _ in _LIBRARY_GENERATORS.values()],
+                         ids=list(_LIBRARY_GENERATORS))
+def test_phi_at_zero_level_and_cdf_raise_no_warning(build):
+    g = build()
+    x = np.linspace(0.0, 1.0, 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi0 = g.phi(0.0)
+        level = level_function(g, 0.0, x)
+        cdf = archimedean_copula(g).cdf(np.array([[-0.1], [0.0]]), x)
+    assert phi0 > 0 and np.all((level >= 0.0) & (level <= 1.0))
+    assert np.all(cdf == 0.0)
 
 
 @pytest.mark.parametrize("theta", [5.0, 50.0, 300.0])

@@ -336,14 +336,41 @@ def test_simulate_duplicates_exit_2(tmp_path, capsys, flags, msg):
         (["approximate", "--copula", "strip:5:9"], "strip:N"),
         (["approximate", "--copula", "strip:x"], "strip:N"),
         (["approximate", "--copula", "strip:2.5"], "strip:N"),
+        (["converge", "--copula", "clayton:3", "--ks", "a"],
+         "sequence index list must be comma-separated integers, got 'a'"),
+        (["approximate", "--copula", "clayton:2", "--resolutions", "1.5"],
+         "resolution list must be comma-separated integers, got '1.5'"),
+        (["simulate", "--copula", "gumbel:3", "--R", "1", "--sizes", "x"],
+         "sample size list must be comma-separated integers, got 'x'"),
     ],
     ids=["converge-empty-ks", "approximate-empty-resolutions", "strip-extra-field",
-         "strip-not-a-number", "strip-not-an-integer"],
+         "strip-not-a-number", "strip-not-an-integer", "converge-ks-not-integers",
+         "approximate-resolutions-not-integers", "simulate-sizes-not-integers"],
 )
 def test_converge_approximate_bad_lists_exit_2(tmp_path, capsys, argv, msg):
     out = tmp_path / "o.csv"
     assert run([*argv, "--m", "16", "--out", str(out)]) == 2
     assert msg in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_simulate_jobs_below_one_exit_2(tmp_path, capsys, jobs):
+    out = tmp_path / "sim.csv"
+    assert run(["simulate", "--copula", "gumbel:3", "--sizes", "50", "--R", "1",
+                "--jobs", jobs, "--out", str(out)]) == 2
+    assert f"worker count must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["galambos:100", "galambos:300", "frank:1500"])
+def test_measure_non_finite_exit_2(tmp_path, capsys, spec):
+    # the kernel overflows for these parameters; JSON cannot hold NaN
+    out = tmp_path / "m.json"
+    with np.errstate(all="ignore"):
+        assert run(["measure", "--copula", spec, "--m", "512", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"the measures of '{spec}' are not finite" in err
     assert not out.exists()
 
 

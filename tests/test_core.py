@@ -102,7 +102,7 @@ def test_checkerboard_approx_rejects_zero():
 
 
 def test_checkerboard_copula_uniform_equals_pi():
-    cb = checkerboard_copula(CheckerboardMatrix(2, np.full((2, 2), 0.25)))
+    cb = checkerboard_copula(CheckerboardMatrix(np.full((2, 2), 0.25)))
     assert cb.cdf(0.5, 0.5) == pytest.approx(0.25)
     g = np.linspace(0, 1, 21)
     assert np.allclose(cb.cdf(g[:, None], g[None, :]), g[:, None] * g[None, :])
@@ -121,7 +121,7 @@ def test_checkerboard_disintegration():
     for _ in range(500):
         a /= a.sum(axis=1, keepdims=True) * 8
         a /= a.sum(axis=0, keepdims=True) * 8
-    cb = checkerboard_copula(CheckerboardMatrix(8, a))
+    cb = checkerboard_copula(CheckerboardMatrix(a))
     x = (np.arange(4000) + 0.5) / 4000
     ys = np.linspace(0.05, 0.95, 19)
     K = np.asarray(cb.kernel_cdf(x[:, None], ys[None, :]))
@@ -130,7 +130,15 @@ def test_checkerboard_disintegration():
 
 def test_checkerboard_copula_rejects_bad_matrix():
     with pytest.raises(ValueError):
-        checkerboard_copula(CheckerboardMatrix(2, np.array([[0.6, 0.0], [0.0, 0.4]])))
+        checkerboard_copula(CheckerboardMatrix(np.array([[0.6, 0.0], [0.0, 0.4]])))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (0, 0)])
+def test_checkerboard_matrix_must_be_square(shape):
+    # the resolution is the side of the mass matrix
+    with pytest.raises(ValueError, match="square and non-empty"):
+        CheckerboardMatrix(np.zeros(shape))
+    assert checkerboard_copula(checkerboard_approx(make_pi(), 5)).label == "checkerboard:5"
 
 
 def test_checkerboard_matches_on_lattice():

@@ -170,8 +170,7 @@ def test_reconstruct_generator_strict_iff_kendall_zero_at_zero():
                 return np.where(t > 0, t - t * np.log(t), 0.0)
 
     g = reconstruct_generator(ZeroAtZero())
-    assert g.strict and g.phi_at_zero == np.inf
-    assert g.phi(0.0) == np.inf and g.inverse(np.inf) == 0.0
+    assert g.strict and g.phi(0.0) == np.inf and g.inverse(np.inf) == 0.0
     x = np.array([1e-9, 1e-6, 1e-5])
     assert np.all(np.diff(g.phi(x)) < 0) and np.allclose(g.inverse(g.phi(x)), x)
     assert reconstruct_generator(kendall_function(make_gumbel(3.0))).strict
@@ -180,7 +179,9 @@ def test_reconstruct_generator_strict_iff_kendall_zero_at_zero():
     k = empirical_kendall(p)
     assert k.eval(0.0) > 0
     g = reconstruct_generator(k)
-    assert not g.strict and np.isfinite(g.phi(0.0)) and g.phi(0.0) == g.phi_at_zero
+    # phi(0) is the finite right limit phi(0+), and the pseudo-inverse maps it to 0
+    assert not g.strict and np.isfinite(g.phi(0.0))
+    assert g.phi(0.0) == pytest.approx(g.phi(1e-12), rel=1e-9) and g.inverse(g.phi(0.0)) == 0.0
 
 
 def test_reconstruct_generator_rejects_kendall_at_identity():

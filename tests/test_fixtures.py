@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from copkern.archimedean import make_w_generator
 from copkern.core import make_pi, transpose
 from copkern.fixtures import (
     shift_copula,
     strict_generators_approaching_w,
     strip_copula,
     strip_index,
-    w_limit_generator,
 )
 from copkern.metrics import QuadratureSpec, d1, disintegration_defect
 
@@ -85,8 +85,9 @@ def test_shift_transpose_kernel_disintegrates():
 def test_w_approx_generators_limit_mismatch_at_zero():
     # the approximating generators are strict but the limit is not:
     # lim phi_k(0+) = inf != 2 = phi_W(0)
-    w = w_limit_generator()
+    w = make_w_generator()
     assert not w.strict
-    assert w.phi_at_zero == 2.0
+    assert w.phi(0.0) == 2.0
     for k in (1, 5, 50):
-        assert strict_generators_approaching_w(k).strict
+        g = strict_generators_approaching_w(k)
+        assert g.strict and g.phi(0.0) == np.inf
