@@ -94,11 +94,15 @@ def make_frank(theta: float) -> Generator:
     The normalizer is about e^{-theta/2} for theta > 0 and |theta|/2 for
     theta < 0, so phi, D+phi and the inverse use one log|expm1| / expm1 /
     logaddexp form for both signs that neither cancels nor overflows.
+    From theta ~ 1490 e^{-theta/2} underflows to 0; such theta are rejected.
     """
     if theta == 0:
         raise ValueError("Frank parameter must be nonzero")
     l1 = _log_abs_expm1(-theta)
     norm = l1 - _log_abs_expm1(-theta / 2.0)
+    if not (np.isfinite(norm) and norm > 0):
+        raise ValueError(f"Frank parameter {theta:g} is beyond floating point: "
+                         "its normalizer underflows to 0")
 
     def phi(t):
         return (l1 - _log_abs_expm1(-theta * np.asarray(t, dtype=float))) / norm

@@ -211,16 +211,32 @@ def cfg_estimator(p: PseudoObservations) -> dict:
     log A(t) = -gamma - mean(log min((-log u_i)/(1-t), (-log v_i)/t)),
     followed by the affine endpoint correction forcing A(0) = A(1) = 1.
     Returns the raw table {'t': grid, 'a': values}.
+
+    With lu = -log u and lv = -log v, term i takes its u-branch for
+    t <= s_i = lv_i / (lu_i + lv_i) and its v-branch above.  With the s_i
+    sorted, U and V the prefix sums of log lu and log lv in that order and
+    k = #{s_i < t},
+
+        sum_i log min(...) = (U_n - U_k) - (n-k) log(1-t) + V_k - k log t,
+
+    so the table costs O((n + T) log n) for T grid points, with no n x T
+    array.  At t = 0 every term takes its u-branch and at t = 1 its
+    v-branch: those rows are U_n and V_n, where the formula would read
+    0 * log 0.
     """
+    if not (np.all((p.u > 0) & (p.u < 1)) and np.all((p.v > 0) & (p.v < 1))):
+        raise ValueError("CFG pseudo-observations must lie in the open interval (0, 1)")
+    lu, lv = -np.log(p.u), -np.log(p.v)
+    s = lv / (lu + lv)
+    order = np.argsort(s)
+    big_u = np.concatenate(([0.0], np.cumsum(np.log(lu[order]))))
+    big_v = np.concatenate(([0.0], np.cumsum(np.log(lv[order]))))
     t = np.linspace(0.0, 1.0, _CFG_GRID + 1)
-    lu = -np.log(p.u)
-    lv = -np.log(p.v)
-    with np.errstate(divide="ignore"):
-        xi = np.minimum(
-            lu[None, :] / (1.0 - t[:, None]),
-            lv[None, :] / t[:, None],
-        )
-    log_a = -_EULER_GAMMA - np.mean(np.log(xi), axis=1)
+    k = np.searchsorted(s[order], t, side="left")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        total = (big_u[-1] - big_u[k]) - (p.n - k) * np.log(1.0 - t) + big_v[k] - k * np.log(t)
+    total[0], total[-1] = big_u[-1], big_v[-1]
+    log_a = -_EULER_GAMMA - total / p.n
     log_a = log_a - (1.0 - t) * log_a[0] - t * log_a[-1]
     return {"t": t, "a": np.exp(log_a)}
 

@@ -244,6 +244,15 @@ def test_frank_round_trip_in_t(theta):
     assert np.max(np.abs(back - t) / t) <= 1e-12
 
 
+def test_frank_rejects_underflowing_normalizer():
+    # the normalizer ~ e^{-theta/2} is the smallest subnormal at 1490 and 0 above
+    for theta in (1491.0, 1500.0, 1e6):
+        with pytest.raises(ValueError, match="beyond floating point"):
+            make_frank(theta)
+    for theta in (1400.0, 1490.0, -1500.0):
+        assert make_frank(theta).strict
+
+
 def test_frank_large_theta_measures():
     # phi(1/2) ~ e^{-theta/2} for theta > 0 and e^{-theta t} overflows for
     # theta < 0: the generator must neither cancel nor overflow

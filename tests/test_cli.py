@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -363,7 +364,7 @@ def test_simulate_jobs_below_one_exit_2(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("spec", ["galambos:100", "galambos:300", "frank:1500"])
+@pytest.mark.parametrize("spec", ["galambos:100", "galambos:300"])
 def test_measure_non_finite_exit_2(tmp_path, capsys, spec):
     # the kernel overflows for these parameters; JSON cannot hold NaN
     out = tmp_path / "m.json"
@@ -371,6 +372,18 @@ def test_measure_non_finite_exit_2(tmp_path, capsys, spec):
         assert run(["measure", "--copula", spec, "--m", "512", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"the measures of '{spec}' are not finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["sample", "measure"])
+def test_frank_normalizer_underflow_exit_2(tmp_path, capsys, cmd):
+    # from theta ~ 1490 the Frank normalizer underflows to 0 and phi is inf/NaN
+    out = tmp_path / "out"
+    argv = [cmd, "--copula", "frank:1500", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(argv + (["--n", "3"] if cmd == "sample" else [])) == 2
+    assert "Frank parameter 1500 is beyond floating point" in capsys.readouterr().err
     assert not out.exists()
 
 

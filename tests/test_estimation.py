@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from copkern.archimedean import archimedean_copula, kendall_function, make_gumbe
 from copkern.core import CopulaModel
 from copkern.estimation import (
     EmpiricalKendall,
+    PseudoObservations,
     cfg_estimator,
     chatterjee_r,
     convexify_pickands,
@@ -237,6 +240,62 @@ def test_cfg_independence_close_to_one():
         raw = cfg_estimator(p)
         sups.append(np.max(np.abs(raw["a"] - 1.0)))
     assert max(sups) <= 0.05
+
+
+def _dense_cfg(p):
+    # the O(n T) reference: the whole n x (T+1) matrix of min(...) terms
+    t = np.linspace(0.0, 1.0, 1001)
+    lu, lv = -np.log(p.u), -np.log(p.v)
+    with np.errstate(divide="ignore"):
+        xi = np.minimum(lu[None, :] / (1.0 - t[:, None]), lv[None, :] / t[:, None])
+    log_a = -np.euler_gamma - np.mean(np.log(xi), axis=1)
+    return np.exp(log_a - (1.0 - t) * log_a[0] - t * log_a[-1])
+
+
+def _cfg_oracle_samples():
+    out = {}
+    for spec in ("galambos:3", "gumbel-ev:2.5", "pi"):
+        for n in (2, 50, 2000):
+            out[f"{spec}-{n}"] = lambda spec=spec, n=n: sample(make_copula(spec), n, RngSpec(seed=n))
+    x = np.arange(1000.0)
+    out["comonotone"] = lambda: SampleSet(x=x, y=x)
+    out["countermonotone"] = lambda: SampleSet(x=x, y=-x)
+    out["ties"] = lambda: SampleSet(x=np.floor(x / 7), y=np.floor(np.sqrt(x)))
+    return out
+
+
+_CFG_ORACLE = _cfg_oracle_samples()
+
+
+@pytest.mark.parametrize("name", list(_CFG_ORACLE))
+def test_cfg_matches_dense_formula(name):
+    p = pseudo_obs(_CFG_ORACLE[name]())
+    assert p.had_ties == (name == "ties")
+    raw = cfg_estimator(p)
+    assert np.array_equal(raw["t"], np.linspace(0.0, 1.0, 1001))
+    assert np.all(np.isfinite(raw["a"]))
+    assert np.max(np.abs(raw["a"] - _dense_cfg(p))) <= 1e-14
+
+
+def test_cfg_memory_is_linear_in_n():
+    # an n x 1001 float matrix at n = 10^4 alone is 80 MB
+    p = pseudo_obs(sample(make_copula("galambos:3"), 10_000, RngSpec(seed=1)))
+    tracemalloc.start()
+    try:
+        cfg_estimator(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, np.nan])
+def test_cfg_rejects_pseudo_obs_outside_open_unit_interval(bad):
+    u = np.array([0.25, 0.5, 0.75])
+    for p in (PseudoObservations(u=np.r_[u[:2], bad], v=u),
+              PseudoObservations(u=u, v=np.r_[bad, u[1:]])):
+        with pytest.raises(ValueError, match=r"open interval \(0, 1\)"):
+            cfg_estimator(p)
 
 
 def test_convexify_identity():
