@@ -238,22 +238,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, copula=True):
+    def add_common(p, copula=True, m=None):
         if copula:
             p.add_argument("--copula", required=True, help="family spec NAME:PARAMS")
             p.add_argument("--knots", default=None, help="CSV of pickands-pwl knots (header x,a)")
-        p.add_argument("--m", type=int, default=512, help="quadrature resolution")
+        if m is not None:
+            p.add_argument("--m", type=int, default=m, help="quadrature resolution")
         p.add_argument("--out", default="", help="output path (default: stdout)")
 
     p = sub.add_parser("measure", help="dependence measures of a registered copula")
-    add_common(p)
+    add_common(p, m=512)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("estimate", help="estimate dependence measures from a sample CSV")
     p.add_argument("input", help="sample CSV with header x,y")
     p.add_argument("--mode", required=True, choices=("chatterjee", "plugin-arch", "plugin-ev"))
     p.add_argument("--seed", type=int, default=0)
-    add_common(p, copula=False)
+    add_common(p, copula=False, m=512)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("sample", help="draw a seeded sample from a copula")
@@ -264,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("simulate", help="replication study comparing r estimators")
-    add_common(p)
-    p.set_defaults(m=256)
+    add_common(p, m=256)
     p.add_argument("--sizes", default="50,100,500,2000", help="comma-separated sample sizes")
     p.add_argument("--R", type=int, default=500, help="replications per cell")
     p.add_argument("--estimators", default=",".join(ESTIMATORS))
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("converge", help="discrepancy curves along a parameter sequence")
-    add_common(p)
+    add_common(p, m=512)
     p.add_argument("--ks", default="1,2,4,8,16,32,64", help="sequence indices k")
     p.add_argument(
         "--offset-scale",

@@ -1,7 +1,7 @@
 """Bivariate copulas represented by their CDF and conditional-CDF Markov kernel."""
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -15,16 +15,17 @@ class CopulaModel:
     broadcast-compatible inputs (scalars, vectors of one length, or an (m, 1)
     column against a (1, m) row) and compute on the arrays as given, so a
     term in x alone is evaluated once per x; the result has the broadcast
-    shape.  ``transpose_factory(c)`` returns the transpose of the model `c`
-    it is called with; a symmetric model is built with ``lambda c: c``.
-    Without one, `transpose` falls back to a difference-quotient kernel.
-    Models are immutable and safe for concurrent reads.
+    shape.  The kernel is exact: a distribution function in y with values
+    in [0, 1], which the metrics evaluate as given.  The required
+    ``transpose_factory(c)`` returns the transpose of the model `c` it is
+    called with, with its own exact kernel; a symmetric model is built with
+    ``lambda c: c``.  Models are immutable and safe for concurrent reads.
     """
 
     cdf: Callable
     kernel_cdf: Callable
     label: str
-    transpose_factory: Optional[Callable] = field(default=None, repr=False)
+    transpose_factory: Callable = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -137,40 +138,9 @@ def _piecewise_linear(xs: np.ndarray, vs: np.ndarray):
     return value, right_slope
 
 
-def kernel_from_cdf(cdf: Callable, h: float = 1e-5) -> Callable:
-    """Markov kernel as a symmetric difference quotient of the CDF in x.
-
-    dC/dx exists almost everywhere for any copula; the quotient is clamped to
-    [0,1].  It need not be monotone in y: every kernel array the metrics build
-    (`kernel_grid`, `wcc_grid`) comes from one evaluator,
-    `copkern.metrics._kernel_lattice`, which takes the running maximum along y.
-    """
-
-    def kernel(x, y):
-        x = np.asarray(x, float)
-        lo = np.maximum(x - h, 0.0)
-        hi = np.minimum(x + h, 1.0)
-        span = np.where(hi > lo, hi - lo, 1.0)
-        q = (np.asarray(cdf(hi, y)) - np.asarray(cdf(lo, y))) / span
-        return np.clip(q, 0.0, 1.0)
-
-    return kernel
-
-
 def transpose(c: CopulaModel) -> CopulaModel:
-    """Transposed copula C^t(x,y) = C(y,x)."""
-    if c.transpose_factory is not None:
-        return c.transpose_factory(c)
-
-    def cdf(x, y):
-        return c.cdf(y, x)
-
-    return CopulaModel(
-        cdf=cdf,
-        kernel_cdf=kernel_from_cdf(cdf),
-        label=c.label + "^t",
-        transpose_factory=lambda t: c,
-    )
+    """Transposed copula C^t(x,y) = C(y,x), as the model names it."""
+    return c.transpose_factory(c)
 
 
 def cdf_lattice(c: CopulaModel, m: int) -> np.ndarray:

@@ -13,6 +13,18 @@ from .archimedean import Generator
 from .core import CopulaModel, _bisect
 
 
+def _with_transpose(cdf, kernel_cdf, t_kernel_cdf, label: str) -> CopulaModel:
+    """The model (cdf, kernel_cdf); its transpose has kernel `t_kernel_cdf`,
+    and each of the two names the other."""
+
+    def transpose_factory(c):
+        return CopulaModel(cdf=lambda x, y: cdf(y, x), kernel_cdf=t_kernel_cdf,
+                           label=label + "^t", transpose_factory=lambda t: c)
+
+    return CopulaModel(cdf=cdf, kernel_cdf=kernel_cdf, label=label,
+                       transpose_factory=transpose_factory)
+
+
 def strip_index(n: int):
     """Map the sequence index n >= 1 to the (N, i) strip parameters."""
     if n < 1:
@@ -25,7 +37,9 @@ def strip_index(n: int):
 def strip_copula(n: int) -> CopulaModel:
     """Copula with kernel 1_{[0,y]}(2^N x + 1 - i) on the i-th dyadic strip.
 
-    Off the strip [(i-1)/2^N, i/2^N] the kernel is the independence kernel.
+    Off the strip [lo, lo + w] = [(i-1)/2^N, i/2^N] the kernel is the
+    independence kernel.  The transpose's kernel is
+    K^t(x, [0, y]) = w 1[lo + w x <= y] + |[0, y] minus [lo, lo + w]|.
     """
     N, i = strip_index(n)
     w = 0.5 ** N
@@ -44,7 +58,13 @@ def strip_copula(n: int) -> CopulaModel:
         on_strip = (x >= lo) & (x <= lo + w)
         return np.where(on_strip, (h <= y).astype(float), np.clip(y, 0.0, 1.0))
 
-    return CopulaModel(cdf=cdf, kernel_cdf=kernel_cdf, label=f"strip:{n}")
+    def t_kernel(x, y):
+        # given x, the second coordinate sits at lo + w x with probability w
+        # and is uniform on [0, 1] minus the strip otherwise
+        x, y = np.asarray(x, float), np.clip(np.asarray(y, float), 0.0, 1.0)
+        return w * (lo + w * x <= y) + np.minimum(y, lo) + np.maximum(y - (lo + w), 0.0)
+
+    return _with_transpose(cdf, kernel_cdf, t_kernel, f"strip:{n}")
 
 
 def shift_copula(n: int) -> CopulaModel:
@@ -65,27 +85,13 @@ def shift_copula(n: int) -> CopulaModel:
         h = k * np.clip(x, 0.0, 1.0) % 1.0
         return (h <= y).astype(float)
 
-    def transpose_factory(c):
-        def t_cdf(x, y):
-            return cdf(y, x)
+    def t_kernel(x, y):
+        # discrete uniform on {(x+i)/2^n : i = 0..2^n - 1}
+        x, y = np.asarray(x, float), np.asarray(y, float)
+        cnt = np.floor(k * np.clip(y, 0, 1) - np.clip(x, 0, 1)) + 1.0
+        return np.clip(cnt / k, 0.0, 1.0)
 
-        def t_kernel(x, y):
-            # discrete uniform on {(x+i)/2^n : i = 0..2^n - 1}
-            x, y = np.asarray(x, float), np.asarray(y, float)
-            cnt = np.floor(k * np.clip(y, 0, 1) - np.clip(x, 0, 1)) + 1.0
-            return np.clip(cnt / k, 0.0, 1.0)
-
-        return CopulaModel(
-            cdf=t_cdf, kernel_cdf=t_kernel, label=f"shift:{n}^t",
-            transpose_factory=lambda t: c,
-        )
-
-    return CopulaModel(
-        cdf=cdf,
-        kernel_cdf=kernel_cdf,
-        label=f"shift:{n}",
-        transpose_factory=transpose_factory,
-    )
+    return _with_transpose(cdf, kernel_cdf, t_kernel, f"shift:{n}")
 
 
 def strict_generators_approaching_w(k: int):

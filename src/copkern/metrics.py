@@ -39,14 +39,12 @@ def midpoints(m: int) -> np.ndarray:
 
 
 def _kernel_lattice(c: CopulaModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """K(x_i, [0, y_j]) clipped to [0, 1] with its running maximum along y: a
-    no-op for exact kernels that repairs difference-quotient (transposed) ones."""
-    K = np.asarray(c.kernel_cdf(x[:, None], y[None, :]), dtype=float)
-    return np.maximum.accumulate(np.clip(K, 0.0, 1.0), axis=1)
+    """K(x_i, [0, y_j]): the model's exact kernel on an (x column, y row) lattice."""
+    return np.asarray(c.kernel_cdf(x[:, None], y[None, :]), dtype=float)
 
 
 def kernel_grid(c: CopulaModel, q: QuadratureSpec) -> np.ndarray:
-    """K(x_i, [0, y_j]) on the midpoint grid, monotonized along y.
+    """K(x_i, [0, y_j]) on the midpoint grid.
 
     Each measure of one model is a reduction of this one array; r and
     `pi_measures` compare it with the midpoint vector, which is Pi's grid.
@@ -176,6 +174,5 @@ def disintegration_defect(c: CopulaModel, ys: Sequence[float] = None, m: int = 2
     if ys is None:
         ys = np.linspace(0.05, 0.95, 19)
     ys = np.asarray(ys, dtype=float)
-    x = midpoints(m)
-    K = np.asarray(c.kernel_cdf(x[:, None], ys[None, :]), dtype=float)
+    K = _kernel_lattice(c, midpoints(m), ys)
     return float(np.max(np.abs(np.mean(K, axis=0) - ys)))

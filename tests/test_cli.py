@@ -331,13 +331,14 @@ def test_simulate_duplicates_exit_2(tmp_path, capsys, flags, msg):
 @pytest.mark.parametrize(
     "argv,msg",
     [
-        (["converge", "--copula", "clayton:3", "--ks", ","], "sequence index list must be non-empty"),
+        (["converge", "--copula", "clayton:3", "--ks", ",", "--m", "16"],
+         "sequence index list must be non-empty"),
         (["approximate", "--copula", "clayton:2", "--resolutions", ","],
          "resolution list must be non-empty"),
         (["approximate", "--copula", "strip:5:9"], "strip:N"),
         (["approximate", "--copula", "strip:x"], "strip:N"),
         (["approximate", "--copula", "strip:2.5"], "strip:N"),
-        (["converge", "--copula", "clayton:3", "--ks", "a"],
+        (["converge", "--copula", "clayton:3", "--ks", "a", "--m", "16"],
          "sequence index list must be comma-separated integers, got 'a'"),
         (["approximate", "--copula", "clayton:2", "--resolutions", "1.5"],
          "resolution list must be comma-separated integers, got '1.5'"),
@@ -350,7 +351,7 @@ def test_simulate_duplicates_exit_2(tmp_path, capsys, flags, msg):
 )
 def test_converge_approximate_bad_lists_exit_2(tmp_path, capsys, argv, msg):
     out = tmp_path / "o.csv"
-    assert run([*argv, "--m", "16", "--out", str(out)]) == 2
+    assert run([*argv, "--out", str(out)]) == 2
     assert msg in capsys.readouterr().err
     assert not out.exists()
 

@@ -155,16 +155,6 @@ def test_copula_axioms_all_families(spec):
     check_copula_axioms(make_copula(spec))
 
 
-@pytest.mark.parametrize("spec", registered_examples())
-def test_kernel_monotone_and_reaches_one(spec):
-    c = make_copula(spec)
-    x = np.linspace(0.02, 0.98, 25)
-    y = np.linspace(0.0, 1.0, 101)
-    K = np.asarray(c.kernel_cdf(x[:, None], y[None, :]))
-    assert np.min(np.diff(K, axis=1)) >= -1e-9
-    assert np.allclose(K[:, -1], 1.0)
-
-
 def test_registered_examples_cover_the_table():
     names = [parse_spec(spec)[0] for spec in registered_examples()]
     assert sorted(names) == sorted(set(FAMILIES) - {"pickands-pwl"})
@@ -187,7 +177,8 @@ def _plugin_fit():
 _SYMMETRIC = {"pi", "m", "w", "clayton:2", "gumbel:3", "frank:5"}
 
 # (model builder, transpose identity): "self" for symmetric models, "pair" for
-# models whose transpose names them back, None where transposing builds anew
+# models whose named transpose names them back, None where the transpose is
+# built anew from transposed components (parameters, Pickands function, masses)
 _CONTRACT_MODELS = [
     *(pytest.param(lambda s=spec: make_copula(s), "self" if spec in _SYMMETRIC else None,
                    id=spec) for spec in registered_examples()),
@@ -224,3 +215,16 @@ def test_model_contract(build, transposed):
         assert transpose(c) is c
     elif transposed == "pair":
         assert transpose(transpose(c)) is c
+    assert np.max(np.abs(transpose(c).cdf(X, Y) - c.cdf(Y, X))) <= 1e-12
+
+
+@pytest.mark.parametrize("build,transposed", _CONTRACT_MODELS)
+def test_kernel_monotone_and_reaches_one(build, transposed):
+    # the kernels are used as given: each must be a distribution function in y
+    c = build()
+    x = np.linspace(0.02, 0.98, 25)
+    y = np.linspace(0.0, 1.0, 101)
+    K = np.asarray(c.kernel_cdf(x[:, None], y[None, :]))
+    assert np.min(K) >= 0.0 and np.max(K) <= 1.0
+    assert np.min(np.diff(K, axis=1)) >= -1e-9
+    assert np.allclose(K[:, -1], 1.0)

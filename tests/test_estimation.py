@@ -1,10 +1,10 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from copkern.archimedean import archimedean_copula, kendall_function, make_gumbel
-from copkern.core import CopulaModel
 from copkern.estimation import (
     EmpiricalKendall,
     PseudoObservations,
@@ -382,7 +382,7 @@ def test_plugin_evaluates_one_kernel_grid(monkeypatch, which, factory):
             sizes.append(np.broadcast(np.asarray(x), np.asarray(y)).size)
             return model.kernel_cdf(x, y)
 
-        return CopulaModel(cdf=model.cdf, kernel_cdf=kernel_cdf, label=model.label)
+        return replace(model, kernel_cdf=kernel_cdf)
 
     monkeypatch.setattr(est, factory, counting_factory)
     plugin_zeta1_r(_plugin_sample(), which, QuadratureSpec(m=32))

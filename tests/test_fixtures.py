@@ -9,7 +9,7 @@ from copkern.fixtures import (
     strip_copula,
     strip_index,
 )
-from copkern.metrics import QuadratureSpec, d1, disintegration_defect
+from copkern.metrics import QuadratureSpec, d1, disintegration_defect, midpoints
 
 Q = QuadratureSpec(m=512)
 
@@ -80,6 +80,21 @@ def test_shift_transpose_involution():
 
 def test_shift_transpose_kernel_disintegrates():
     assert disintegration_defect(transpose(shift_copula(5)), m=128000) <= 1e-3
+
+
+@pytest.mark.parametrize("m", [64, 256])
+def test_strip_transpose_kernel_matches_difference_quotient(m):
+    t = transpose(strip_copula(5))
+    x = midpoints(m)[:, None]
+    y = midpoints(m)[None, :]
+    # oracle: dC^t/dx as a symmetric difference quotient of the CDF
+    lo, hi = x - 1e-5, x + 1e-5
+    Q = (t.cdf(hi, y) - t.cdf(lo, y)) / (hi - lo)
+    assert np.max(np.abs(t.kernel_cdf(x, y) - Q)) <= 1e-10
+
+
+def test_strip_transpose_kernel_disintegrates():
+    assert disintegration_defect(transpose(strip_copula(5))) <= 1e-10
 
 
 def test_w_approx_generators_limit_mismatch_at_zero():

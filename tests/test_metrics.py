@@ -1,9 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from copkern._accel import levy_distance
 from copkern.core import (
-    CopulaModel,
     checkerboard_approx,
     checkerboard_copula,
     make_m,
@@ -89,7 +90,7 @@ def test_r_measure_evaluates_one_kernel_grid():
         sizes.append(np.broadcast(np.asarray(x), np.asarray(y)).size)
         return base.kernel_cdf(x, y)
 
-    counted = CopulaModel(cdf=base.cdf, kernel_cdf=kernel_cdf, label=base.label)
+    counted = replace(base, kernel_cdf=kernel_cdf)
     q = QuadratureSpec(m=64)
     assert r_measure(counted, q) == r_measure(base, q)
     assert sizes == [64 * 64]
