@@ -34,7 +34,7 @@ from .registry import (
     read_knots_csv,
 )
 from .sampling import RngSpec, SampleSet, sample
-from .study import ESTIMATORS, StudyConfig, run_study
+from .study import ESTIMATORS, PLUGINS, StudyConfig, run_study
 
 _FLOAT_FMT = "%.17g"
 
@@ -111,12 +111,12 @@ def cmd_estimate(args) -> int:
     else:
         p = pseudo_obs(s)
         grid = np.linspace(0.0, 1.0, 101)
-        if args.mode == "plugin-arch":
-            which, table, column = "archimedean", "kendall_table", "f"
-            values = empirical_kendall(p).eval(grid)
+        which = PLUGINS[args.mode]
+        if which == "archimedean":
+            table, column, values = "kendall_table", "f", empirical_kendall(p).eval(grid)
         else:
-            which, table, column = "extreme-value", "pickands_table", "a"
             values = convexify_pickands(cfg_estimator(p)).a(grid)
+            table, column = "pickands_table", "a"
         report[table] = {"t": [float(t) for t in grid], column: [float(v) for v in values]}
         report["zeta1"], report["r"] = plugin_zeta1_r(p, which, q)
     _emit_json(report, args.out)
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate dependence measures from a sample CSV")
     p.add_argument("input", help="sample CSV with header x,y")
-    p.add_argument("--mode", required=True, choices=("chatterjee", "plugin-arch", "plugin-ev"))
+    p.add_argument("--mode", required=True, choices=ESTIMATORS)
     p.add_argument("--seed", type=int, default=0)
     add_common(p, copula=False, m=512)
     p.set_defaults(func=cmd_estimate)

@@ -13,7 +13,9 @@ from .metrics import QuadratureSpec, r_measure
 from .registry import make_copula
 from .sampling import RngSpec, sample
 
-ESTIMATORS = ("chatterjee", "plugin-arch", "plugin-ev")
+# plugin estimator -> the structural assumption its model is fitted under
+PLUGINS = {"plugin-arch": "archimedean", "plugin-ev": "extreme-value"}
+ESTIMATORS = ("chatterjee", *PLUGINS)
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,7 @@ def _run_one(args) -> StudyRecord:
     if estimator == "chatterjee":
         value = chatterjee_r(s, np.random.default_rng(seed))
     else:
-        which = "archimedean" if estimator == "plugin-arch" else "extreme-value"
-        _, value = plugin_zeta1_r(pseudo_obs(s), which, QuadratureSpec(m=m))
+        _, value = plugin_zeta1_r(pseudo_obs(s), PLUGINS[estimator], QuadratureSpec(m=m))
     return StudyRecord(
         estimator=estimator,
         n=n,
@@ -92,6 +93,8 @@ def run_study(cfg: StudyConfig, jobs: int = 1) -> StudyResult:
     """Run the full replication grid; record order is canonical regardless of jobs."""
     if jobs < 1:
         raise ValueError(f"worker count must be >= 1, got {jobs}")
+    # first, so that a model the kernel check rejects fails before any replication
+    true_r = r_measure(make_copula(cfg.copula_spec, knots=cfg.knots), QuadratureSpec(m=512))
     tasks = [
         (
             cfg.copula_spec,
@@ -112,10 +115,6 @@ def run_study(cfg: StudyConfig, jobs: int = 1) -> StudyResult:
     else:
         records = [_run_one(t) for t in tasks]
     records.sort(key=lambda r: (r.estimator, r.n, r.replication))
-
-    true_r = r_measure(
-        make_copula(cfg.copula_spec, knots=cfg.knots), QuadratureSpec(m=512)
-    )
     summary = summarize(records, true_r)
     return StudyResult(config=cfg, records=records, true_r=true_r, summary=summary)
 

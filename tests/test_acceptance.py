@@ -165,6 +165,7 @@ def test_acceptance_06_counterexample_fidelity():
                   f"{'; '.join(details)}; D1(shift^t_6,Pi)={t6:.4f}")
 
 
+@pytest.mark.slow
 def test_acceptance_07_estimator_recovery():
     t0 = time.perf_counter()
     q = QuadratureSpec(m=256)
@@ -188,6 +189,7 @@ def test_acceptance_07_estimator_recovery():
                   f"within 0.03: {frac:.0%}, {dt:.0f}s")
 
 
+@pytest.mark.slow
 def test_acceptance_08_simulation_study():
     t0 = time.perf_counter()
     results = {}

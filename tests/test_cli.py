@@ -376,6 +376,28 @@ def test_measure_non_finite_exit_2(tmp_path, capsys, spec):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec,m", [("frank:1000", 64), ("frank:1000", 512),
+                                    ("gumbel:200", 512), ("clayton:200", 512)])
+def test_measure_kernel_check_exit_2(tmp_path, capsys, spec, m):
+    # overflow damages these kernels; frank:1000 reported zeta1 = 1.096 at m = 64
+    out = tmp_path / "m.json"
+    with np.errstate(all="ignore"):
+        assert run(["measure", "--copula", spec, "--m", str(m), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"does not disintegrate it at m = {m}: column defect" in err
+    assert f"[{spec}]" in err
+    assert not out.exists()
+
+
+def test_simulate_kernel_check_exit_2(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    with np.errstate(all="ignore"):
+        assert run(["simulate", "--copula", "gumbel:200", "--sizes", "50", "--R", "1",
+                    "--out", str(out)]) == 2
+    assert "does not disintegrate it at m = 512" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd", ["sample", "measure"])
 def test_frank_normalizer_underflow_exit_2(tmp_path, capsys, cmd):
     # from theta ~ 1490 the Frank normalizer underflows to 0 and phi is inf/NaN

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from copkern._accel import levy_distance
+from copkern.archimedean import archimedean_copula
 from copkern.core import (
     checkerboard_approx,
     checkerboard_copula,
@@ -11,15 +12,26 @@ from copkern.core import (
     make_pi,
     make_w,
 )
+from copkern.estimation import (
+    cfg_estimator,
+    convexify_pickands,
+    empirical_kendall,
+    pseudo_obs,
+    reconstruct_generator,
+)
+from copkern.extreme_value import ev_copula
 from copkern.fixtures import shift_copula, strip_copula, strip_index
 from copkern.metrics import (
     QuadratureSpec,
+    _column_defect,
     d1,
     d2_squared,
     d_inf,
     d_infty_metric,
     disintegration_defect,
     golden_xs,
+    kernel_grid,
+    midpoints,
     partial_distance,
     pi_measures,
     r_identity_residual,
@@ -28,6 +40,7 @@ from copkern.metrics import (
     zeta1,
 )
 from copkern.registry import make_copula, registered_examples
+from copkern.sampling import RngSpec, SampleSet, sample
 
 Q = QuadratureSpec(m=512)
 
@@ -75,14 +88,14 @@ def test_zeta1_paper_values():
 
 @pytest.mark.parametrize("spec", registered_examples())
 def test_r_internal_identity_consistency(spec):
-    # r_measure raises if its two computation routes disagree beyond quadrature
+    # r_measure raises if the grid's column defect exceeds 4/m
     v = r_measure(make_copula(spec), Q)
     # atomic kernels (M, W) carry a +3/m midpoint-rule bias at the top end
     assert -0.51 <= v <= 1.0 + 3.0 / Q.m + 1e-9
 
 
 def test_r_measure_evaluates_one_kernel_grid():
-    # the identity guard runs on the same grid r is read from
+    # the column-defect check runs on the same grid r is read from
     base = make_copula("gumbel:3")
     sizes = []
 
@@ -102,6 +115,57 @@ def test_pi_measures_equal_single_measures(spec):
     q = QuadratureSpec(m=128)
     assert pi_measures(c, q) == (d1(c, make_pi(), q), zeta1(c, q), r_measure(c, q))
     assert r_identity_residual(c, q) <= 1e-6
+
+
+@pytest.mark.parametrize("spec,m", [
+    ("gumbel:200", 256), ("gumbel:200", 512), ("clayton:200", 256), ("clayton:200", 512),
+    ("frank:1000", 64), ("clayton:500", 64),
+])
+@pytest.mark.parametrize("measure", [r_measure, pi_measures])
+def test_kernel_check_rejects_overflow_damaged_models(spec, m, measure):
+    # these kernels overflow, so their x-means miss the disintegration identity
+    c = make_copula(spec)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError) as info:
+            measure(c, QuadratureSpec(m=m))
+        defect = _column_defect(kernel_grid(c, QuadratureSpec(m=m)), midpoints(m))
+    assert defect > 4.0 / m
+    assert (f"the kernel of '{c.label}' does not disintegrate it at m = {m}: "
+            f"column defect {defect:.3g} > 4/m") in str(info.value)
+
+
+def _plugin_fit_models():
+    # seeds fixed before the first run; the tied samples are integer-valued
+    samples = {}
+    for seed, spec in enumerate(("gumbel:3", "clayton:2", "galambos:3")):
+        for n in (10, 50):
+            samples[f"{spec}|n={n}"] = sample(make_copula(spec), n, RngSpec(seed=100 + seed))
+    rng = np.random.default_rng(7)
+    for n in (10, 50):
+        x = rng.integers(0, 5, n).astype(float)
+        samples[f"ties|n={n}"] = SampleSet(x=x, y=x + rng.integers(0, 3, n))
+    for name, s in samples.items():
+        p = pseudo_obs(s)
+        yield f"arch {name}", archimedean_copula(reconstruct_generator(empirical_kendall(p)))
+        yield f"ev {name}", ev_copula(convexify_pickands(cfg_estimator(p)))
+
+
+def test_kernel_check_passes_plugin_fits_with_margin():
+    worst = {}
+    for name, model in _plugin_fit_models():
+        for m in (32, 256):
+            q = QuadratureSpec(m=m)
+            pi_measures(model, q)
+            worst[f"{name} m={m}"] = m * _column_defect(kernel_grid(model, q), midpoints(m))
+    assert max(worst.values()) <= 2.5, max(worst.items(), key=lambda kv: kv[1])
+
+
+def test_kernel_check_rejects_fast_shift_fixtures():
+    # shift:n reads (2^(n-1) - 1/2)/m at every m: valid, but finer in x than m resolves
+    r_measure(shift_copula(3), Q)
+    with pytest.raises(ValueError, match="column defect"):
+        r_measure(shift_copula(4), Q)
+    assert d1(shift_copula(4), make_pi(), Q) == pytest.approx(1.0 / 3.0, abs=2e-3)
 
 
 @pytest.mark.parametrize("spec", registered_examples())
