@@ -176,7 +176,7 @@ def archimedean_copula(g: Generator) -> CopulaModel:
         ratio = np.where(np.isfinite(ratio), ratio, 0.0)
         out = np.clip(ratio, 0.0, 1.0)
         if not strict:
-            out = np.where(y < level_function(g, 0.0, x), 0.0, out)
+            out = np.where(y < level_function(g, 0.0, np.maximum(x, 0.0)), 0.0, out)
         out = np.where(y >= 1.0, 1.0, out)
         return np.where((x <= 0.0) | (x >= 1.0), 1.0, out)
 

@@ -18,56 +18,42 @@ class PickandsFunction:
     label: str
 
 
+def _power_mean_pickands(p: float, label: str) -> PickandsFunction:
+    """A = M_p for p > 0 and A = 1 - M_p for p < 0, with the power mean
+    M_p(x) = (x^p + (1-x)^p)^(1/p); D+A = +-M_p^(1-p) (x^(p-1) - (1-x)^(p-1))."""
+
+    def a(x):
+        xc = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+        # for p < 0, 0^p = inf gives M_p = 0, so A reads 1 at the endpoints
+        with np.errstate(divide="ignore", over="ignore"):
+            m = (xc ** p + (1.0 - xc) ** p) ** (1.0 / p)
+        return m if p > 0 else 1.0 - m
+
+    def dplus(x):
+        x = np.asarray(x, dtype=float)
+        xc = np.clip(x, _EPS, 1.0 - _EPS)
+        # the order of the difference u^(p-1) - v^(p-1) carries the sign of D+A
+        u, v = (xc, 1.0 - xc) if p > 0 else (1.0 - xc, xc)
+        with np.errstate(over="ignore"):
+            val = (u ** p + v ** p) ** (1.0 / p - 1.0) * (u ** (p - 1.0) - v ** (p - 1.0))
+        val = np.where(x <= 0.0, -1.0, val)
+        return np.clip(np.where(x >= 1.0, 1.0, val), -1.0, 1.0)
+
+    return PickandsFunction(a=a, dplus_a=dplus, label=label)
+
+
 def make_galambos(theta: float) -> PickandsFunction:
     """Galambos Pickands function A(x) = 1 - (x^-theta + (1-x)^-theta)^(-1/theta)."""
     if theta <= 0:
         raise ValueError("Galambos parameter must be positive")
-
-    def a(x):
-        x = np.asarray(x, dtype=float)
-        xi = np.clip(x, _EPS, 1.0 - _EPS)
-        with np.errstate(over="ignore"):
-            s = xi ** (-theta) + (1.0 - xi) ** (-theta)
-            val = 1.0 - s ** (-1.0 / theta)
-        return np.where((x <= 0.0) | (x >= 1.0), 1.0, val)
-
-    def dplus(x):
-        x = np.asarray(x, dtype=float)
-        xi = np.clip(x, _EPS, 1.0 - _EPS)
-        with np.errstate(over="ignore"):
-            s = xi ** (-theta) + (1.0 - xi) ** (-theta)
-            val = s ** (-1.0 / theta - 1.0) * (
-                (1.0 - xi) ** (-theta - 1.0) - xi ** (-theta - 1.0)
-            )
-        val = np.where(x <= 0.0, -1.0, val)
-        return np.clip(np.where(x >= 1.0, 1.0, val), -1.0, 1.0)
-
-    return PickandsFunction(a=a, dplus_a=dplus, label=f"galambos:{theta:g}")
+    return _power_mean_pickands(-theta, f"galambos:{theta:g}")
 
 
 def make_gumbel_pickands(theta: float) -> PickandsFunction:
     """Gumbel-Hougaard Pickands function A(x) = (x^theta + (1-x)^theta)^(1/theta)."""
     if theta < 1:
         raise ValueError("Gumbel Pickands parameter must be >= 1")
-
-    def a(x):
-        x = np.asarray(x, dtype=float)
-        xc = np.clip(x, 0.0, 1.0)
-        return (xc ** theta + (1.0 - xc) ** theta) ** (1.0 / theta)
-
-    def dplus(x):
-        x = np.asarray(x, dtype=float)
-        if theta == 1.0:
-            return np.zeros_like(x)
-        xc = np.clip(x, _EPS, 1.0 - _EPS)
-        s = xc ** theta + (1.0 - xc) ** theta
-        val = s ** (1.0 / theta - 1.0) * (
-            xc ** (theta - 1.0) - (1.0 - xc) ** (theta - 1.0)
-        )
-        val = np.where(x <= 0.0, -1.0, val)
-        return np.clip(np.where(x >= 1.0, 1.0, val), -1.0, 1.0)
-
-    return PickandsFunction(a=a, dplus_a=dplus, label=f"gumbel-ev:{theta:g}")
+    return _power_mean_pickands(theta, f"gumbel-ev:{theta:g}")
 
 
 def make_piecewise_linear_pickands(

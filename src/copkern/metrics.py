@@ -6,9 +6,10 @@ evaluated at cell centers so that the endpoint conventions at x in {0,1}
 never enter.  Conditional laws are compared in the Levy metric, which
 metrizes weak convergence even in the presence of atoms.
 
-`r_measure` and `pi_measures` raise ValueError unless their grid meets the
-disintegration identity integral K(x,[0,y]) dx = y to a column defect of 4/m
-(healthy models read <= 2.25/m, overflow-damaged ones >= 5.5/m at m = 256).
+`pi_measures`, and `r_measure` through it, raise ValueError unless the grid
+meets the disintegration identity integral K(x,[0,y]) dx = y to a column
+defect of 4/m (healthy models read <= 2.25/m, overflow-damaged ones >= 5.5/m
+at m = 256).
 Damage no midpoint reaches passes; kernels varying in x faster than m
 resolves (the shift fixtures) fail; a NaN grid passes to non-finite checks.
 """
@@ -97,15 +98,6 @@ def _column_defect(K: np.ndarray, y: np.ndarray) -> float:
     return float(np.max(np.abs(np.mean(K, axis=0) - y)))
 
 
-def _checked_r(c: CopulaModel, K: np.ndarray, y: np.ndarray) -> float:
-    """r = 6*mean(K^2) - 2 on the grid `K` of `c`, once its column defect passes."""
-    defect = _column_defect(K, y)
-    if defect > _DEFECT_PER_M / len(y):
-        raise ValueError(f"the kernel of '{c.label}' does not disintegrate it at "
-                         f"m = {len(y)}: column defect {defect:.3g} > {_DEFECT_PER_M}/m")
-    return 6.0 * float(np.mean(K ** 2)) - 2.0
-
-
 def zeta1(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
     """Dependence measure zeta_1(C) = 3 * D1(C, Pi); 0 iff independence."""
     return 3.0 * d1(c, make_pi(), q)
@@ -123,15 +115,22 @@ def r_identity_residual(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
 
 
 def r_measure(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
-    """r(C) = 6 * integral of K^2 - 2 = 6 * D2^2(C, Pi), from a checked kernel grid."""
-    return _checked_r(c, kernel_grid(c, q), midpoints(q.m))
+    """r(C) = 6 * integral of K^2 - 2 = 6 * D2^2(C, Pi): the last of `pi_measures`."""
+    return pi_measures(c, q)[2]
 
 
 def pi_measures(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
-    """(D1(C, Pi), zeta1(C), r(C)) from one checked kernel grid of `c`."""
+    """(D1(C, Pi), zeta1(C), r(C)) from one kernel grid K of `c`, r = 6*mean(K^2) - 2.
+
+    Raises ValueError, naming the model, when the grid's column defect exceeds 4/m.
+    """
     K, y = kernel_grid(c, q), midpoints(q.m)
+    defect = _column_defect(K, y)
+    if defect > _DEFECT_PER_M / q.m:
+        raise ValueError(f"the kernel of '{c.label}' does not disintegrate it at "
+                         f"m = {q.m}: column defect {defect:.3g} > {_DEFECT_PER_M}/m")
     d = d1_grids(K, y)
-    return d, 3.0 * d, _checked_r(c, K, y)
+    return d, 3.0 * d, 6.0 * float(np.mean(K ** 2)) - 2.0
 
 
 def partial_distance(c1: CopulaModel, c2: CopulaModel, q: QuadratureSpec = QuadratureSpec()):

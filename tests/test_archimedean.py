@@ -270,3 +270,20 @@ def test_frank_large_theta_measures():
                 rs.append(r)
             # r is non-decreasing in |theta|
             assert np.all(np.diff(rs) >= 0.0)
+
+
+@pytest.mark.parametrize("build", [b for b, _ in _LIBRARY_GENERATORS.values()],
+                         ids=list(_LIBRARY_GENERATORS))
+def test_kernel_is_one_off_the_unit_interval(build):
+    # the non-strict zero level is read at max(x, 0), as the CDF reads phi
+    K = archimedean_copula(build()).kernel_cdf(np.array([-0.1, 1.2]), 0.3)
+    assert np.all(K == 1.0)
+
+
+@pytest.mark.parametrize("build,msg", [
+    (lambda: make_gumbel(0.5), "Gumbel parameter must be >= 1"),
+    (lambda: make_frank(0.0), "Frank parameter must be nonzero"),
+], ids=["gumbel-below-1", "frank-zero"])
+def test_generator_parameter_checks(build, msg):
+    with pytest.raises(ValueError, match=msg):
+        build()

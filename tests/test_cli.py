@@ -234,6 +234,16 @@ def test_approximate_identity_row(tmp_path):
     assert float(rows[0]["wcc_max"]) > float(rows[1]["wcc_max"])
 
 
+def test_approximate_strip_rows(tmp_path):
+    # the strip fixture's checkerboards stay far from Pi in the conditional laws
+    out = tmp_path / "s.csv"
+    assert run(["approximate", "--copula", "strip:5", "--resolutions", "8,16",
+                "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert [r["resolution"] for r in rows] == ["8", "16"]
+    assert all(float(r["wcc_max"]) >= 0.25 for r in rows)
+
+
 def test_knots_csv_flow(tmp_path):
     knots = tmp_path / "k.csv"
     knots.write_text("x,a\n0,1\n0.25,0.75\n0.7,0.7\n1,1\n")

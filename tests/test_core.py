@@ -228,3 +228,14 @@ def test_kernel_monotone_and_reaches_one(build, transposed):
     assert np.min(K) >= 0.0 and np.max(K) <= 1.0
     assert np.min(np.diff(K, axis=1)) >= -1e-9
     assert np.allclose(K[:, -1], 1.0)
+
+
+@pytest.mark.parametrize("build,msg", [
+    (lambda: MarshallOlkinParams(-0.1, 0.5), r"must lie in \[0,1\]"),
+    (lambda: MarshallOlkinParams(0.5, 1.5), r"must lie in \[0,1\]"),
+    (lambda: checkerboard_copula(CheckerboardMatrix(np.array([[-0.1, 0.6], [0.6, -0.1]]))),
+     "negative entries"),
+], ids=["mo-alpha-below-0", "mo-beta-above-1", "checkerboard-negative-mass"])
+def test_core_parameter_checks(build, msg):
+    with pytest.raises(ValueError, match=msg):
+        build()

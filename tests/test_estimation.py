@@ -387,3 +387,13 @@ def test_plugin_evaluates_one_kernel_grid(monkeypatch, which, factory):
     monkeypatch.setattr(est, factory, counting_factory)
     plugin_zeta1_r(_plugin_sample(), which, QuadratureSpec(m=32))
     assert sizes == [32 * 32]
+
+
+@pytest.mark.parametrize("build,msg", [
+    (lambda: pseudo_obs(_sset([(0.2, 0.3)])), "at least two observations"),
+    (lambda: empirical_kendall(PseudoObservations(u=np.array([0.5]), v=np.array([0.5]))),
+     "at least two observations"),
+], ids=["pseudo-obs-n1", "empirical-kendall-n1"])
+def test_estimation_size_checks(build, msg):
+    with pytest.raises(ValueError, match=msg):
+        build()

@@ -65,6 +65,10 @@ def test_gumbel_pickands_midpoint_value():
         ([], "must cover"),
         ([(0.0, 1.0), (0.5, np.nan), (1.0, 1.0)], "must be finite"),
         ([(0.0, 1.0), (np.nan, 0.8), (1.0, 1.0)], "must be finite"),
+        ([(0.0, 1.0), (0.5, 1.1), (1.0, 1.0)], "upper bound"),
+        ([(0.0, 1.0), (0.5, 0.8), (0.5, 0.8), (1.0, 1.0)], "strictly increasing x"),
+        # within the lower bound's 1e-12 of 1 - x, yet a slope of -1 - 5e-10
+        ([(0.0, 1.0), (1e-3, 0.999 - 5e-13), (1.0, 1.0)], "slope bound"),
     ],
 )
 def test_pwl_validation_errors(knots, msg):
@@ -147,3 +151,25 @@ def test_ev_kernel_evaluates_pickands_once():
     x = (np.arange(16) + 0.5) / 16
     ev_copula(replace(p, a=a)).kernel_cdf(x[:, None], x[None, :])
     assert calls == [(16, 16)]
+
+
+@pytest.mark.parametrize("build,msg", [
+    (lambda: make_galambos(0.0), "Galambos parameter must be positive"),
+    (lambda: make_galambos(-1.0), "Galambos parameter must be positive"),
+    (lambda: make_gumbel_pickands(0.5), "Gumbel Pickands parameter must be >= 1"),
+    (lambda: max_stability_check(ev_copula(make_galambos(3.0)), 0),
+     "max-stability order must be >= 1"),
+], ids=["galambos-0", "galambos-negative", "gumbel-ev-below-1", "max-stability-0"])
+def test_extreme_value_parameter_checks(build, msg):
+    with pytest.raises(ValueError, match=msg):
+        build()
+
+
+@pytest.mark.parametrize("p", [make_galambos(0.5), make_galambos(3.0), make_galambos(10.0),
+                               make_gumbel_pickands(1.0), make_gumbel_pickands(2.5)],
+                         ids=["galambos05", "galambos3", "galambos10", "gumbel1", "gumbel25"])
+def test_power_mean_pickands_edges(p):
+    # A(0) = A(1) = 1 exactly (Galambos through 0^-theta = inf), and
+    # D+A is -1 left of the interval and +1 right of it, Pi (gumbel-ev:1) included
+    assert np.all(p.a(np.array([0.0, 1.0])) == 1.0)
+    assert p.dplus_a(np.array([-0.5, 0.0, 1.0, 1.5])).tolist() == [-1.0, -1.0, 1.0, 1.0]

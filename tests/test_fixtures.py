@@ -106,3 +106,13 @@ def test_w_approx_generators_limit_mismatch_at_zero():
     for k in (1, 5, 50):
         g = strict_generators_approaching_w(k)
         assert g.strict and g.phi(0.0) == np.inf
+
+
+@pytest.mark.parametrize("build,msg", [
+    (lambda: strip_index(0), "strip copula index must be >= 1"),
+    (lambda: shift_copula(-1), "shift copula index must be >= 0"),
+    (lambda: strict_generators_approaching_w(0), "index must be >= 1"),
+], ids=["strip-0", "shift-negative", "w-approx-0"])
+def test_fixture_index_checks(build, msg):
+    with pytest.raises(ValueError, match=msg):
+        build()

@@ -19,3 +19,20 @@ def test_run_study_checks_true_r_before_replications(monkeypatch, spec, expected
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="column defect"):
             run_study(cfg)
     assert len(calls) == expected_calls
+
+
+_GOOD = dict(copula_spec="gumbel:3", sizes=(10,), replications=1,
+             estimators=("chatterjee",), base_seed=1)
+
+
+@pytest.mark.parametrize("override,msg", [
+    ({"replications": 0}, "replication count must be >= 1"),
+    ({"estimators": ()}, "estimator list must be non-empty"),
+    ({"estimators": ("chatterjee", "kendall")}, "unknown estimator 'kendall'"),
+    ({"sizes": ()}, "sample size list must be non-empty"),
+    ({"sizes": (10, 9)}, "sample sizes must be >= 10"),
+], ids=["replications", "no-estimators", "unknown-estimator", "no-sizes", "small-size"])
+def test_study_config_checks(override, msg):
+    StudyConfig(**_GOOD)
+    with pytest.raises(ValueError, match=msg):
+        StudyConfig(**{**_GOOD, **override})
