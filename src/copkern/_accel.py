@@ -37,9 +37,8 @@ def dominance_counts(x, y):
         keys = block * n + rank
         left_keys = np.sort(keys[left])
         right = ~left
-        counts[right] += np.searchsorted(left_keys, keys[right], side="left") - np.searchsorted(
-            left_keys, block[right] * n, side="left"
-        )
+        # every earlier block is complete: block * b left keys lie below block * n
+        counts[right] += np.searchsorted(left_keys, keys[right], side="left") - block[right] * b
         b *= 2
     out = np.empty(n, dtype=np.int64)
     out[order] = counts

@@ -153,10 +153,9 @@ def level_function(g: Generator, t, x):
 
 def archimedean_copula(g: Generator) -> CopulaModel:
     """Copula phi^-(phi(x) + phi(y)) with the strict / non-strict Markov kernel."""
-    strict = g.strict
+    phi0 = g.phi(0.0)  # inf exactly when g is strict
 
-    def cdf(x, y):
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    def _phi_and_cdf(x, y):
         # phi lives on [0, 1]; the result is 0 at x <= 0 or y <= 0 anyway
         px, py = g.phi(np.maximum(x, 0.0)), g.phi(np.maximum(y, 0.0))
         # guard underflow near (1,1): tiny phi values act as exact zero
@@ -164,19 +163,20 @@ def archimedean_copula(g: Generator) -> CopulaModel:
         py = np.where(py < 1e-300, 0.0, py)
         out = g.inverse(px + py)
         out = np.where((x <= 0.0) | (y <= 0.0), 0.0, out)
-        return np.minimum(out, np.minimum(np.maximum(x, 0), np.maximum(y, 0)))
+        return px, np.minimum(out, np.minimum(np.maximum(x, 0), np.maximum(y, 0)))
+
+    def cdf(x, y):
+        return _phi_and_cdf(np.asarray(x, dtype=float), np.asarray(y, dtype=float))[1]
 
     def kernel_cdf(x, y):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        C = cdf(x, y)
+        px, C = _phi_and_cdf(x, y)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            num = g.dplus_phi(np.clip(x, 1e-300, 1.0))
-            den = g.dplus_phi(np.clip(C, 1e-300, 1.0))
-            ratio = num / den
+            ratio = g.dplus_phi(np.clip(x, 1e-300, 1.0)) / g.dplus_phi(np.clip(C, 1e-300, 1.0))
         ratio = np.where(np.isfinite(ratio), ratio, 0.0)
         out = np.clip(ratio, 0.0, 1.0)
-        if not strict:
-            out = np.where(y < level_function(g, 0.0, np.maximum(x, 0.0)), 0.0, out)
+        if not np.isinf(phi0):  # non-strict: 0 below the level phi^-(phi(0) - phi(x))
+            out = np.where(y < g.inverse(np.maximum(phi0 - px, 0.0)), 0.0, out)
         out = np.where(y >= 1.0, 1.0, out)
         return np.where((x <= 0.0) | (x >= 1.0), 1.0, out)
 

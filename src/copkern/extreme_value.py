@@ -16,6 +16,7 @@ class PickandsFunction:
     a: Callable          # [0,1] -> [1/2,1], convex, a(0)=a(1)=1
     dplus_a: Callable    # right derivative, nondecreasing, values in [-1,1]
     label: str
+    transpose_factory: Callable  # self -> Pickands function of A(1-x)
 
 
 def _power_mean_pickands(p: float, label: str) -> PickandsFunction:
@@ -39,7 +40,7 @@ def _power_mean_pickands(p: float, label: str) -> PickandsFunction:
         val = np.where(x <= 0.0, -1.0, val)
         return np.clip(np.where(x >= 1.0, 1.0, val), -1.0, 1.0)
 
-    return PickandsFunction(a=a, dplus_a=dplus, label=label)
+    return PickandsFunction(a, dplus, label, lambda q: q)  # M_p is symmetric: A^t = A
 
 
 def make_galambos(theta: float) -> PickandsFunction:
@@ -86,7 +87,10 @@ def make_piecewise_linear_pickands(
     if np.any(slopes < -1.0 - 1e-10) or np.any(slopes > 1.0 + 1e-10):
         raise ValueError("pickands slope bound violated: |D+A| <= 1")
 
-    return PickandsFunction(*_piecewise_linear(xs, vs), label=label)
+    def mirror(q):  # A(1-x) interpolates the mirrored knots (1-x_i, a_i)
+        return make_piecewise_linear_pickands(list(zip(1.0 - xs, vs)), q.label + "^t")
+
+    return PickandsFunction(*_piecewise_linear(xs, vs), label, mirror)
 
 
 def paper_pwl_knots() -> list:
@@ -95,18 +99,8 @@ def paper_pwl_knots() -> list:
 
 
 def transpose_pickands(p: PickandsFunction) -> PickandsFunction:
-    """Pickands function of the transposed copula: A^t(x) = A(1-x)."""
-    delta = 1e-12
-
-    def a(x):
-        return p.a(1.0 - np.asarray(x, dtype=float))
-
-    def dplus(x):
-        # -D^-A(1-x), evaluated just left of 1-x to restore right-continuity
-        x = np.asarray(x, dtype=float)
-        return -p.dplus_a(np.clip(1.0 - x - delta, 0.0, 1.0))
-
-    return PickandsFunction(a=a, dplus_a=dplus, label=p.label + "^t")
+    """Pickands function of the transposed copula: A^t(x) = A(1-x), as `p` names it."""
+    return p.transpose_factory(p)
 
 
 def ev_copula(p: PickandsFunction) -> CopulaModel:
@@ -136,11 +130,15 @@ def ev_copula(p: PickandsFunction) -> CopulaModel:
         val = np.where((y <= 0.0) | (y >= 1.0), np.clip(y, 0.0, 1.0), val)
         return np.where((x <= 0.0) | (x >= 1.0), 1.0, val)
 
+    def transpose_factory(c):
+        pt = transpose_pickands(p)
+        return c if pt is p else ev_copula(pt)
+
     return CopulaModel(
         cdf=cdf,
         kernel_cdf=kernel_cdf,
         label=f"ev[{p.label}]",
-        transpose_factory=lambda c: ev_copula(transpose_pickands(p)),
+        transpose_factory=transpose_factory,
     )
 
 

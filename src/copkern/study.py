@@ -29,6 +29,7 @@ class StudyConfig:
     knots: Optional[Sequence[Tuple[float, float]]] = None
 
     def __post_init__(self):
+        QuadratureSpec(m=self.m)  # rejects m < 8 before any replication runs
         if self.replications < 1:
             raise ValueError("replication count must be >= 1")
         if not self.estimators:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from copkern import archimedean
 from copkern.archimedean import (
     KendallFunction,
     archimedean_copula,
@@ -125,6 +126,40 @@ def test_kernel_evaluates_x_terms_once_per_x():
     assert K.shape == (m, m)
     assert max(sizes["phi"]) == m
     assert sorted(sizes["dplus_phi"]) == [m, m * m]
+
+
+def _plugin_generator():
+    return reconstruct_generator(empirical_kendall(
+        pseudo_obs(sample(make_copula("clayton:2"), 200, RngSpec(seed=1)))))
+
+
+@pytest.mark.parametrize("build,strict", [
+    (make_w_generator, False),
+    (_plugin_generator, False),
+    (lambda: make_clayton(2.0), True),
+], ids=["w", "plugin-arch", "clayton2"])
+def test_kernel_evaluates_phi_twice(monkeypatch, build, strict):
+    """phi(0) is read once per copula; a kernel call evaluates phi at x and at y only,
+    and its non-strict zero level reuses that phi(x) instead of the level function."""
+    g = build()
+    assert g.strict == strict
+    calls = []
+    g = replace(g, phi=lambda t, phi=g.phi: calls.append(np.shape(t)) or phi(t))
+    c = archimedean_copula(g)
+    assert calls == [()]
+
+    def no_level_function(*args):
+        raise AssertionError("the kernel re-derives its zero level")
+
+    monkeypatch.setattr(archimedean, "level_function", no_level_function)
+    x = (np.arange(16) + 0.5) / 16
+    for _ in range(3):
+        calls.clear()
+        K = c.kernel_cdf(x[:, None], x[None, :])
+        assert calls == [(16, 1), (1, 16)]
+    if not strict:
+        # the zero region is the one the level function draws
+        assert np.array_equal(K == 0.0, x[None, :] < level_function(g, 0.0, x)[:, None])
 
 
 def test_kendall_function_pi_form():

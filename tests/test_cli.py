@@ -33,6 +33,25 @@ def test_measure_pi(tmp_path):
     assert abs(rep["r"]) <= 1e-3
 
 
+def test_measure_writes_sorted_json_to_stdout(capsys):
+    assert run(["measure", "--copula", "pi", "--m", "16"]) == 0
+    text = capsys.readouterr().out
+    rep = json.loads(text)
+    assert list(rep) == sorted(rep) and rep["m"] == 16 and rep["zeta1"] == 0.0
+    assert text == json.dumps(rep, sort_keys=True, indent=2) + "\n"
+
+
+def test_runtime_failure_exit_1(monkeypatch, capsys):
+    import copkern.cli as cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_measure", broken)
+    assert run(["measure", "--copula", "pi"]) == 1
+    assert "failure: boom" in capsys.readouterr().err
+
+
 def test_measure_paper_values(tmp_path):
     out = tmp_path / "g.json"
     assert run(["measure", "--copula", "gumbel:3", "--m", "512", "--out", str(out)]) == 0
@@ -319,6 +338,15 @@ def test_simulate_empty_sizes_exit_2(tmp_path, capsys):
     assert run(["simulate", "--copula", "gumbel:3", "--sizes", "", "--R", "1",
                 "--out", str(out)]) == 2
     assert "sample size list must be non-empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_small_m_exit_2(tmp_path, capsys):
+    # rejected up front, also when no listed estimator reads m
+    out = tmp_path / "sim.csv"
+    assert run(["simulate", "--copula", "gumbel:3", "--sizes", "10", "--R", "1", "--m", "4",
+                "--estimators", "chatterjee", "--out", str(out)]) == 2
+    assert "quadrature resolution must be >= 8" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -174,7 +174,7 @@ def _plugin_fit():
     return pseudo_obs(sample(make_copula("gumbel:3"), 200, RngSpec(seed=3)))
 
 
-_SYMMETRIC = {"pi", "m", "w", "clayton:2", "gumbel:3", "frank:5"}
+_SYMMETRIC = {"pi", "m", "w", "clayton:2", "gumbel:3", "frank:5", "galambos:3", "gumbel-ev:2.5"}
 
 # (model builder, transpose identity): "self" for symmetric models, "pair" for
 # models whose named transpose names them back, None where the transpose is

@@ -133,6 +133,24 @@ def test_transpose_pickands_pwl():
                          - c.cdf(g[None, :], g[:, None]))) <= 1e-12
 
 
+def test_transpose_pickands_mirrors_pwl_knots():
+    # the transpose is the interpolant of (1 - x_i, a_i): its right derivative is
+    # the mirrored slopes exactly, knots included, with no finite-difference probe
+    p = make_piecewise_linear_pickands(paper_pwl_knots())
+    pt = transpose_pickands(p)
+    assert pt.label == "pickands-pwl^t"
+    mirrored = sorted((1.0 - x, a) for x, a in paper_pwl_knots())
+    xs, vs = np.array(mirrored).T
+    slopes = np.diff(vs) / np.diff(xs)
+    assert np.array_equal(pt.dplus_a(xs[:-1]), slopes)
+    assert np.array_equal(pt.dplus_a((xs[:-1] + xs[1:]) / 2), slopes)
+    assert np.array_equal(pt.a(xs), vs)
+    check_pickands_invariants(pt)
+    ptt = transpose_pickands(pt)
+    t = np.linspace(0.0, 1.0, 101)
+    assert np.max(np.abs(ptt.a(t) - p.a(t))) <= 1e-15
+
+
 def test_ev_kernel_transpose_disintegration():
     from copkern.metrics import disintegration_defect
 

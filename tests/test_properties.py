@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,6 +77,18 @@ def test_dominance_counts_match_brute_force(xy):
     got = dominance_counts(x, y)
     assert got.dtype == np.int64
     assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("n", [1000, 1234])
+def test_dominance_counts_beyond_hypothesis_sizes(n):
+    # many merge levels, with an incomplete last block when n is no power of two
+    t = np.arange(n, dtype=float)
+    assert np.array_equal(dominance_counts(t, t), np.arange(n))
+    assert np.array_equal(dominance_counts(t, -t), np.zeros(n))
+    rng = np.random.default_rng(n)
+    x, y = rng.integers(0, 50, n), rng.random(n)
+    expected = ((x[None, :] < x[:, None]) & (y[None, :] < y[:, None])).sum(1)
+    assert np.array_equal(dominance_counts(x, y), expected)
 
 
 @settings(max_examples=200, deadline=None)

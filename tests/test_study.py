@@ -31,8 +31,23 @@ _GOOD = dict(copula_spec="gumbel:3", sizes=(10,), replications=1,
     ({"estimators": ("chatterjee", "kendall")}, "unknown estimator 'kendall'"),
     ({"sizes": ()}, "sample size list must be non-empty"),
     ({"sizes": (10, 9)}, "sample sizes must be >= 10"),
-], ids=["replications", "no-estimators", "unknown-estimator", "no-sizes", "small-size"])
+    ({"m": 4}, "quadrature resolution must be >= 8"),
+], ids=["replications", "no-estimators", "unknown-estimator", "no-sizes", "small-size",
+        "small-m"])
 def test_study_config_checks(override, msg):
     StudyConfig(**_GOOD)
     with pytest.raises(ValueError, match=msg):
         StudyConfig(**{**_GOOD, **override})
+
+
+def test_process_pool_matches_serial_run():
+    cfg = StudyConfig(copula_spec="gumbel:3", sizes=(10, 20), replications=3,
+                      estimators=study.ESTIMATORS, base_seed=1, m=16)
+    serial, pooled = run_study(cfg, jobs=1), run_study(cfg, jobs=2)
+
+    def fields(result):
+        return [(r.estimator, r.n, r.replication, r.value, r.seed) for r in result.records]
+
+    assert len(serial.records) == 3 * 2 * 3
+    assert fields(pooled) == fields(serial)
+    assert pooled.summary == serial.summary and pooled.true_r == serial.true_r
