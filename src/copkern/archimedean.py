@@ -155,35 +155,53 @@ def archimedean_copula(g: Generator) -> CopulaModel:
     """Copula phi^-(phi(x) + phi(y)) with the strict / non-strict Markov kernel."""
     phi0 = g.phi(0.0)  # inf exactly when g is strict
 
-    def _phi_and_cdf(x, y):
-        # phi lives on [0, 1]; the result is 0 at x <= 0 or y <= 0 anyway
-        px, py = g.phi(np.maximum(x, 0.0)), g.phi(np.maximum(y, 0.0))
-        # guard underflow near (1,1): tiny phi values act as exact zero
-        px = np.where(px < 1e-300, 0.0, px)
-        py = np.where(py < 1e-300, 0.0, py)
-        out = g.inverse(px + py)
-        out = np.where((x <= 0.0) | (y <= 0.0), 0.0, out)
-        return px, np.minimum(out, np.minimum(np.maximum(x, 0), np.maximum(y, 0)))
+    def _phi(t):
+        # phi lives on [0, 1]; the result is 0 at t <= 0 anyway.  Guard
+        # underflow near (1,1): tiny phi values act as exact zero
+        p = g.phi(np.maximum(t, 0.0))
+        return np.where(p < 1e-300, 0.0, p)
+
+    def _cdf_given(x):
+        """(phi(x), y -> C(x, y)), the terms in x computed once."""
+        px, x0, x_out = _phi(x), np.maximum(x, 0), x <= 0.0
+
+        def cdf_at(y):
+            out = g.inverse(px + _phi(y))
+            out = np.where(x_out | (y <= 0.0), 0.0, out)
+            return np.minimum(out, np.minimum(x0, np.maximum(y, 0)))
+
+        return px, cdf_at
 
     def cdf(x, y):
-        return _phi_and_cdf(np.asarray(x, dtype=float), np.asarray(y, dtype=float))[1]
+        return _cdf_given(np.asarray(x, dtype=float))[1](np.asarray(y, dtype=float))
 
-    def kernel_cdf(x, y):
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        px, C = _phi_and_cdf(x, y)
+    def conditional(x):
+        x = np.asarray(x, dtype=float)
+        px, cdf_at = _cdf_given(x)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ratio = g.dplus_phi(np.clip(x, 1e-300, 1.0)) / g.dplus_phi(np.clip(C, 1e-300, 1.0))
-        ratio = np.where(np.isfinite(ratio), ratio, 0.0)
-        out = np.clip(ratio, 0.0, 1.0)
-        if not np.isinf(phi0):  # non-strict: 0 below the level phi^-(phi(0) - phi(x))
-            out = np.where(y < g.inverse(np.maximum(phi0 - px, 0.0)), 0.0, out)
-        out = np.where(y >= 1.0, 1.0, out)
-        return np.where((x <= 0.0) | (x >= 1.0), 1.0, out)
+            dx = g.dplus_phi(np.clip(x, 1e-300, 1.0))
+        # non-strict: 0 below the level phi^-(phi(0) - phi(x))
+        level = None if np.isinf(phi0) else g.inverse(np.maximum(phi0 - px, 0.0))
+        x_edge = (x <= 0.0) | (x >= 1.0)
+
+        def kernel(y):
+            y = np.asarray(y, dtype=float)
+            C = cdf_at(y)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                ratio = dx / g.dplus_phi(np.clip(C, 1e-300, 1.0))
+            ratio = np.where(np.isfinite(ratio), ratio, 0.0)
+            out = np.clip(ratio, 0.0, 1.0)
+            if level is not None:
+                out = np.where(y < level, 0.0, out)
+            out = np.where(y >= 1.0, 1.0, out)
+            return np.where(x_edge, 1.0, out)
+
+        return kernel
 
     # archimedean copulas are symmetric
     return CopulaModel(
         cdf=cdf,
-        kernel_cdf=kernel_cdf,
+        conditional=conditional,
         label=f"archimedean[{g.label}]",
         transpose_factory=lambda c: c,
     )

@@ -22,8 +22,8 @@ from .estimation import (
     pseudo_obs,
 )
 from .fixtures import strip_copula
-from .metrics import QuadratureSpec, d1_grids, d_inf, kernel_grid, levy_grids, pi_measures
-from .metrics import sup_distance, wcc_grid, wcc_profile
+from .metrics import QuadratureSpec, checked_kernel_grid, d1_grids, d_inf, levy_grids
+from .metrics import pi_measures, sup_distance, wcc_grid, wcc_profile
 from .registry import (
     COPULA_OF_KIND,
     FAMILIES,
@@ -199,10 +199,14 @@ def _converge_rows(args):
     columns = [
         _against_limit(lambda c: cdf_lattice(c, q.m), sup_distance, limit, models),
         *(_against_limit(table, sup_distance, part_lim, parts) for table in sups.values()),
-        _against_limit(lambda c: kernel_grid(c, q), d1_grids, limit, models),
+        _against_limit(lambda c: checked_kernel_grid(c, q), d1_grids, limit, models),
         _against_limit(wcc_grid, lambda a, b: np.max(levy_grids(a, b)), limit, models),
     ]
     header = ["k", "theta", "d_inf", *sups, "d1", "wcc_max"]
+    bad = [h for h, col in zip(header[2:], columns) if not np.all(np.isfinite(col))]
+    if bad:
+        raise ValueError(f"the converge rows of '{args.copula}' are not finite at "
+                         f"m = {args.m}: {', '.join(bad)}")
     return header, [(str(k), t, *vals) for k, t, *vals in zip(ks, thetas, *columns)]
 
 

@@ -8,13 +8,15 @@ import numpy as np
 
 @dataclass(frozen=True)
 class CopulaModel:
-    """A copula given by ``cdf(x, y)`` and its Markov kernel ``kernel_cdf(x, y)``.
+    """A copula given by ``cdf(x, y)`` and its Markov kernel ``conditional(x)``.
 
-    ``kernel_cdf(x, y)`` is K(x, [0, y]), the conditional distribution
-    function of the second coordinate given the first.  Both callables take
-    broadcast-compatible inputs (scalars, vectors of one length, or an (m, 1)
-    column against a (1, m) row) and compute on the arrays as given, so a
-    term in x alone is evaluated once per x; the result has the broadcast
+    ``conditional(x)`` returns the callable y -> K(x, [0, y]), the conditional
+    distribution function of the second coordinate given the first: it
+    computes every term in x alone once, and the callable only the terms in
+    y, so a bisection in y at fixed x repeats no x work.  ``kernel_cdf(x, y)``
+    is ``conditional(x)(y)``.  Both take broadcast-compatible inputs
+    (scalars, vectors of one length, or an (m, 1) column against a (1, m)
+    row) and compute on the arrays as given; the result has the broadcast
     shape.  The kernel is exact: a distribution function in y with values
     in [0, 1], which the metrics evaluate as given.  The required
     ``transpose_factory(c)`` returns the transpose of the model `c` it is
@@ -23,9 +25,13 @@ class CopulaModel:
     """
 
     cdf: Callable
-    kernel_cdf: Callable
+    conditional: Callable
     label: str
     transpose_factory: Callable = field(repr=False)
+
+    def kernel_cdf(self, x, y):
+        """K(x, [0, y]) = ``conditional(x)(y)``."""
+        return self.conditional(x)(y)
 
 
 @dataclass(frozen=True)
@@ -52,14 +58,27 @@ class CheckerboardMatrix:
         object.__setattr__(self, "mass", m)
 
 
+def _pi_conditional(x):
+    x = np.asarray(x, float)
+    # the kernel ignores x, so it broadcasts to the shape of (x, y) itself
+    return lambda y: np.broadcast_arrays(x, np.asarray(y, float))[1].copy()
+
+
+def _point_mass_conditional(at):
+    """Conditional law of a point mass at y = at(x): the indicator at(x) <= y."""
+
+    def conditional(x):
+        atom = at(np.asarray(x, float))
+        return lambda y: (atom <= y).astype(float)
+
+    return conditional
+
+
 def make_pi() -> CopulaModel:
     """Independence copula."""
     return CopulaModel(
         cdf=lambda x, y: np.asarray(x, float) * np.asarray(y, float),
-        # the kernel ignores x, so it broadcasts to the shape of (x, y) itself
-        kernel_cdf=lambda x, y: np.broadcast_arrays(
-            np.asarray(x, float), np.asarray(y, float)
-        )[1].copy(),
+        conditional=_pi_conditional,
         label="pi",
         transpose_factory=lambda c: c,
     )
@@ -69,7 +88,7 @@ def make_m() -> CopulaModel:
     """Comonotonicity copula min(x, y); its kernel is a point mass at y = x."""
     return CopulaModel(
         cdf=lambda x, y: np.minimum(np.asarray(x, float), y),
-        kernel_cdf=lambda x, y: (np.asarray(x, float) <= y).astype(float),
+        conditional=_point_mass_conditional(lambda x: x),
         label="m",
         transpose_factory=lambda c: c,
     )
@@ -79,7 +98,7 @@ def make_w() -> CopulaModel:
     """Countermonotonicity copula max(x+y-1, 0); point mass at y = 1-x."""
     return CopulaModel(
         cdf=lambda x, y: np.maximum(np.asarray(x, float) + y - 1.0, 0.0),
-        kernel_cdf=lambda x, y: (1.0 - np.asarray(x, float) <= y).astype(float),
+        conditional=_point_mass_conditional(lambda x: 1.0 - x),
         label="w",
         transpose_factory=lambda c: c,
     )
@@ -96,15 +115,23 @@ def make_marshall_olkin(p: MarshallOlkinParams) -> CopulaModel:
             lower = np.where(y > 0, x * y ** (1.0 - b), 0.0)
         return np.where(x ** a >= y ** b, upper, lower)
 
-    def kernel_cdf(x, y):
-        x, y = np.asarray(x, float), np.asarray(y, float)
+    def conditional(x):
+        x = np.asarray(x, float)
+        inside, xa = x > 0, x ** a
         with np.errstate(divide="ignore", invalid="ignore"):
-            below = np.where(x > 0, (1.0 - a) * x ** (-a) * y, 0.0)
-        return np.clip(np.where(y ** b < x ** a, below, y ** (1.0 - b)), 0.0, 1.0)
+            slope = (1.0 - a) * x ** (-a)
+
+        def kernel(y):
+            y = np.asarray(y, float)
+            with np.errstate(invalid="ignore"):
+                below = np.where(inside, slope * y, 0.0)
+            return np.clip(np.where(y ** b < xa, below, y ** (1.0 - b)), 0.0, 1.0)
+
+        return kernel
 
     return CopulaModel(
         cdf=cdf,
-        kernel_cdf=kernel_cdf,
+        conditional=conditional,
         label=f"marshall-olkin:{a}:{b}",
         transpose_factory=lambda c: make_marshall_olkin(MarshallOlkinParams(b, a)),
     )
@@ -181,16 +208,14 @@ def checkerboard_copula(m: CheckerboardMatrix) -> CopulaModel:
     P = np.zeros((N + 1, N + 1))
     P[1:, 1:] = np.cumsum(np.cumsum(mass, axis=0), axis=1)
 
-    def _cells(x, y):
-        x, y = np.asarray(x, float), np.asarray(y, float)
-        i = np.clip(np.floor(x * N).astype(int), 0, N - 1)
-        j = np.clip(np.floor(y * N).astype(int), 0, N - 1)
-        fx = np.clip(x * N - i, 0.0, 1.0)
-        fy = np.clip(y * N - j, 0.0, 1.0)
-        return i, j, fx, fy
+    def _cell(t):
+        # cell index of t and t's fraction across that cell
+        t = np.asarray(t, float)
+        k = np.clip(np.floor(t * N).astype(int), 0, N - 1)
+        return k, np.clip(t * N - k, 0.0, 1.0)
 
     def cdf(x, y):
-        i, j, fx, fy = _cells(x, y)
+        (i, fx), (j, fy) = _cell(x), _cell(y)
         return (
             P[i, j]
             + fx * (P[i + 1, j] - P[i, j])
@@ -198,13 +223,18 @@ def checkerboard_copula(m: CheckerboardMatrix) -> CopulaModel:
             + fx * fy * mass[i, j]
         )
 
-    def kernel_cdf(x, y):
-        i, j, fx, fy = _cells(x, y)
-        return np.clip(N * (P[i + 1, j] - P[i, j] + fy * mass[i, j]), 0.0, 1.0)
+    def conditional(x):
+        i = _cell(x)[0]
+
+        def kernel(y):
+            j, fy = _cell(y)
+            return np.clip(N * (P[i + 1, j] - P[i, j] + fy * mass[i, j]), 0.0, 1.0)
+
+        return kernel
 
     return CopulaModel(
         cdf=cdf,
-        kernel_cdf=kernel_cdf,
+        conditional=conditional,
         label=f"checkerboard:{N}",
         transpose_factory=lambda c: checkerboard_copula(CheckerboardMatrix(mass.T.copy())),
     )

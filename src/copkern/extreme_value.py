@@ -106,29 +106,35 @@ def transpose_pickands(p: PickandsFunction) -> PickandsFunction:
 def ev_copula(p: PickandsFunction) -> CopulaModel:
     """Extreme-Value copula C_A(x,y) = (xy)^A(ln x / ln xy) and its kernel."""
 
-    def _interior(x, y):
-        lx = np.log(np.clip(x, _EPS, 1.0 - _EPS))
-        ly = np.log(np.clip(y, _EPS, 1.0 - _EPS))
-        t = lx / (lx + ly)
-        return lx, ly, t
+    def _log(t):
+        return np.log(np.clip(t, _EPS, 1.0 - _EPS))
 
     def cdf(x, y):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        lx, ly, t = _interior(x, y)
-        val = np.exp((lx + ly) * p.a(t))
+        lx, ly = _log(x), _log(y)
+        val = np.exp((lx + ly) * p.a(lx / (lx + ly)))
         val = np.where(x >= 1.0, y, np.where(y >= 1.0, x, val))
         return np.where((x <= 0.0) | (y <= 0.0), 0.0, val)
 
-    def kernel_cdf(x, y):
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        lx, ly, t = _interior(x, y)
-        a = p.a(t)
-        c = np.exp((lx + ly) * a)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = c * (p.dplus_a(t) * ly / (x * (lx + ly)) + a / x)
-        val = np.clip(val, 0.0, 1.0)
-        val = np.where((y <= 0.0) | (y >= 1.0), np.clip(y, 0.0, 1.0), val)
-        return np.where((x <= 0.0) | (x >= 1.0), 1.0, val)
+    def conditional(x):
+        x = np.asarray(x, dtype=float)
+        lx, x_edge = _log(x), (x <= 0.0) | (x >= 1.0)
+
+        def kernel(y):
+            y = np.asarray(y, dtype=float)
+            ly = _log(y)
+            t = lx / (lx + ly)
+            a = p.a(t)
+            c = np.exp((lx + ly) * a)
+            # at subnormal x the terms over x overflow to +inf, which the clip
+            # reads as 1, the limit at x -> 0
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                val = c * (p.dplus_a(t) * ly / (x * (lx + ly)) + a / x)
+            val = np.clip(val, 0.0, 1.0)
+            val = np.where((y <= 0.0) | (y >= 1.0), np.clip(y, 0.0, 1.0), val)
+            return np.where(x_edge, 1.0, val)
+
+        return kernel
 
     def transpose_factory(c):
         pt = transpose_pickands(p)
@@ -136,7 +142,7 @@ def ev_copula(p: PickandsFunction) -> CopulaModel:
 
     return CopulaModel(
         cdf=cdf,
-        kernel_cdf=kernel_cdf,
+        conditional=conditional,
         label=f"ev[{p.label}]",
         transpose_factory=transpose_factory,
     )

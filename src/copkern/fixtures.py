@@ -10,18 +10,18 @@ to independence although the copula itself does not.
 import numpy as np
 
 from .archimedean import Generator
-from .core import CopulaModel, _bisect
+from .core import CopulaModel, _bisect, _point_mass_conditional
 
 
-def _with_transpose(cdf, kernel_cdf, t_kernel_cdf, label: str) -> CopulaModel:
-    """The model (cdf, kernel_cdf); its transpose has kernel `t_kernel_cdf`,
+def _with_transpose(cdf, conditional, t_conditional, label: str) -> CopulaModel:
+    """The model (cdf, conditional); its transpose has kernel `t_conditional`,
     and each of the two names the other."""
 
     def transpose_factory(c):
-        return CopulaModel(cdf=lambda x, y: cdf(y, x), kernel_cdf=t_kernel_cdf,
+        return CopulaModel(cdf=lambda x, y: cdf(y, x), conditional=t_conditional,
                            label=label + "^t", transpose_factory=lambda t: c)
 
-    return CopulaModel(cdf=cdf, kernel_cdf=kernel_cdf, label=label,
+    return CopulaModel(cdf=cdf, conditional=conditional, label=label,
                        transpose_factory=transpose_factory)
 
 
@@ -52,19 +52,29 @@ def strip_copula(n: int) -> CopulaModel:
         s = np.clip(np.minimum(x, lo + w) - lo, 0.0, w)
         return y * (np.clip(x, 0.0, 1.0) - s) + np.minimum(s, y * w)
 
-    def kernel_cdf(x, y):
-        x, y = np.asarray(x, float), np.asarray(y, float)
+    def conditional(x):
+        x = np.asarray(x, float)
         h = (x - lo) / w
         on_strip = (x >= lo) & (x <= lo + w)
-        return np.where(on_strip, (h <= y).astype(float), np.clip(y, 0.0, 1.0))
 
-    def t_kernel(x, y):
+        def kernel(y):
+            y = np.asarray(y, float)
+            return np.where(on_strip, (h <= y).astype(float), np.clip(y, 0.0, 1.0))
+
+        return kernel
+
+    def t_conditional(x):
         # given x, the second coordinate sits at lo + w x with probability w
         # and is uniform on [0, 1] minus the strip otherwise
-        x, y = np.asarray(x, float), np.clip(np.asarray(y, float), 0.0, 1.0)
-        return w * (lo + w * x <= y) + np.minimum(y, lo) + np.maximum(y - (lo + w), 0.0)
+        atom = lo + w * np.asarray(x, float)
 
-    return _with_transpose(cdf, kernel_cdf, t_kernel, f"strip:{n}")
+        def kernel(y):
+            y = np.clip(np.asarray(y, float), 0.0, 1.0)
+            return w * (atom <= y) + np.minimum(y, lo) + np.maximum(y - (lo + w), 0.0)
+
+        return kernel
+
+    return _with_transpose(cdf, conditional, t_conditional, f"strip:{n}")
 
 
 def shift_copula(n: int) -> CopulaModel:
@@ -80,18 +90,18 @@ def shift_copula(n: int) -> CopulaModel:
         frac = k * x - p
         return (p * y + np.minimum(frac, y)) / k
 
-    def kernel_cdf(x, y):
-        x, y = np.asarray(x, float), np.asarray(y, float)
-        h = k * np.clip(x, 0.0, 1.0) % 1.0
-        return (h <= y).astype(float)
-
-    def t_kernel(x, y):
+    def t_conditional(x):
         # discrete uniform on {(x+i)/2^n : i = 0..2^n - 1}
-        x, y = np.asarray(x, float), np.asarray(y, float)
-        cnt = np.floor(k * np.clip(y, 0, 1) - np.clip(x, 0, 1)) + 1.0
-        return np.clip(cnt / k, 0.0, 1.0)
+        xc = np.clip(np.asarray(x, float), 0, 1)
 
-    return _with_transpose(cdf, kernel_cdf, t_kernel, f"shift:{n}")
+        def kernel(y):
+            cnt = np.floor(k * np.clip(np.asarray(y, float), 0, 1) - xc) + 1.0
+            return np.clip(cnt / k, 0.0, 1.0)
+
+        return kernel
+
+    atom = _point_mass_conditional(lambda x: k * np.clip(x, 0.0, 1.0) % 1.0)
+    return _with_transpose(cdf, atom, t_conditional, f"shift:{n}")
 
 
 def strict_generators_approaching_w(k: int):

@@ -6,10 +6,10 @@ evaluated at cell centers so that the endpoint conventions at x in {0,1}
 never enter.  Conditional laws are compared in the Levy metric, which
 metrizes weak convergence even in the presence of atoms.
 
-`pi_measures`, and `r_measure` through it, raise ValueError unless the grid
-meets the disintegration identity integral K(x,[0,y]) dx = y to a column
-defect of 4/m (healthy models read <= 2.25/m, overflow-damaged ones >= 5.5/m
-at m = 256).
+`checked_kernel_grid`, and `pi_measures`, `r_measure` and `copkern converge`
+through it, raise ValueError unless the grid meets the disintegration
+identity integral K(x,[0,y]) dx = y to a column defect of 4/m (healthy
+models read <= 2.25/m, overflow-damaged ones >= 5.5/m at m = 256).
 Damage no midpoint reaches passes; kernels varying in x faster than m
 resolves (the shift fixtures) fail; a NaN grid passes to non-finite checks.
 """
@@ -23,7 +23,7 @@ from ._accel import levy_distance
 from .core import CopulaModel, cdf_lattice, make_pi, transpose
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-# r_measure and pi_measures reject a kernel grid whose column defect exceeds this / m
+# checked_kernel_grid rejects a kernel grid whose column defect exceeds this / m
 _DEFECT_PER_M = 4
 
 
@@ -119,16 +119,21 @@ def r_measure(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
     return pi_measures(c, q)[2]
 
 
-def pi_measures(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
-    """(D1(C, Pi), zeta1(C), r(C)) from one kernel grid K of `c`, r = 6*mean(K^2) - 2.
-
-    Raises ValueError, naming the model, when the grid's column defect exceeds 4/m.
-    """
-    K, y = kernel_grid(c, q), midpoints(q.m)
-    defect = _column_defect(K, y)
+def checked_kernel_grid(c: CopulaModel, q: QuadratureSpec) -> np.ndarray:
+    """`kernel_grid(c, q)`, or ValueError naming the model when the grid's
+    column defect exceeds 4/m."""
+    K = kernel_grid(c, q)
+    defect = _column_defect(K, midpoints(q.m))
     if defect > _DEFECT_PER_M / q.m:
         raise ValueError(f"the kernel of '{c.label}' does not disintegrate it at "
                          f"m = {q.m}: column defect {defect:.3g} > {_DEFECT_PER_M}/m")
+    return K
+
+
+def pi_measures(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
+    """(D1(C, Pi), zeta1(C), r(C)) from one `checked_kernel_grid` K of `c`,
+    r = 6*mean(K^2) - 2."""
+    K, y = checked_kernel_grid(c, q), midpoints(q.m)
     d = d1_grids(K, y)
     return d, 3.0 * d, 6.0 * float(np.mean(K ** 2)) - 2.0
 

@@ -34,10 +34,13 @@ class SampleSet:
 def conditional_inverse(c: CopulaModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Generalized inverse inf{y : K(x,[0,y]) >= u} by monotone bisection.
 
-    60 bisection steps resolve y far below double precision; the inf
-    convention lands on atoms and flat segments uniformly for all families.
+    The conditional law K(x, .) is built once, so its terms in x alone are
+    not recomputed at each step.  60 bisection steps resolve y far below
+    double precision; the inf convention lands on atoms and flat segments
+    uniformly for all families.
     """
-    return _bisect(lambda y: np.asarray(c.kernel_cdf(x, y)) >= u, u, 60)[1]
+    kernel = c.conditional(x)
+    return _bisect(lambda y: np.asarray(kernel(y)) >= u, u, 60)[1]
 
 
 def sample(c: CopulaModel, n: int, rng: RngSpec) -> SampleSet:

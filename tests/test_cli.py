@@ -436,6 +436,20 @@ def test_simulate_kernel_check_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec,msg", [
+    # galambos:100's kernel grid is NaN, so d1 read nan and wcc_max 1
+    ("galambos:100", "the converge rows of 'galambos:100' are not finite at m = 512: d1"),
+    # gumbel:200 read phi_sup 4.5e127 from an overflow-damaged kernel
+    ("gumbel:200", "the kernel of 'archimedean[gumbel:200]' does not disintegrate it at "
+                   "m = 512: column defect"),
+])
+def test_converge_damaged_rows_exit_2(tmp_path, capsys, spec, msg):
+    out = tmp_path / "c.csv"
+    assert run(["converge", "--copula", spec, "--ks", "1,2", "--out", str(out)]) == 2
+    assert msg in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd", ["sample", "measure"])
 def test_frank_normalizer_underflow_exit_2(tmp_path, capsys, cmd):
     # from theta ~ 1490 the Frank normalizer underflows to 0 and phi is inf/NaN

@@ -12,6 +12,7 @@ from copkern.core import (
     make_pi,
     make_w,
     transpose,
+    _bisect,
 )
 from copkern.estimation import (
     cfg_estimator,
@@ -23,7 +24,7 @@ from copkern.estimation import (
 from copkern.extreme_value import ev_copula
 from copkern.fixtures import shift_copula, strip_copula
 from copkern.registry import FAMILIES, make_copula, parse_spec, registered_examples
-from copkern.sampling import RngSpec, sample
+from copkern.sampling import RngSpec, conditional_inverse, sample
 
 
 def check_copula_axioms(c, grid=100, tol=1e-10):
@@ -202,7 +203,8 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("build,transposed", _CONTRACT_MODELS)
 def test_model_contract(build, transposed):
-    """cdf and kernel_cdf compute on broadcast-compatible inputs as given."""
+    """cdf and kernel_cdf compute on broadcast-compatible inputs as given, and
+    kernel_cdf(x, y) is conditional(x)(y)."""
     c = build()
     g = np.linspace(0.0, 1.0, 33)
     X, Y = np.broadcast_arrays(g[:, None], g[None, :])
@@ -211,11 +213,24 @@ def test_model_contract(build, transposed):
         assert out.shape == (33, 33)
         assert _same_bits(out, f(X, Y))
         assert _same_bits(out, np.array([f(x, g) for x in g]))
+    for x, y in ((g[:, None], g[None, :]), (X, Y), *((x, g) for x in g)):
+        assert _same_bits(c.conditional(x)(y), c.kernel_cdf(x, y))
     if transposed == "self":
         assert transpose(c) is c
     elif transposed == "pair":
         assert transpose(transpose(c)) is c
     assert np.max(np.abs(transpose(c).cdf(X, Y) - c.cdf(Y, X))) <= 1e-12
+
+
+@pytest.mark.parametrize("build,transposed", _CONTRACT_MODELS)
+def test_conditional_inverse_bisects_the_kernel(build, transposed):
+    # one conditional law per x draws the bytes of bisecting kernel_cdf(x, y)
+    rng = np.random.default_rng(257)
+    x = np.concatenate([rng.random(257), [0.0, 1e-310, 0.5, 1.0 - 1e-16, 1.0]])
+    u = rng.random(x.size)
+    for c in (build(), transpose(build())):
+        want = _bisect(lambda y: np.asarray(c.kernel_cdf(x, y)) >= u, u, 60)[1]
+        assert _same_bits(conditional_inverse(c, x, u), want)
 
 
 @pytest.mark.parametrize("build,transposed", _CONTRACT_MODELS)

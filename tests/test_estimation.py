@@ -378,11 +378,16 @@ def test_plugin_evaluates_one_kernel_grid(monkeypatch, which, factory):
     def counting_factory(component):
         model = build(component)
 
-        def kernel_cdf(x, y):
-            sizes.append(np.broadcast(np.asarray(x), np.asarray(y)).size)
-            return model.kernel_cdf(x, y)
+        def conditional(x):
+            kernel = model.conditional(x)
 
-        return replace(model, kernel_cdf=kernel_cdf)
+            def counted_kernel(y):
+                sizes.append(np.broadcast(np.asarray(x), np.asarray(y)).size)
+                return kernel(y)
+
+            return counted_kernel
+
+        return replace(model, conditional=conditional)
 
     monkeypatch.setattr(est, factory, counting_factory)
     plugin_zeta1_r(_plugin_sample(), which, QuadratureSpec(m=32))

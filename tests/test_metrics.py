@@ -99,11 +99,16 @@ def test_r_measure_evaluates_one_kernel_grid():
     base = make_copula("gumbel:3")
     sizes = []
 
-    def kernel_cdf(x, y):
-        sizes.append(np.broadcast(np.asarray(x), np.asarray(y)).size)
-        return base.kernel_cdf(x, y)
+    def conditional(x):
+        kernel = base.conditional(x)
 
-    counted = replace(base, kernel_cdf=kernel_cdf)
+        def counted_kernel(y):
+            sizes.append(np.broadcast(np.asarray(x), np.asarray(y)).size)
+            return kernel(y)
+
+        return counted_kernel
+
+    counted = replace(base, conditional=conditional)
     q = QuadratureSpec(m=64)
     assert r_measure(counted, q) == r_measure(base, q)
     assert sizes == [64 * 64]

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from copkern.archimedean import Generator, archimedean_copula, make_clayton, make_w_generator
 from copkern.core import make_m, make_pi, make_w
+from copkern.estimation import empirical_kendall, pseudo_obs, reconstruct_generator
 from copkern.registry import make_copula
 from copkern.sampling import RngSpec, conditional_inverse, sample, sample_fidelity
 
@@ -18,6 +20,31 @@ def test_streams_differ():
     a = sample(c, 100, RngSpec(seed=99, stream=0))
     b = sample(c, 100, RngSpec(seed=99, stream=1))
     assert not np.array_equal(a.y, b.y)
+
+
+def _plugin_generator():
+    p = pseudo_obs(sample(make_copula("gumbel:3"), 200, RngSpec(seed=3)))
+    return reconstruct_generator(empirical_kendall(p))
+
+
+@pytest.mark.parametrize("build", [lambda: make_clayton(2.0), make_w_generator, _plugin_generator],
+                         ids=["clayton:2", "w", "plugin-arch"])
+def test_sampler_evaluates_x_terms_once(build):
+    # phi(x) and D+phi(x) once per draw, then phi and D+phi of C once per step
+    g = build()
+    calls = {"phi": 0, "dplus_phi": 0}
+
+    def counting(name, f):
+        def counted(t):
+            calls[name] += 1
+            return f(t)
+        return counted
+
+    c = archimedean_copula(Generator(counting("phi", g.phi), counting("dplus_phi", g.dplus_phi),
+                                     g.inverse, g.label))
+    calls.update(phi=0, dplus_phi=0)
+    sample(c, 100, RngSpec(seed=1))
+    assert calls == {"phi": 61, "dplus_phi": 61}
 
 
 def test_sample_m_degenerate():
