@@ -1,11 +1,12 @@
 """Command-line surface: measure, estimate, simulate, sample, converge, approximate.
 
-All outputs are deterministic given the flags and seeds: CSV files use a fixed
-column order with 17-significant-digit floats, JSON files use sorted keys.
+All outputs are deterministic given the flags and seeds and go through one
+emitter: CSV files use a fixed column order, write floats as %.17g and
+integers and labels as they are; JSON files use sorted keys and never hold
+NaN or infinity (such a value is an error, exit 2, and no file is written).
 """
 
 import argparse
-import csv
 import json
 import sys
 
@@ -23,7 +24,7 @@ from .estimation import (
 )
 from .fixtures import strip_copula
 from .metrics import QuadratureSpec, checked_kernel_grid, d1_grids, d_inf, levy_grids
-from .metrics import pi_measures, sup_distance, wcc_grid, wcc_profile
+from .metrics import pi_measures, sup_distance, wcc_grid
 from .registry import (
     COPULA_OF_KIND,
     FAMILIES,
@@ -43,25 +44,26 @@ def _fmt(v) -> str:
     return _FLOAT_FMT % float(v)
 
 
-def _emit_json(obj: dict, out: str):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _emit(text: str, out: str):
+    """Write `text` to the file `out`, or to stdout when `out` is empty."""
     if out:
-        with open(out, "w") as fh:
+        with open(out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
+def _emit_json(obj: dict, out: str):
+    _emit(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n", out)
+
+
+def _cell(c) -> str:
+    return _fmt(c) if isinstance(c, float) else str(c)
+
+
 def _emit_csv(header, rows, out: str):
-    fh = open(out, "w", newline="") if out else sys.stdout
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
-    finally:
-        if out:
-            fh.close()
+    """One line per row: float cells as `_fmt` writes them, other cells as `str`."""
+    _emit("".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows]), out)
 
 
 def _load_knots(args):
@@ -78,7 +80,15 @@ def _int_list(text: str, what: str):
     return values
 
 
-def cmd_measure(args) -> int:
+def _check_finite(what: str, args, columns):
+    """ValueError naming each (name, values) column that holds a non-finite value."""
+    bad = [name for name, values in columns if not np.all(np.isfinite(values))]
+    if bad:
+        raise ValueError(f"the {what} of '{args.copula}' are not finite at m = {args.m}: "
+                         f"{', '.join(bad)}")
+
+
+def cmd_measure(args):
     c = make_copula(args.copula, knots=_load_knots(args))
     q = QuadratureSpec(m=args.m)
     d1_to_pi, z, r = pi_measures(c, q)
@@ -88,13 +98,8 @@ def cmd_measure(args) -> int:
         "d1_to_pi": d1_to_pi,
         "d_inf_to_pi": d_inf(c, make_copula("pi"), q),
     }
-    # JSON has no NaN or infinity
-    bad = [k for k, v in measures.items() if not np.isfinite(v)]
-    if bad:
-        raise ValueError(f"the measures of '{args.copula}' are not finite at m = {args.m}: "
-                         f"{', '.join(bad)}")
+    _check_finite("measures", args, measures.items())
     _emit_json({"copula": c.label, "m": args.m, **measures}, args.out)
-    return 0
 
 
 def _read_sample_csv(path: str) -> SampleSet:
@@ -102,7 +107,7 @@ def _read_sample_csv(path: str) -> SampleSet:
     return SampleSet(x=x, y=y)
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args):
     s = _read_sample_csv(args.input)
     q = QuadratureSpec(m=args.m)
     report = {"mode": args.mode, "n": s.n, "input": args.input}
@@ -120,17 +125,15 @@ def cmd_estimate(args) -> int:
         report[table] = {"t": [float(t) for t in grid], column: [float(v) for v in values]}
         report["zeta1"], report["r"] = plugin_zeta1_r(p, which, q)
     _emit_json(report, args.out)
-    return 0
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args):
     c = make_copula(args.copula, knots=_load_knots(args))
     s = sample(c, args.n, RngSpec(seed=args.seed, stream=args.stream))
     _emit_csv(["x", "y"], zip(s.x, s.y), args.out)
-    return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     cfg = StudyConfig(
         copula_spec=args.copula,
         sizes=_int_list(args.sizes, "sample size"),
@@ -141,19 +144,14 @@ def cmd_simulate(args) -> int:
         knots=_load_knots(args),
     )
     result = run_study(cfg, jobs=args.jobs)
-    rows = [
-        (r.estimator, str(r.n), str(r.replication), _fmt(r.value), str(r.seed), _fmt(r.wall_time))
-        for r in result.records
-    ]
     _emit_csv(
         ["estimator", "n", "replication", "value", "seed", "wall_time"],
-        rows,
+        [(r.estimator, r.n, r.replication, r.value, r.seed, r.wall_time) for r in result.records],
         args.out,
     )
     summary = {"true_r": result.true_r, "copula": args.copula, "cells": result.summary}
     summary_path = (args.out + ".summary.json") if args.out else ""
     _emit_json(summary, summary_path)
-    return 0
 
 
 _TGRID = np.linspace(0.01, 0.99, 99)
@@ -171,12 +169,16 @@ _CONVERGE_SUPS = {
 
 
 def _against_limit(grid, reduce, limit, terms):
-    """reduce(grid(t), grid(limit)) per term t, building the limit's grid once."""
+    """reduce(grid(t), grid(limit)) per term t, building the limit's grid once.
+
+    No term or term grid outlives its own reduction: lazily built `terms` are
+    alive one at a time, and no two term grids ever are.
+    """
     at_limit = grid(limit)
-    return [reduce(grid(t), at_limit) for t in terms]
+    return list(map(lambda t: reduce(grid(t), at_limit), terms))
 
 
-def _converge_rows(args):
+def cmd_converge(args):
     name, params = parse_spec(args.copula)
     kind = FAMILIES[name].kind
     if kind not in _CONVERGE_SUPS or len(params) != 1:
@@ -203,20 +205,11 @@ def _converge_rows(args):
         _against_limit(wcc_grid, lambda a, b: np.max(levy_grids(a, b)), limit, models),
     ]
     header = ["k", "theta", "d_inf", *sups, "d1", "wcc_max"]
-    bad = [h for h, col in zip(header[2:], columns) if not np.all(np.isfinite(col))]
-    if bad:
-        raise ValueError(f"the converge rows of '{args.copula}' are not finite at "
-                         f"m = {args.m}: {', '.join(bad)}")
-    return header, [(str(k), t, *vals) for k, t, *vals in zip(ks, thetas, *columns)]
+    _check_finite("converge rows", args, zip(header[2:], columns))
+    _emit_csv(header, zip(ks, thetas, *columns), args.out)
 
 
-def cmd_converge(args) -> int:
-    _emit_csv(*_converge_rows(args), args.out)
-    return 0
-
-
-def cmd_approximate(args) -> int:
-    pi = make_copula("pi")
+def cmd_approximate(args):
     if args.copula.startswith("strip:"):
         # counterexample fixture rows: the strip family never wcc-converges
         if args.knots:
@@ -224,15 +217,17 @@ def cmd_approximate(args) -> int:
         index = args.copula[len("strip:"):]
         if not index.isdecimal():
             raise ValueError(f"strip spec must be strip:N with an integer N, got '{args.copula}'")
-        target, reference = strip_copula(int(index)), pi
+        target, reference = strip_copula(int(index)), make_copula("pi")
     else:
         target = reference = make_copula(args.copula, knots=_load_knots(args))
-    rows = []
-    for N in _int_list(args.resolutions, "resolution"):
-        prof = wcc_profile(checkerboard_copula(checkerboard_approx(target, N)), reference)
-        rows.append((str(N), *(_fmt(prof.summary[k]) for k in ("max", "mean", "q95"))))
-    _emit_csv(["resolution", "wcc_max", "wcc_mean", "wcc_q95"], rows, args.out)
-    return 0
+    resolutions = _int_list(args.resolutions, "resolution")
+    boards = (checkerboard_copula(checkerboard_approx(target, N)) for N in resolutions)
+    dists = _against_limit(wcc_grid, levy_grids, reference, boards)
+    _emit_csv(
+        ["resolution", "wcc_max", "wcc_mean", "wcc_q95"],
+        [(N, np.max(d), np.mean(d), np.quantile(d, 0.95)) for N, d in zip(resolutions, dists)],
+        args.out,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+        return 0
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -96,6 +96,9 @@ def run_study(cfg: StudyConfig, jobs: int = 1) -> StudyResult:
         raise ValueError(f"worker count must be >= 1, got {jobs}")
     # first, so that a model the kernel check rejects fails before any replication
     true_r = r_measure(make_copula(cfg.copula_spec, knots=cfg.knots), QuadratureSpec(m=512))
+    # the kernel check passes a NaN grid, and no RMSE against a non-finite truth means anything
+    if not np.isfinite(true_r):
+        raise ValueError(f"the true r of '{cfg.copula_spec}' is not finite at m = 512")
     tasks = [
         (
             cfg.copula_spec,

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from copkern.archimedean import kendall_function
-from copkern.cli import _PGRID, _TGRID, _fmt, main
+from copkern.cli import _PGRID, _TGRID, _emit_json, _fmt, main
+from copkern.core import checkerboard_approx, checkerboard_copula
+from copkern.fixtures import strip_copula
 from copkern.metrics import QuadratureSpec, d1, d_inf, wcc_profile
-from copkern.registry import COPULA_OF_KIND, FAMILIES, build_component, parse_spec
+from copkern.registry import COPULA_OF_KIND, FAMILIES, build_component, make_copula, parse_spec
+from copkern.sampling import RngSpec, sample
+from copkern.study import replication_seed
 
 
 def run(args):
@@ -39,6 +43,14 @@ def test_measure_writes_sorted_json_to_stdout(capsys):
     rep = json.loads(text)
     assert list(rep) == sorted(rep) and rep["m"] == 16 and rep["zeta1"] == 0.0
     assert text == json.dumps(rep, sort_keys=True, indent=2) + "\n"
+
+
+def test_emit_json_refuses_nan(tmp_path):
+    # the one JSON path: NaN is not JSON, and a half-written file would hide the error
+    out = tmp_path / "r.json"
+    with pytest.raises(ValueError):
+        _emit_json({"r": float("nan")}, str(out))
+    assert not out.exists()
 
 
 def test_runtime_failure_exit_1(monkeypatch, capsys):
@@ -152,6 +164,15 @@ def test_estimate_plugin_arch_comonotone_is_a_copula(tmp_path, n):
     assert -3.0 / m <= rep["r"] <= 1.0 + 3.0 / m
 
 
+def test_sample_cells_are_the_drawn_floats(tmp_path):
+    out = tmp_path / "s.csv"
+    assert run(["sample", "--copula", "galambos:3", "--n", "50", "--seed", "4",
+                "--stream", "2", "--out", str(out)]) == 0
+    s = sample(make_copula("galambos:3"), 50, RngSpec(seed=4, stream=2))
+    assert out.read_text().splitlines() == ["x,y", *(f"{_fmt(x)},{_fmt(y)}"
+                                                      for x, y in zip(s.x, s.y))]
+
+
 def test_sample_determinism_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for p in (a, b):
@@ -195,6 +216,33 @@ def test_simulate_summary_matches_records(tmp_path):
     assert cell["median"] == pytest.approx(float(np.median(vals)), abs=1e-12)
     rmse = float(np.sqrt(np.mean((vals - summary["true_r"]) ** 2)))
     assert cell["rmse"] == pytest.approx(rmse, abs=1e-12)
+
+
+def test_simulate_integer_columns_are_written_exactly(tmp_path):
+    # seeds are 64-bit integers, which %.17g would round
+    out = tmp_path / "study.csv"
+    assert run(["simulate", "--copula", "gumbel:3", "--sizes", "10,20", "--R", "2",
+                "--estimators", "chatterjee", "--seed", "6", "--m", "16",
+                "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert [(r["n"], r["replication"]) for r in rows] == [
+        ("10", "0"), ("10", "1"), ("20", "0"), ("20", "1")]
+    for r in rows:
+        seed = replication_seed(6, "chatterjee", int(r["n"]), int(r["replication"]))
+        assert r["seed"] == str(seed)
+        assert r["value"] == _fmt(float(r["value"]))
+
+
+def test_simulate_non_finite_true_r_exit_2(tmp_path, capsys):
+    # galambos:100's kernel grid is NaN: its summary read "true_r": NaN with exit 0
+    out = tmp_path / "sim.csv"
+    with np.errstate(all="ignore"):
+        assert run(["simulate", "--copula", "galambos:100", "--sizes", "10", "--R", "1",
+                    "--estimators", "chatterjee", "--out", str(out)]) == 2
+    assert ("the true r of 'galambos:100' is not finite at m = 512"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert not (tmp_path / "sim.csv.summary.json").exists()
 
 
 def test_simulate_determinism_modulo_wall_time(tmp_path):
@@ -261,6 +309,24 @@ def test_approximate_strip_rows(tmp_path):
     rows = read_csv(out)
     assert [r["resolution"] for r in rows] == ["8", "16"]
     assert all(float(r["wcc_max"]) >= 0.25 for r in rows)
+
+
+@pytest.mark.parametrize("spec", ["clayton:2", "strip:5"])
+def test_approximate_columns_are_the_public_metrics(tmp_path, spec):
+    out = tmp_path / "a.csv"
+    assert run(["approximate", "--copula", spec, "--resolutions", "8,16",
+                "--out", str(out)]) == 0
+    if spec == "strip:5":
+        target, reference = strip_copula(5), make_copula("pi")
+    else:
+        target = reference = make_copula(spec)
+    rows = read_csv(out)
+    assert [r["resolution"] for r in rows] == ["8", "16"]
+    for row in rows:
+        board = checkerboard_copula(checkerboard_approx(target, int(row["resolution"])))
+        summary = wcc_profile(board, reference).summary
+        for col in ("max", "mean", "q95"):
+            assert row[f"wcc_{col}"] == _fmt(summary[col]), col
 
 
 def test_knots_csv_flow(tmp_path):

@@ -5,9 +5,14 @@ import copkern.study as study
 from copkern.study import StudyConfig, run_study
 
 
-@pytest.mark.parametrize("spec,expected_calls", [("gumbel:3", 2), ("gumbel:200", 0)])
-def test_run_study_checks_true_r_before_replications(monkeypatch, spec, expected_calls):
-    # gumbel:200 fails the kernel check of its true r, before any sample is drawn
+@pytest.mark.parametrize("spec,expected_calls,msg", [
+    ("gumbel:3", 2, None),
+    ("gumbel:200", 0, "column defect"),
+    ("galambos:100", 0, "the true r of 'galambos:100' is not finite at m = 512"),
+], ids=["gumbel:3-2", "gumbel:200-0", "galambos:100-0"])
+def test_run_study_checks_true_r_before_replications(monkeypatch, spec, expected_calls, msg):
+    # gumbel:200 fails the kernel check of its true r, before any sample is drawn;
+    # galambos:100's kernel grid is NaN, which passes that check but not the finiteness one
     calls = []
     original = study.sample
     monkeypatch.setattr(study, "sample", lambda *a, **k: calls.append(a) or original(*a, **k))
@@ -16,7 +21,7 @@ def test_run_study_checks_true_r_before_replications(monkeypatch, spec, expected
     if expected_calls:
         run_study(cfg)
     else:
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="column defect"):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=msg):
             run_study(cfg)
     assert len(calls) == expected_calls
 
