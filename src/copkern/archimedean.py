@@ -152,23 +152,18 @@ def level_function(g: Generator, t, x):
 
 
 def archimedean_copula(g: Generator) -> CopulaModel:
-    """Copula phi^-(phi(x) + phi(y)) with the strict / non-strict Markov kernel."""
+    """Copula min(phi^-(phi(x0) + phi(y0)), x0, y0), x0 and y0 the inputs clipped
+    to phi's domain [0, 1], with the strict / non-strict Markov kernel."""
     phi0 = g.phi(0.0)  # inf exactly when g is strict
 
-    def _phi(t):
-        # phi lives on [0, 1]; the result is 0 at t <= 0 anyway.  Guard
-        # underflow near (1,1): tiny phi values act as exact zero
-        p = g.phi(np.maximum(t, 0.0))
-        return np.where(p < 1e-300, 0.0, p)
-
     def _cdf_given(x):
-        """(phi(x), y -> C(x, y)), the terms in x computed once."""
-        px, x0, x_out = _phi(x), np.maximum(x, 0), x <= 0.0
+        """(phi(x0), y -> C(x, y)), the terms in x computed once."""
+        x0 = np.minimum(np.maximum(x, 0.0), 1.0)
+        px = g.phi(x0)
 
         def cdf_at(y):
-            out = g.inverse(px + _phi(y))
-            out = np.where(x_out | (y <= 0.0), 0.0, out)
-            return np.minimum(out, np.minimum(x0, np.maximum(y, 0)))
+            y0 = np.minimum(np.maximum(y, 0.0), 1.0)
+            return np.minimum(g.inverse(px + g.phi(y0)), np.minimum(x0, y0))
 
         return px, cdf_at
 
@@ -181,7 +176,7 @@ def archimedean_copula(g: Generator) -> CopulaModel:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             dx = g.dplus_phi(np.clip(x, 1e-300, 1.0))
         # non-strict: 0 below the level phi^-(phi(0) - phi(x))
-        level = None if np.isinf(phi0) else g.inverse(np.maximum(phi0 - px, 0.0))
+        level = None if np.isinf(phi0) else g.inverse(phi0 - px)
         x_edge = (x <= 0.0) | (x >= 1.0)
 
         def kernel(y):
@@ -211,14 +206,13 @@ def kendall_function(g: Generator) -> KendallFunction:
     """Kendall distribution function F(x) = x - phi(x)/D+phi(x)."""
 
     def eval(x):
-        x = np.asarray(x, dtype=float)
         # x = 0 is kept: a strict generator's phi / D+phi is inf / -inf there,
-        # read as 0, so K(0) = 0 exactly, which is what marks it strict
-        xs = np.clip(x, 0.0, 1.0 - 1e-15)
+        # read as 0, so K(0) = 0 exactly, which is what marks it strict; at
+        # x = 1 phi is 0, so the ratio reads 0 and K(1) = 1
+        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ratio = g.phi(xs) / g.dplus_phi(xs)
+            ratio = g.phi(x) / g.dplus_phi(x)
         ratio = np.where(np.isfinite(ratio), ratio, 0.0)
-        out = np.clip(xs - ratio, 0.0, 1.0)
-        return np.where(x >= 1.0, 1.0, out)
+        return np.clip(x - ratio, 0.0, 1.0)
 
     return KendallFunction(eval=eval)

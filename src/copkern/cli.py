@@ -80,6 +80,13 @@ def _int_list(text: str, what: str):
     return values
 
 
+def _check_seeds(args, *flags):
+    """ValueError naming the first RNG flag given a negative value."""
+    for flag in flags:
+        if getattr(args, flag) < 0:
+            raise ValueError(f"--{flag} must be a non-negative integer, got {getattr(args, flag)}")
+
+
 def _check_finite(what: str, args, columns):
     """ValueError naming each (name, values) column that holds a non-finite value."""
     bad = [name for name, values in columns if not np.all(np.isfinite(values))]
@@ -108,6 +115,7 @@ def _read_sample_csv(path: str) -> SampleSet:
 
 
 def cmd_estimate(args):
+    _check_seeds(args, "seed")
     s = _read_sample_csv(args.input)
     q = QuadratureSpec(m=args.m)
     report = {"mode": args.mode, "n": s.n, "input": args.input}
@@ -128,6 +136,7 @@ def cmd_estimate(args):
 
 
 def cmd_sample(args):
+    _check_seeds(args, "seed", "stream")
     c = make_copula(args.copula, knots=_load_knots(args))
     s = sample(c, args.n, RngSpec(seed=args.seed, stream=args.stream))
     _emit_csv(["x", "y"], zip(s.x, s.y), args.out)

@@ -167,8 +167,6 @@ def wcc_profile(c1: CopulaModel, c2: CopulaModel, xs: Sequence[float] = None,
                 y_grid: int = 512) -> WccProfile:
     """Per-x Levy distances between the conditional CDFs of two copulas."""
     xs = golden_xs() if xs is None else np.asarray(xs, dtype=float)
-    # both grids stay alive until return: freeing them earlier raised the
-    # measure-sweep benchmark's peak RSS by 2% through heap layout
     K1, K2 = wcc_grid(c1, xs, y_grid), wcc_grid(c2, xs, y_grid)
     dist = levy_grids(K1, K2)
     summary = {"max": float(np.max(dist)), "mean": float(np.mean(dist)),

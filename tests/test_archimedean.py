@@ -310,9 +310,53 @@ def test_frank_large_theta_measures():
 @pytest.mark.parametrize("build", [b for b, _ in _LIBRARY_GENERATORS.values()],
                          ids=list(_LIBRARY_GENERATORS))
 def test_kernel_is_one_off_the_unit_interval(build):
-    # the non-strict zero level is read at max(x, 0), as the CDF reads phi
+    # the non-strict zero level is read at x clipped to [0, 1], as the CDF reads phi
     K = archimedean_copula(build()).kernel_cdf(np.array([-0.1, 1.2]), 0.3)
     assert np.all(K == 1.0)
+
+
+def test_gumbel100_reads_subnormal_phi():
+    # phi(0.9995) is subnormal (~1e-314) and enters phi(x) + phi(y) as it is
+    x = 0.9995
+    assert make_copula("gumbel:100").cdf(x, x) == pytest.approx(x ** 2 ** (1 / 100), rel=1e-12)
+
+
+# phi is read on [0, 1] only, so off the square C is the Frechet bound min(x, 1)
+_OFF_SQUARE_GENERATORS = {
+    "clayton2": lambda: make_clayton(2.0),
+    "gumbel2.5": lambda: make_gumbel(2.5),
+    "gumbel3": lambda: make_gumbel(3.0),
+    "gumbel20": lambda: make_gumbel(20.0),
+    "frank5": lambda: make_frank(5.0),
+    "frank-4": lambda: make_frank(-4.0),
+    "w": make_w_generator,
+    "plugin-step": _LIBRARY_GENERATORS["plugin-step"][0],
+}
+
+
+@pytest.mark.parametrize("build", list(_OFF_SQUARE_GENERATORS.values()),
+                         ids=list(_OFF_SQUARE_GENERATORS))
+def test_cdf_at_y_from_1_up_is_min_of_x_and_1(build):
+    c = archimedean_copula(build())
+    x, y = np.array([[0.0], [0.3], [0.9995], [1.0], [1.2]]), np.array([[1.0, 1.2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        C, Ct = c.cdf(x, y), c.cdf(y, x)
+    assert np.all(np.isfinite(C)) and np.all(np.isfinite(Ct))
+    assert np.max(np.abs(C - np.minimum(x, 1.0))) <= 1e-12
+    assert np.max(np.abs(Ct - np.minimum(x, 1.0))) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [3.0, 2.5])
+def test_kendall_function_is_above_the_identity_next_to_1(theta):
+    t = np.array([1.0 - 1e-16, 1.0 - 5e-16])
+    assert np.all(kendall_function(make_gumbel(theta)).eval(t) >= t)
+
+
+@pytest.mark.parametrize("build", [b for b, _ in _LIBRARY_GENERATORS.values()],
+                         ids=list(_LIBRARY_GENERATORS))
+def test_kendall_function_is_1_at_1(build):
+    assert kendall_function(build()).eval(1.0) == 1.0
 
 
 @pytest.mark.parametrize("build,msg", [

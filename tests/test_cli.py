@@ -116,6 +116,26 @@ def test_estimate_chatterjee_bad_input_exit_2(tmp_path, capsys, rows):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["sample", "--copula", "gumbel:3", "--n", "10", "--seed", "-1"], "--seed"),
+        (["sample", "--copula", "gumbel:3", "--n", "10", "--stream", "-1"], "--stream"),
+        (["estimate", "SAMPLE", "--mode", "chatterjee", "--seed", "-1"], "--seed"),
+        # plugin-arch never reads the seed, and still refuses a negative one
+        (["estimate", "SAMPLE", "--mode", "plugin-arch", "--seed", "-1"], "--seed"),
+    ],
+    ids=["sample-seed", "sample-stream", "estimate-chatterjee-seed", "estimate-plugin-arch-seed"],
+)
+def test_negative_rng_seed_exit_2(tmp_path, capsys, argv, flag):
+    s = tmp_path / "s.csv"
+    s.write_text("x,y\n0.1,0.2\n0.5,0.4\n0.9,0.7\n0.3,0.8\n")
+    out = tmp_path / "o.out"
+    assert run([str(s) if a == "SAMPLE" else a for a in argv] + ["--out", str(out)]) == 2
+    assert f"error: {flag} must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_estimate_plugin_modes(tmp_path):
     s = tmp_path / "s.csv"
     assert run(["sample", "--copula", "gumbel:3", "--n", "500", "--seed", "42",
