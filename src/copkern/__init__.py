@@ -60,7 +60,7 @@ from .metrics import (
     zeta1,
 )
 from .registry import make_copula, read_knots_csv, registered_examples
-from .sampling import RngSpec, SampleSet, conditional_inverse, sample, sample_fidelity
+from .sampling import RngSpec, SampleSet, conditional_inverse, sample, sample_fidelity, sample_many
 from .study import StudyConfig, StudyResult, replication_seed, run_study, summarize
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CopulaModel
+from .core import CopulaModel, _unit
 
 _LN2 = np.log(2.0)
 
@@ -158,11 +158,11 @@ def archimedean_copula(g: Generator) -> CopulaModel:
 
     def _cdf_given(x):
         """(phi(x0), y -> C(x, y)), the terms in x computed once."""
-        x0 = np.minimum(np.maximum(x, 0.0), 1.0)
+        x0 = _unit(x)
         px = g.phi(x0)
 
         def cdf_at(y):
-            y0 = np.minimum(np.maximum(y, 0.0), 1.0)
+            y0 = _unit(y)
             return np.minimum(g.inverse(px + g.phi(y0)), np.minimum(x0, y0))
 
         return px, cdf_at

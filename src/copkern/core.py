@@ -58,6 +58,12 @@ class CheckerboardMatrix:
         object.__setattr__(self, "mass", m)
 
 
+def _unit(t):
+    """t clipped to [0, 1], where a copula's CDF reads its arguments: off the
+    unit square C(x, y) = C(x0, y0) with x0 and y0 the clipped inputs."""
+    return np.minimum(np.maximum(np.asarray(t, float), 0.0), 1.0)
+
+
 def _pi_conditional(x):
     x = np.asarray(x, float)
     # the kernel ignores x, so it broadcasts to the shape of (x, y) itself
@@ -77,7 +83,7 @@ def _point_mass_conditional(at):
 def make_pi() -> CopulaModel:
     """Independence copula."""
     return CopulaModel(
-        cdf=lambda x, y: np.asarray(x, float) * np.asarray(y, float),
+        cdf=lambda x, y: _unit(x) * _unit(y),
         conditional=_pi_conditional,
         label="pi",
         transpose_factory=lambda c: c,
@@ -87,7 +93,7 @@ def make_pi() -> CopulaModel:
 def make_m() -> CopulaModel:
     """Comonotonicity copula min(x, y); its kernel is a point mass at y = x."""
     return CopulaModel(
-        cdf=lambda x, y: np.minimum(np.asarray(x, float), y),
+        cdf=lambda x, y: np.minimum(_unit(x), _unit(y)),
         conditional=_point_mass_conditional(lambda x: x),
         label="m",
         transpose_factory=lambda c: c,
@@ -97,7 +103,7 @@ def make_m() -> CopulaModel:
 def make_w() -> CopulaModel:
     """Countermonotonicity copula max(x+y-1, 0); point mass at y = 1-x."""
     return CopulaModel(
-        cdf=lambda x, y: np.maximum(np.asarray(x, float) + y - 1.0, 0.0),
+        cdf=lambda x, y: np.maximum(_unit(x) + _unit(y) - 1.0, 0.0),
         conditional=_point_mass_conditional(lambda x: 1.0 - x),
         label="w",
         transpose_factory=lambda c: c,
@@ -109,7 +115,7 @@ def make_marshall_olkin(p: MarshallOlkinParams) -> CopulaModel:
     a, b = p.alpha, p.beta
 
     def cdf(x, y):
-        x, y = np.asarray(x, float), np.asarray(y, float)
+        x, y = _unit(x), _unit(y)
         with np.errstate(divide="ignore", invalid="ignore"):
             upper = np.where(x > 0, x ** (1.0 - a) * y, 0.0)
             lower = np.where(y > 0, x * y ** (1.0 - b), 0.0)

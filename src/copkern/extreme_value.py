@@ -5,7 +5,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .core import CopulaModel, _piecewise_linear
+from .core import CopulaModel, _piecewise_linear, _unit
 from .metrics import sup_distance
 
 _EPS = 1e-15
@@ -110,7 +110,7 @@ def ev_copula(p: PickandsFunction) -> CopulaModel:
         return np.log(np.clip(t, _EPS, 1.0 - _EPS))
 
     def cdf(x, y):
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        x, y = _unit(x), _unit(y)
         lx, ly = _log(x), _log(y)
         val = np.exp((lx + ly) * p.a(lx / (lx + ly)))
         val = np.where(x >= 1.0, y, np.where(y >= 1.0, x, val))

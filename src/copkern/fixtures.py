@@ -10,7 +10,7 @@ to independence although the copula itself does not.
 import numpy as np
 
 from .archimedean import Generator
-from .core import CopulaModel, _bisect, _point_mass_conditional
+from .core import CopulaModel, _bisect, _point_mass_conditional, _unit
 
 
 def _with_transpose(cdf, conditional, t_conditional, label: str) -> CopulaModel:
@@ -46,11 +46,10 @@ def strip_copula(n: int) -> CopulaModel:
     lo = (i - 1) * w
 
     def cdf(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = _unit(x), _unit(y)
         # strip overlap of [0,x] and its completely dependent contribution
         s = np.clip(np.minimum(x, lo + w) - lo, 0.0, w)
-        return y * (np.clip(x, 0.0, 1.0) - s) + np.minimum(s, y * w)
+        return y * (x - s) + np.minimum(s, y * w)
 
     def conditional(x):
         x = np.asarray(x, float)

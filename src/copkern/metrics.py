@@ -11,7 +11,7 @@ through it, raise ValueError unless the grid meets the disintegration
 identity integral K(x,[0,y]) dx = y to a column defect of 4/m (healthy
 models read <= 2.25/m, overflow-damaged ones >= 5.5/m at m = 256).
 Damage no midpoint reaches passes; kernels varying in x faster than m
-resolves (the shift fixtures) fail; a NaN grid passes to non-finite checks.
+resolves (the shift fixtures) fail, and so does a grid with a NaN cell.
 """
 
 from dataclasses import dataclass, field
@@ -121,10 +121,10 @@ def r_measure(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
 
 def checked_kernel_grid(c: CopulaModel, q: QuadratureSpec) -> np.ndarray:
     """`kernel_grid(c, q)`, or ValueError naming the model when the grid's
-    column defect exceeds 4/m."""
+    column defect is not at most 4/m (a NaN cell makes the defect NaN)."""
     K = kernel_grid(c, q)
     defect = _column_defect(K, midpoints(q.m))
-    if defect > _DEFECT_PER_M / q.m:
+    if not defect <= _DEFECT_PER_M / q.m:
         raise ValueError(f"the kernel of '{c.label}' does not disintegrate it at "
                          f"m = {q.m}: column defect {defect:.3g} > {_DEFECT_PER_M}/m")
     return K

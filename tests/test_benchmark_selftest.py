@@ -11,3 +11,13 @@ def test_benchmark_selftest_passes():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "0 self-test failure(s)" in proc.stdout
+
+
+def test_traced_study_benchmark_run_is_correct():
+    # a traced study-small-n pass replays records through `sample` bit for bit,
+    # repeats its per-layer counts and finds every traced function
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "study-small-n",
+                           "--seed", "1", "--seconds", "0", "--trace", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert '"correct": true' in proc.stdout.strip().splitlines()[-1], proc.stdout

@@ -259,8 +259,8 @@ def test_simulate_non_finite_true_r_exit_2(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert run(["simulate", "--copula", "galambos:100", "--sizes", "10", "--R", "1",
                     "--estimators", "chatterjee", "--out", str(out)]) == 2
-    assert ("the true r of 'galambos:100' is not finite at m = 512"
-            in capsys.readouterr().err)
+    assert ("the kernel of 'ev[galambos:100]' does not disintegrate it at m = 512: "
+            "column defect nan" in capsys.readouterr().err)
     assert not out.exists()
     assert not (tmp_path / "sim.csv.summary.json").exists()
 
@@ -491,12 +491,13 @@ def test_simulate_jobs_below_one_exit_2(tmp_path, capsys, jobs):
 
 @pytest.mark.parametrize("spec", ["galambos:100", "galambos:300"])
 def test_measure_non_finite_exit_2(tmp_path, capsys, spec):
-    # the kernel overflows for these parameters; JSON cannot hold NaN
+    # the kernel overflows to NaN for these parameters, which the kernel check rejects
     out = tmp_path / "m.json"
     with np.errstate(all="ignore"):
         assert run(["measure", "--copula", spec, "--m", "512", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"the measures of '{spec}' are not finite" in err
+    assert (f"the kernel of 'ev[{spec}]' does not disintegrate it at m = 512: "
+            "column defect nan" in err)
     assert not out.exists()
 
 
@@ -523,8 +524,9 @@ def test_simulate_kernel_check_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("spec,msg", [
-    # galambos:100's kernel grid is NaN, so d1 read nan and wcc_max 1
-    ("galambos:100", "the converge rows of 'galambos:100' are not finite at m = 512: d1"),
+    # galambos:100's kernel grid is NaN: d1 read nan and wcc_max 1
+    ("galambos:100", "the kernel of 'ev[galambos:100]' does not disintegrate it at "
+                     "m = 512: column defect nan"),
     # gumbel:200 read phi_sup 4.5e127 from an overflow-damaged kernel
     ("gumbel:200", "the kernel of 'archimedean[gumbel:200]' does not disintegrate it at "
                    "m = 512: column defect"),

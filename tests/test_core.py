@@ -254,3 +254,25 @@ def test_kernel_monotone_and_reaches_one(build, transposed):
 def test_core_parameter_checks(build, msg):
     with pytest.raises(ValueError, match=msg):
         build()
+
+
+_OFF_SQUARE = [-1.0, -1e-300, 0.3, float(np.nextafter(1.0, 2.0)), 1.2, 1.4]
+
+
+_OFF_SQUARE_MODELS = {
+    "checkerboard": lambda: checkerboard_copula(checkerboard_approx(make_copula("gumbel:3"), 8)),
+    "strip:3": lambda: strip_copula(3),
+    "shift:3": lambda: shift_copula(3),
+}
+
+
+@pytest.mark.parametrize("spec", registered_examples() + list(_OFF_SQUARE_MODELS))
+def test_cdf_off_the_unit_square_reads_the_clipped_inputs(spec):
+    # pi read 0.6 at (0.5, 1.2) and galambos:3 read 1.4 at (1.3, 1.4)
+    c = _OFF_SQUARE_MODELS.get(spec, lambda: make_copula(spec))()
+    t = np.array(_OFF_SQUARE + [0.0, 0.5, 1.0])
+    x, y = (a.ravel() for a in np.meshgrid(t, t))
+    off = (x < 0) | (x > 1) | (y < 0) | (y > 1)
+    x, y = x[off], y[off]
+    got = np.asarray(c.cdf(x, y))
+    assert np.array_equal(got, np.asarray(c.cdf(np.clip(x, 0, 1), np.clip(y, 0, 1))))

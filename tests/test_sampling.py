@@ -5,7 +5,7 @@ from copkern.archimedean import Generator, archimedean_copula, make_clayton, mak
 from copkern.core import make_m, make_pi, make_w
 from copkern.estimation import empirical_kendall, pseudo_obs, reconstruct_generator
 from copkern.registry import make_copula
-from copkern.sampling import RngSpec, conditional_inverse, sample, sample_fidelity
+from copkern.sampling import RngSpec, conditional_inverse, sample, sample_fidelity, sample_many
 
 
 def test_determinism_bit_identical():
@@ -109,3 +109,14 @@ def test_marginal_uniformity_ks():
 def test_sample_rejects_bad_n():
     with pytest.raises(ValueError):
         sample(make_pi(), 0, RngSpec(seed=0))
+
+
+@pytest.mark.parametrize("spec", ["gumbel:3", "galambos:3", "pi", "m"])
+def test_sample_many_equals_one_sample_per_rng(spec):
+    c = make_copula(spec)
+    rngs = [RngSpec(seed=5), RngSpec(seed=6, stream=2)]
+    many = sample_many(c, 50, rngs)
+    for s, r in zip(many, rngs):
+        one = sample(c, 50, r)
+        assert (s.seed, s.stream) == (one.seed, one.stream) == (r.seed, r.stream)
+        assert s.x.tobytes() == one.x.tobytes() and s.y.tobytes() == one.y.tobytes()

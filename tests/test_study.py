@@ -1,21 +1,32 @@
 import numpy as np
 import pytest
 
+import copkern.sampling as sampling
 import copkern.study as study
-from copkern.study import StudyConfig, run_study
+from copkern.estimation import chatterjee_r, plugin_zeta1_r, pseudo_obs
+from copkern.metrics import QuadratureSpec
+from copkern.registry import make_copula
+from copkern.sampling import RngSpec, batch_size, sample
+from copkern.study import StudyConfig, replication_seed, run_study
 
 
 @pytest.mark.parametrize("spec,expected_calls,msg", [
     ("gumbel:3", 2, None),
     ("gumbel:200", 0, "column defect"),
-    ("galambos:100", 0, "the true r of 'galambos:100' is not finite at m = 512"),
+    ("galambos:100", 0, "column defect nan"),
 ], ids=["gumbel:3-2", "gumbel:200-0", "galambos:100-0"])
 def test_run_study_checks_true_r_before_replications(monkeypatch, spec, expected_calls, msg):
-    # gumbel:200 fails the kernel check of its true r, before any sample is drawn;
-    # galambos:100's kernel grid is NaN, which passes that check but not the finiteness one
+    # gumbel:200 and galambos:100 (a NaN grid) fail the kernel check of their
+    # true r, before any sample is drawn
     calls = []
-    original = study.sample
-    monkeypatch.setattr(study, "sample", lambda *a, **k: calls.append(a) or original(*a, **k))
+    original = study.sample_many
+
+    def counted(c, n, rngs):
+        samples = original(c, n, rngs)
+        calls.extend(samples)
+        return samples
+
+    monkeypatch.setattr(study, "sample_many", counted)
     cfg = StudyConfig(copula_spec=spec, sizes=(10,), replications=2,
                       estimators=("chatterjee",), base_seed=1)
     if expected_calls:
@@ -56,3 +67,32 @@ def test_process_pool_matches_serial_run():
     assert len(serial.records) == 3 * 2 * 3
     assert fields(pooled) == fields(serial)
     assert pooled.summary == serial.summary and pooled.true_r == serial.true_r
+
+
+@pytest.mark.parametrize("spec,estimator", [("gumbel:3", "chatterjee"),
+                                            ("gumbel:3", "plugin-arch"),
+                                            ("galambos:3", "plugin-ev")])
+def test_run_study_records_replay_through_sample(monkeypatch, spec, estimator):
+    # n = 1000 splits 6 replications into chunks of 4 and 2; n = 50 is one chunk
+    assert [batch_size(n) for n in (50, 1000)] == [81, 4]
+    inverted = []
+    original = sampling.conditional_inverse
+    monkeypatch.setattr(sampling, "conditional_inverse",
+                        lambda c, x, u: inverted.append(len(x)) or original(c, x, u))
+    cfg = StudyConfig(copula_spec=spec, sizes=(50, 1000), replications=6,
+                      estimators=(estimator,), base_seed=3, m=16)
+    res = run_study(cfg)
+    monkeypatch.undo()
+    assert inverted == [300, 4000, 2000]
+    assert [(r.n, r.replication) for r in res.records] == [
+        (n, rep) for n in (50, 1000) for rep in range(6)]
+    c = make_copula(spec)
+    for r in res.records:
+        assert r.seed == replication_seed(3, estimator, r.n, r.replication)
+        s = sample(c, r.n, RngSpec(seed=r.seed, stream=0))
+        if estimator == "chatterjee":
+            value = chatterjee_r(s, np.random.default_rng(r.seed))
+        else:
+            value = plugin_zeta1_r(pseudo_obs(s), study.PLUGINS[estimator],
+                                   QuadratureSpec(m=16))[1]
+        assert np.float64(value).tobytes() == np.float64(r.value).tobytes()
