@@ -61,9 +61,28 @@ def _cell(c) -> str:
     return _fmt(c) if isinstance(c, float) else str(c)
 
 
-def _emit_csv(header, rows, out: str):
-    """One line per row: float cells as `_fmt` writes them, other cells as `str`."""
-    _emit("".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows]), out)
+def _column(values):
+    """(cells, format) of one CSV column: floats under %.17g, or each cell through `_cell`."""
+    cells = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    if all(isinstance(c, float) for c in cells):
+        return cells, _FLOAT_FMT
+    return list(map(_cell, cells)), "%s"
+
+
+def _emit_csv(header, columns, out: str):
+    """The header line, then one line per row of the equal-length `columns`.
+
+    Each column is resolved once: a column of floats is written as `_fmt`
+    writes them, any other through `_cell`.  The body is one `%` format of
+    the one-row template repeated over the row-major cells.
+    """
+    resolved = [_column(c) for c in columns]
+    k, n = len(resolved), len(resolved[0][0])
+    flat = [None] * (n * k)
+    for j, (cells, _) in enumerate(resolved):
+        flat[j::k] = cells
+    row = ",".join(f for _, f in resolved) + "\n"
+    _emit(",".join(header) + "\n" + (row * n) % tuple(flat), out)
 
 
 def _load_knots(args):
@@ -110,7 +129,7 @@ def cmd_measure(args):
 
 
 def _read_sample_csv(path: str) -> SampleSet:
-    x, y = np.array(read_float_csv(path, ("x", "y"), "sample")).reshape(-1, 2).T.copy()
+    x, y = read_float_csv(path, ("x", "y"), "sample").T
     return SampleSet(x=x, y=y)
 
 
@@ -139,7 +158,7 @@ def cmd_sample(args):
     _check_seeds(args, "seed", "stream")
     c = make_copula(args.copula, knots=_load_knots(args))
     s = sample(c, args.n, RngSpec(seed=args.seed, stream=args.stream))
-    _emit_csv(["x", "y"], zip(s.x, s.y), args.out)
+    _emit_csv(["x", "y"], (s.x, s.y), args.out)
 
 
 def cmd_simulate(args):
@@ -153,11 +172,8 @@ def cmd_simulate(args):
         knots=_load_knots(args),
     )
     result = run_study(cfg, jobs=args.jobs)
-    _emit_csv(
-        ["estimator", "n", "replication", "value", "seed", "wall_time"],
-        [(r.estimator, r.n, r.replication, r.value, r.seed, r.wall_time) for r in result.records],
-        args.out,
-    )
+    fields = ["estimator", "n", "replication", "value", "seed", "wall_time"]
+    _emit_csv(fields, [[getattr(r, f) for r in result.records] for f in fields], args.out)
     summary = {"true_r": result.true_r, "copula": args.copula, "cells": result.summary}
     summary_path = (args.out + ".summary.json") if args.out else ""
     _emit_json(summary, summary_path)
@@ -215,7 +231,7 @@ def cmd_converge(args):
     ]
     header = ["k", "theta", "d_inf", *sups, "d1", "wcc_max"]
     _check_finite("converge rows", args, zip(header[2:], columns))
-    _emit_csv(header, zip(ks, thetas, *columns), args.out)
+    _emit_csv(header, [ks, thetas, *columns], args.out)
 
 
 def cmd_approximate(args):
@@ -232,11 +248,9 @@ def cmd_approximate(args):
     resolutions = _int_list(args.resolutions, "resolution")
     boards = (checkerboard_copula(checkerboard_approx(target, N)) for N in resolutions)
     dists = _against_limit(wcc_grid, levy_grids, reference, boards)
-    _emit_csv(
-        ["resolution", "wcc_max", "wcc_mean", "wcc_q95"],
-        [(N, np.max(d), np.mean(d), np.quantile(d, 0.95)) for N, d in zip(resolutions, dists)],
-        args.out,
-    )
+    stats = {"wcc_max": np.max, "wcc_mean": np.mean, "wcc_q95": lambda d: np.quantile(d, 0.95)}
+    columns = [resolutions, *([f(d) for d in dists] for f in stats.values())]
+    _emit_csv(["resolution", *stats], columns, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -62,6 +62,8 @@ def make_piecewise_linear_pickands(
 ) -> PickandsFunction:
     """Piecewise-linear Pickands function through validated (x, A(x)) knots.
 
+    The knots are pairs or the rows of a (k, 2) array, as `read_knots_csv` gives.
+
     Rejects knot lists violating the Pickands constraints, naming the failed
     invariant in the error message.  The right derivative is the piecewise
     constant right-hand slope (left-hand slope at x = 1).

@@ -2,7 +2,10 @@
 
 import csv
 import math
+from itertools import chain
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .archimedean import archimedean_copula, make_clayton, make_frank, make_gumbel
 from .core import CopulaModel, MarshallOlkinParams, make_m, make_marshall_olkin, make_pi, make_w
@@ -69,28 +72,44 @@ def parse_spec(spec: str) -> Tuple[str, List[float]]:
     return name, params
 
 
-def read_float_csv(path: str, header: Sequence[str], what: str) -> List[Tuple[float, ...]]:
-    """Rows of a CSV of floats with the given header; a malformed row names its line."""
+def _float_rows(rows, k: int) -> np.ndarray:
+    """The (len(rows), k) float64 array of `rows`; ValueError unless each has k floats."""
+    if set(map(len, rows)) - {k}:
+        raise ValueError
+    return np.fromiter(map(float, chain.from_iterable(rows)), float, k * len(rows)).reshape(-1, k)
+
+
+def read_float_csv(path: str, header: Sequence[str], what: str) -> np.ndarray:
+    """The (rows, k) float64 array of a CSV of floats under the k-column `header`.
+
+    Blank lines are skipped.  All fields are converted in one pass; only when
+    that fails is the file read again for the first malformed row, whose
+    physical line the error names.
+    """
+    k = len(header)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if [f.strip() for f in next(reader, [])] != list(header):
             raise ValueError(f"{what} CSV must have header '{','.join(header)}'")
-        rows = []
-        for row in filter(None, reader):        # blank lines are skipped
-            try:
-                if len(row) != len(header):
-                    raise ValueError
-                rows.append(tuple(map(float, row)))
-            except ValueError:
-                raise ValueError(
-                    f"{what} CSV line {reader.line_num}: expected {len(header)} numbers, "
-                    f"got '{','.join(row)}'"
-                ) from None
-        return rows
+        try:
+            return _float_rows(list(filter(None, reader)), k)
+        except ValueError:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            for row in filter(None, reader):
+                try:
+                    _float_rows([row], k)
+                except ValueError:
+                    raise ValueError(
+                        f"{what} CSV line {reader.line_num}: expected {k} numbers, "
+                        f"got '{','.join(row)}'"
+                    ) from None
+            raise
 
 
-def read_knots_csv(path: str) -> List[Tuple[float, float]]:
-    """Read piecewise-linear Pickands knots from a CSV with header ``x,a``."""
+def read_knots_csv(path: str) -> np.ndarray:
+    """The (knots, 2) array of piecewise-linear Pickands knots in a CSV with header ``x,a``."""
     return read_float_csv(path, ("x", "a"), "knots")
 
 

@@ -6,11 +6,18 @@ import numpy as np
 import pytest
 
 from copkern.archimedean import kendall_function
-from copkern.cli import _PGRID, _TGRID, _emit_json, _fmt, main
+from copkern.cli import _PGRID, _TGRID, _emit_csv, _emit_json, _fmt, _read_sample_csv, main
 from copkern.core import checkerboard_approx, checkerboard_copula
 from copkern.fixtures import strip_copula
 from copkern.metrics import QuadratureSpec, d1, d_inf, wcc_profile
-from copkern.registry import COPULA_OF_KIND, FAMILIES, build_component, make_copula, parse_spec
+from copkern.registry import (
+    COPULA_OF_KIND,
+    FAMILIES,
+    build_component,
+    make_copula,
+    parse_spec,
+    read_knots_csv,
+)
 from copkern.sampling import RngSpec, sample
 from copkern.study import replication_seed
 
@@ -408,15 +415,85 @@ _KNOTS = ["measure", "--copula", "pickands-pwl", "--knots"]
         (_KNOTS, "x,a\n", "must cover"),
         (_KNOTS, "x,a\n0,1\n0.5,nan\n1,1\n", "must be finite"),
         (_KNOTS, "x,a\n0,1\nnan,0.8\n1,1\n", "must be finite"),
+        # a blank line still counts as a physical line
+        (["estimate", "--mode", "chatterjee"], "x,y\n0.1,0.2\n\n0.3\n", "line 4"),
+        (_KNOTS, "x,a\n0,1\n\n0.5\n1,1\n", "line 4"),
+        (["estimate", "--mode", "chatterjee"], "x,y\n0.1,0.2\n0.3,0.4,0.5\n", "line 3"),
+        (_KNOTS, "x,a\n0,1\n0.5,0.75,0.1\n1,1\n", "line 3"),
+        (["estimate", "--mode", "chatterjee"], "x,y\n", "need at least two observations"),
+        (_KNOTS, "x,a\n\n\n", "must cover"),
+        (["estimate", "--mode", "chatterjee"], "x,y\n0.1,nan\n0.3,0.4\n",
+         "observations must be finite"),
+        (["estimate", "--mode", "chatterjee"], "x,y\n0.1,0.2\n-inf,0.4\n",
+         "observations must be finite"),
+        (_KNOTS, "x,a\n0,1\n0.5,inf\n1,1\n", "must be finite"),
     ],
     ids=["sample-missing-field", "knots-missing-field", "knots-header-only", "knots-nan-a",
-         "knots-nan-x"],
+         "knots-nan-x", "sample-blank-line", "knots-blank-line", "sample-extra-field",
+         "knots-extra-field", "sample-header-only", "knots-header-and-blank-lines",
+         "sample-nan", "sample-inf", "knots-inf"],
 )
 def test_malformed_csv_exit_2(tmp_path, capsys, cmd, text, msg):
     f = tmp_path / "in.csv"
     f.write_text(text)
     assert run([*cmd, str(f), "--m", "16", "--out", str(tmp_path / "o.json")]) == 2
     assert msg in capsys.readouterr().err
+
+
+def test_crlf_csv_reads_as_its_lf_twin(tmp_path):
+    sample_text = "x,y\n0.1,0.2\n\n0.30000000000000004,5e-324\n0.9,1\n"
+    knots_text = "x,a\n0,1\n0.25,0.75\n\n0.7,0.7\n1,1\n"
+    for name, text in (("lf", sample_text), ("crlf", sample_text.replace("\n", "\r\n"))):
+        (tmp_path / f"s-{name}.csv").write_bytes(text.encode())
+    for name, text in (("lf", knots_text), ("crlf", knots_text.replace("\n", "\r\n"))):
+        (tmp_path / f"k-{name}.csv").write_bytes(text.encode())
+    lf, crlf = (_read_sample_csv(str(tmp_path / f"s-{name}.csv")) for name in ("lf", "crlf"))
+    assert lf.x.tolist() == crlf.x.tolist() == [0.1, 0.30000000000000004, 0.9]
+    assert lf.y.tolist() == crlf.y.tolist() == [0.2, 5e-324, 1.0]
+    lf, crlf = (read_knots_csv(str(tmp_path / f"k-{name}.csv")) for name in ("lf", "crlf"))
+    assert lf.shape == crlf.shape == (4, 2)
+    assert lf.tobytes() == crlf.tobytes()
+    assert lf.tolist() == [[0.0, 1.0], [0.25, 0.75], [0.7, 0.7], [1.0, 1.0]]
+
+
+def _per_cell_csv(header, rows):
+    return "".join(",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row) + "\n"
+                   for row in [header, *rows])
+
+
+def test_emit_csv_matches_per_cell_formatting(tmp_path):
+    edge = [0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53]
+    columns = [
+        ["plugin-ev", "chatterjee", "plugin-arch", "gumbel:3"],       # labels
+        [2**64 - 1, 2**53 + 1, 0, -(2**63)],                            # ints above 2^53
+        [np.int64(7), np.int64(2**62 + 1), np.int64(-1), np.int64(0)],
+        [np.float64(0.1), np.float64(-2.5e-300), np.float64(1e308), np.float64(np.nan)],
+        [0.1, float("inf"), -0.0, 1e-5],
+        edge,
+        np.array(edge),                                                  # a float array
+        np.array([3, 2**62, -4, 5]),                                     # an int array
+        [1.5, 2, "c", np.float64(0.25)],                                 # a mixed column
+    ]
+    header = [f"c{j}" for j in range(len(columns))]
+    out = tmp_path / "t.csv"
+    _emit_csv(header, columns, str(out))
+    assert out.read_bytes() == _per_cell_csv(header, zip(*columns)).encode()
+    # a zero-row table is its header line only
+    _emit_csv(header, [[] for _ in columns], str(out))
+    assert out.read_bytes() == b"c0,c1,c2,c3,c4,c5,c6,c7,c8\n"
+    _emit_csv(["x", "y"], (np.array([]), np.array([])), str(out))
+    assert out.read_bytes() == b"x,y\n"
+
+
+@pytest.mark.parametrize("spec", ["gumbel:3", "galambos:3"])
+def test_sample_csv_round_trip_is_bit_exact(tmp_path, spec):
+    out = tmp_path / "s.csv"
+    assert run(["sample", "--copula", spec, "--n", "10000", "--seed", "11",
+                "--out", str(out)]) == 0
+    read = _read_sample_csv(str(out))
+    drawn = sample(make_copula(spec), 10000, RngSpec(seed=11))
+    assert read.x.tobytes() == drawn.x.tobytes()
+    assert read.y.tobytes() == drawn.y.tobytes()
 
 
 def test_simulate_empty_sizes_exit_2(tmp_path, capsys):

@@ -29,6 +29,15 @@ def check_pickands_invariants(p, grid=401, tol=1e-9):
     assert np.min(np.diff(d)) >= -1e-9, "right derivative nondecreasing"
 
 
+def test_piecewise_linear_pickands_takes_array_rows():
+    # read_knots_csv returns a (k, 2) array
+    t = np.linspace(0.0, 1.0, 101)
+    a, b = (make_piecewise_linear_pickands(k) for k in (np.array(paper_pwl_knots()),
+                                                        paper_pwl_knots()))
+    assert a.a(t).tobytes() == b.a(t).tobytes()
+    assert a.dplus_a(t).tobytes() == b.dplus_a(t).tobytes()
+
+
 @pytest.mark.parametrize(
     "p",
     [
