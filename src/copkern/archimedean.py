@@ -38,6 +38,9 @@ def make_clayton(theta: float) -> Generator:
     if theta <= 0:
         raise ValueError("Clayton parameter must be positive")
     c = 2.0 ** theta - 1.0
+    if c == 0.0:
+        raise ValueError(f"Clayton parameter {theta:g} is beyond floating point: "
+                         "its normalizer 2**theta - 1 rounds to 0")
 
     def phi(t):
         t = np.asarray(t, dtype=float)

@@ -14,14 +14,7 @@ import numpy as np
 
 from .archimedean import kendall_function
 from .core import cdf_lattice, checkerboard_approx, checkerboard_copula
-from .estimation import (
-    cfg_estimator,
-    chatterjee_r,
-    convexify_pickands,
-    empirical_kendall,
-    plugin_zeta1_r,
-    pseudo_obs,
-)
+from .estimation import chatterjee_r, plugin_zeta1_r, pseudo_obs
 from .fixtures import strip_copula
 from .metrics import QuadratureSpec, checked_kernel_grid, d1_grids, d_inf, levy_grids
 from .metrics import pi_measures, sup_distance, wcc_grid
@@ -142,15 +135,14 @@ def cmd_estimate(args):
         report["r"] = chatterjee_r(s, np.random.default_rng(args.seed))
     else:
         p = pseudo_obs(s)
-        grid = np.linspace(0.0, 1.0, 101)
         which = PLUGINS[args.mode]
+        report["zeta1"], report["r"], fit = plugin_zeta1_r(p, which, q)
+        grid = np.linspace(0.0, 1.0, 101)
         if which == "archimedean":
-            table, column, values = "kendall_table", "f", empirical_kendall(p).eval(grid)
+            table, column, values = "kendall_table", "f", fit.eval(grid)
         else:
-            values = convexify_pickands(cfg_estimator(p)).a(grid)
-            table, column = "pickands_table", "a"
-        report[table] = {"t": [float(t) for t in grid], column: [float(v) for v in values]}
-        report["zeta1"], report["r"] = plugin_zeta1_r(p, which, q)
+            table, column, values = "pickands_table", "a", fit.a(grid)
+        report[table] = {"t": grid.tolist(), column: values.tolist()}
     _emit_json(report, args.out)
 
 

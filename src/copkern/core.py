@@ -67,7 +67,7 @@ def _unit(t):
 def _pi_conditional(x):
     x = np.asarray(x, float)
     # the kernel ignores x, so it broadcasts to the shape of (x, y) itself
-    return lambda y: np.broadcast_arrays(x, np.asarray(y, float))[1].copy()
+    return lambda y: np.broadcast_arrays(x, _unit(y))[1].copy()
 
 
 def _point_mass_conditional(at):
@@ -128,7 +128,7 @@ def make_marshall_olkin(p: MarshallOlkinParams) -> CopulaModel:
             slope = (1.0 - a) * x ** (-a)
 
         def kernel(y):
-            y = np.asarray(y, float)
+            y = _unit(y)
             with np.errstate(invalid="ignore"):
                 below = np.where(inside, slope * y, 0.0)
             return np.clip(np.where(y ** b < xa, below, y ** (1.0 - b)), 0.0, 1.0)

@@ -263,12 +263,16 @@ def convexify_pickands(raw: dict) -> PickandsFunction:
 def plugin_zeta1_r(
     p: PseudoObservations, which: str, q: QuadratureSpec = QuadratureSpec()
 ):
-    """Structural plugin estimates (zeta1, r) under an Archimedean or EV assumption."""
+    """Structural plugin estimates (zeta1, r) under an Archimedean or EV assumption,
+    and the fit the model is built from: the EmpiricalKendall or the convexified
+    PickandsFunction."""
     if which == "archimedean":
-        model = archimedean_copula(reconstruct_generator(empirical_kendall(p)))
+        fit = empirical_kendall(p)
+        model = archimedean_copula(reconstruct_generator(fit))
     elif which == "extreme-value":
-        model = ev_copula(convexify_pickands(cfg_estimator(p)))
+        fit = convexify_pickands(cfg_estimator(p))
+        model = ev_copula(fit)
     else:
         raise ValueError("structural assumption must be 'archimedean' or 'extreme-value'")
     _, z, r = pi_measures(model, q)
-    return z, r
+    return z, r, fit

@@ -82,12 +82,12 @@ def _float_rows(rows, k: int) -> np.ndarray:
 def read_float_csv(path: str, header: Sequence[str], what: str) -> np.ndarray:
     """The (rows, k) float64 array of a CSV of floats under the k-column `header`.
 
-    Blank lines are skipped.  All fields are converted in one pass; only when
-    that fails is the file read again for the first malformed row, whose
-    physical line the error names.
+    Blank lines and a leading UTF-8 byte order mark are skipped.  All fields
+    are converted in one pass; only when that fails is the file read again
+    for the first malformed row, whose physical line the error names.
     """
     k = len(header)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         if [f.strip() for f in next(reader, [])] != list(header):
             raise ValueError(f"{what} CSV must have header '{','.join(header)}'")

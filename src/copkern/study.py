@@ -79,7 +79,7 @@ def _run_one(estimator: str, n: int, rep: int, seed: int, m: int, s: SampleSet,
     if estimator == "chatterjee":
         value = chatterjee_r(s, np.random.default_rng(seed))
     else:
-        _, value = plugin_zeta1_r(pseudo_obs(s), PLUGINS[estimator], QuadratureSpec(m=m))
+        _, value, _ = plugin_zeta1_r(pseudo_obs(s), PLUGINS[estimator], QuadratureSpec(m=m))
     return StudyRecord(
         estimator=estimator,
         n=n,

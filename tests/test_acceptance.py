@@ -175,10 +175,10 @@ def test_acceptance_07_estimator_recovery():
     err_arch, err_ev = [], []
     for seed in range(50):
         s = sample(gum, n, RngSpec(seed=seed, stream=1))
-        z, _ = plugin_zeta1_r(pseudo_obs(s), "archimedean", q)
+        z, _, _ = plugin_zeta1_r(pseudo_obs(s), "archimedean", q)
         err_arch.append(abs(z - 0.6910))
         s = sample(gal, n, RngSpec(seed=seed, stream=2))
-        z, _ = plugin_zeta1_r(pseudo_obs(s), "extreme-value", q)
+        z, _, _ = plugin_zeta1_r(pseudo_obs(s), "extreme-value", q)
         err_ev.append(abs(z - 0.7513))
     dt = time.perf_counter() - t0
     med_a, med_e = float(np.median(err_arch)), float(np.median(err_ev))

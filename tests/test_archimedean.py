@@ -288,6 +288,15 @@ def test_frank_rejects_underflowing_normalizer():
         assert make_frank(theta).strict
 
 
+def test_clayton_rejects_a_normalizer_that_rounds_to_0():
+    # 2**theta - 1 is 0 below theta ~ 1.6e-16, where phi read 0/0
+    for theta in (1e-16, 1.6e-16, 5e-324):
+        with pytest.raises(ValueError, match=f"Clayton parameter {theta:g} is beyond"):
+            make_clayton(theta)
+    g = make_clayton(1.7e-16)
+    assert np.all(np.isfinite(g.phi(np.array([0.25, 0.5, 0.75]))))
+
+
 def test_frank_large_theta_measures():
     # phi(1/2) ~ e^{-theta/2} for theta > 0 and e^{-theta t} overflows for
     # theta < 0: the generator must neither cancel nor overflow

@@ -164,6 +164,29 @@ def test_estimate_plugin_modes(tmp_path):
     assert "pickands_table" in rep
 
 
+@pytest.mark.parametrize("mode,step", [
+    ("plugin-arch", "dominance_counts"),
+    ("plugin-ev", "make_piecewise_linear_pickands"),
+])
+def test_estimate_fits_the_plugin_model_once(tmp_path, monkeypatch, mode, step):
+    # the table is the fit that zeta1 and r come from: estimate fitted it twice
+    import copkern.estimation as est
+
+    s = tmp_path / "s.csv"
+    assert run(["sample", "--copula", "gumbel:3", "--n", "200", "--out", str(s)]) == 0
+    calls = []
+    fit_step = getattr(est, step)
+
+    def counted(*args, **kwargs):
+        calls.append(step)
+        return fit_step(*args, **kwargs)
+
+    monkeypatch.setattr(est, step, counted)
+    assert run(["estimate", str(s), "--mode", mode, "--m", "16",
+                "--out", str(tmp_path / "e.json")]) == 0
+    assert calls == [step]
+
+
 @pytest.mark.parametrize("mode", ["plugin-arch", "plugin-ev"])
 @pytest.mark.parametrize(
     "rows", ["1,4\n2,4\n3,4\n4,4\n", "5,1\n5,2\n5,3\n5,4\n"],
@@ -456,6 +479,27 @@ def test_crlf_csv_reads_as_its_lf_twin(tmp_path):
     assert lf.tolist() == [[0.0, 1.0], [0.25, 0.75], [0.7, 0.7], [1.0, 1.0]]
 
 
+def _sample_columns(path):
+    s = _read_sample_csv(path)
+    return np.stack([s.x, s.y])
+
+
+@pytest.mark.parametrize("cmd,read,text,bad", [
+    (["estimate", "--mode", "chatterjee"], _sample_columns,
+     "x,y\n0.1,0.2\n0.30000000000000004,5e-324\n", "x,y\n0.1,0.2\n\n0.3\n"),
+    (_KNOTS, read_knots_csv, "x,a\n0,1\n0.25,0.75\n1,1\n", "x,a\n0,1\n\n0.5\n1,1\n"),
+], ids=["sample", "knots"])
+def test_bom_csv_reads_as_its_plain_twin(tmp_path, capsys, cmd, read, text, bad):
+    # Excel's "CSV UTF-8" starts with a byte order mark, which failed the header check
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text.encode())
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert read(str(bom)).tobytes() == read(str(plain)).tobytes()
+    bom.write_bytes(b"\xef\xbb\xbf" + bad.encode())
+    assert run([*cmd, str(bom), "--m", "16", "--out", str(tmp_path / "o.json")]) == 2
+    assert "CSV line 4: expected 2 numbers" in capsys.readouterr().err
+
+
 def _per_cell_csv(header, rows):
     return "".join(",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row) + "\n"
                    for row in [header, *rows])
@@ -624,6 +668,14 @@ def test_frank_normalizer_underflow_exit_2(tmp_path, capsys, cmd):
         warnings.simplefilter("error", RuntimeWarning)
         assert run(argv + (["--n", "3"] if cmd == "sample" else [])) == 2
     assert "Frank parameter 1500 is beyond floating point" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_clayton_normalizer_rounding_to_0_exit_2(tmp_path, capsys):
+    # clayton:1e-16 exited 0 and wrote y = 1 in every row
+    out = tmp_path / "s.csv"
+    assert run(["sample", "--copula", "clayton:1e-16", "--n", "4", "--out", str(out)]) == 2
+    assert "Clayton parameter 1e-16 is beyond floating point" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -276,3 +278,24 @@ def test_cdf_off_the_unit_square_reads_the_clipped_inputs(spec):
     x, y = x[off], y[off]
     got = np.asarray(c.cdf(x, y))
     assert np.array_equal(got, np.asarray(c.cdf(np.clip(x, 0, 1), np.clip(y, 0, 1))))
+
+
+_KERNEL_MODELS = {
+    **_OFF_SQUARE_MODELS,
+    "checkerboard:7": lambda: checkerboard_copula(checkerboard_approx(make_copula("clayton:2"), 7)),
+}
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["", "transposed"])
+@pytest.mark.parametrize("spec", registered_examples() + list(_KERNEL_MODELS))
+def test_kernel_off_the_unit_interval_reads_the_clipped_y(spec, transposed):
+    # pi read K(0.3, 1.2) = 1.2, and marshall-olkin:0.5:0.7 read NaN at y = -0.5
+    c = _KERNEL_MODELS.get(spec, lambda: make_copula(spec))()
+    if transposed:
+        c = transpose(c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (0.3, 0.7):
+            assert c.kernel_cdf(x, -0.5) == c.kernel_cdf(x, 0.0)
+            assert c.kernel_cdf(x, 1.0) == 1.0
+            assert c.kernel_cdf(x, 1.2) == 1.0

@@ -321,7 +321,7 @@ def test_convexify_sawtooth_near_truth():
 def test_plugin_gumbel3_band():
     c = make_copula("gumbel:3")
     s = sample(c, 10_000, RngSpec(seed=123))
-    z, r = plugin_zeta1_r(pseudo_obs(s), "archimedean", QuadratureSpec(m=256))
+    z, r, _ = plugin_zeta1_r(pseudo_obs(s), "archimedean", QuadratureSpec(m=256))
     assert abs(z - 0.6910) <= 0.05
     assert 0.0 <= r <= 1.0
 
@@ -329,7 +329,7 @@ def test_plugin_gumbel3_band():
 def test_plugin_galambos3_band():
     c = make_copula("galambos:3")
     s = sample(c, 10_000, RngSpec(seed=321))
-    z, r = plugin_zeta1_r(pseudo_obs(s), "extreme-value", QuadratureSpec(m=256))
+    z, r, _ = plugin_zeta1_r(pseudo_obs(s), "extreme-value", QuadratureSpec(m=256))
     assert abs(z - 0.7513) <= 0.05
 
 
@@ -338,7 +338,7 @@ def test_plugin_pi_extreme_value_small():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         p = pseudo_obs(SampleSet(x=rng.random(10_000), y=rng.random(10_000)))
-        z, _ = plugin_zeta1_r(p, "extreme-value", QuadratureSpec(m=128))
+        z, _, _ = plugin_zeta1_r(p, "extreme-value", QuadratureSpec(m=128))
         vals.append(z)
     assert max(vals) <= 0.1
 
@@ -358,11 +358,19 @@ def _plugin_sample(n=200):
 def test_plugin_equals_single_measures_of_rebuilt_model(which):
     p = _plugin_sample()
     q = QuadratureSpec(m=64)
+    t = np.linspace(0.0, 1.0, 1001)
     if which == "archimedean":
-        model = archimedean_copula(reconstruct_generator(empirical_kendall(p)))
+        fit = empirical_kendall(p)
+        model = archimedean_copula(reconstruct_generator(fit))
+        tabulate = lambda f: f.eval(t)
     else:
-        model = ev_copula(convexify_pickands(cfg_estimator(p)))
-    assert plugin_zeta1_r(p, which, q) == (zeta1(model, q), r_measure(model, q))
+        fit = convexify_pickands(cfg_estimator(p))
+        model = ev_copula(fit)
+        tabulate = lambda f: f.a(t)
+    out = plugin_zeta1_r(p, which, q)
+    assert out[:2] == (zeta1(model, q), r_measure(model, q))
+    # the returned fit is the component the model is built from
+    assert tabulate(out[2]).tobytes() == tabulate(fit).tobytes()
 
 
 @pytest.mark.parametrize(
