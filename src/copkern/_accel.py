@@ -2,8 +2,9 @@
 
 ``dominance_counts`` gives the strict pairwise dominance counts behind the
 empirical Kendall distribution in O(n log^2 n) by counting over merge levels;
-``levy_distance`` resolves the Levy metric between tabulated CDFs by a binary
-search over grid shifts, each shift checked by ``_levy_check``.
+``levy_distance`` resolves the Levy metric between tabulated CDFs, row by
+row, by one binary search over grid shifts, each step checked for all rows by
+``_levy_check``.
 """
 
 import numpy as np
@@ -46,32 +47,45 @@ def dominance_counts(x, y):
 
 
 def _levy_check(f, g, k):
-    # Levy condition F(y-eps)-eps <= G(y) <= F(y+eps)+eps at eps = k*h,
-    # checked on the common grid (h = grid step, index shift k).
-    m = f.shape[0]
-    eps = k / (m - 1)
-    lo = np.concatenate((np.zeros(k), f[: m - k])) if k else f
-    hi = np.concatenate((f[k:], np.ones(k))) if k else f
-    return bool(np.all(lo - eps <= g + 1e-12) and np.all(g <= hi + eps + 1e-12))
+    """Per row r, the Levy condition F(y-eps)-eps <= G(y) <= F(y+eps)+eps at
+    eps = k_r * h, checked on the common grid (h = grid step, index shift k_r);
+    `f` and `g` are (rows, m) and `k` holds one integer shift per row."""
+    n, m = f.shape
+    # F read k_r steps to the left and right, 0 below the grid and 1 above it:
+    # windows[r, s] is row r of F padded by m - 1 zeros and m - 1 ones,
+    # read from s on, so picking one window per row copies whole rows
+    padded = np.concatenate((np.zeros((n, m - 1)), f, np.ones((n, m - 1))), axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, m, axis=1)
+    rows, k = np.arange(n), np.asarray(k)
+    lo, hi = windows[rows, m - 1 - k], windows[rows, m - 1 + k]
+    eps = (k / (m - 1))[:, None]
+    return np.all(lo - eps <= g + 1e-12, axis=1) & np.all(g <= hi + eps + 1e-12, axis=1)
 
 
 def levy_distance(f, g):
-    """Levy metric between two CDFs tabulated on a common uniform grid on [0,1].
+    """Levy metric between CDFs tabulated on a common uniform grid on [0,1].
 
-    `f` and `g` hold the CDF values at ``j/(m-1)``, ``j = 0..m-1``.  The result
-    is resolved to the grid step (binary search over index shifts), which is
-    what metrizing weak convergence of conditional laws with atoms requires.
+    `f` and `g` hold the CDF values at ``j/(m-1)``, ``j = 0..m-1``: one pair
+    of 1-D tables gives a float, stacked (rows, m) tables give the distance
+    of each row pair as an array.  The result is resolved to the grid step,
+    which is what metrizing weak convergence of conditional laws with atoms
+    requires.  One binary search over index shifts advances every row at
+    once; a shift of m - 1 is taken, not checked.  On monotone rows the
+    check holds from some shift on, so each row gets the smallest shift
+    that passes `_levy_check`.
     """
-    f = np.ascontiguousarray(f, dtype=np.float64)
-    g = np.ascontiguousarray(g, dtype=np.float64)
-    m = f.shape[0]
-    lo, hi = 0, m - 1
-    if _levy_check(f, g, 0):
-        return 0.0
-    while hi - lo > 1:
+    f = np.asarray(f, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    rows_f, rows_g = np.atleast_2d(f, g)
+    m = rows_f.shape[1]
+    if m < 2:
+        raise ValueError(f"a Levy distance needs CDF tables of at least 2 points, got {m}")
+    lo = np.zeros(len(rows_f), dtype=np.int64)
+    hi = np.where(_levy_check(rows_f, rows_g, lo), 0, m - 1)
+    while np.any(unsettled := hi - lo > 1):
         mid = (lo + hi) // 2
-        if _levy_check(f, g, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi / (m - 1)
+        ok = _levy_check(rows_f, rows_g, mid)
+        hi = np.where(unsettled & ok, mid, hi)
+        lo = np.where(unsettled & ~ok, mid, lo)
+    dist = hi / (m - 1)
+    return float(dist[0]) if f.ndim == 1 else dist

@@ -17,11 +17,14 @@ class CopulaModel:
     is ``conditional(x)(y)``.  Both take broadcast-compatible inputs
     (scalars, vectors of one length, or an (m, 1) column against a (1, m)
     row) and compute on the arrays as given; the result has the broadcast
-    shape.  The kernel is exact: a distribution function in y with values
-    in [0, 1], which the metrics evaluate as given.  The required
-    ``transpose_factory(c)`` returns the transpose of the model `c` it is
-    called with, with its own exact kernel; a symmetric model is built with
-    ``lambda c: c``.  Models are immutable and safe for concurrent reads.
+    shape.  Both are elementwise: a value depends only on its own (x, y), so
+    a block of x rows against the y row gives, bit for bit, the rows the
+    whole lattice has, which is what `lattice` relies on.  The kernel is
+    exact: a distribution function in y with values in [0, 1], which the
+    metrics evaluate as given.  The required ``transpose_factory(c)``
+    returns the transpose of the model `c` it is called with, with its own
+    exact kernel; a symmetric model is built with ``lambda c: c``.  Models
+    are immutable and safe for concurrent reads.
     """
 
     cdf: Callable
@@ -176,10 +179,31 @@ def transpose(c: CopulaModel) -> CopulaModel:
     return c.transpose_factory(c)
 
 
+# points one `lattice` block evaluates: at 2^15 float64 points each temporary
+# of a model call is 256 KB, so the dozen a kernel call holds stay in a
+# core's L2 cache (a 512^2 lattice in one call spills 2 MB temporaries)
+LATTICE_BLOCK = 2 ** 15
+
+
+def lattice(f: Callable, x, y) -> np.ndarray:
+    """f(x_i, y_j) as a (len(x), len(y)) array, for an elementwise f.
+
+    The rows are filled in blocks of at most LATTICE_BLOCK points (at least
+    one row), each by one call f(x_block[:, None], y[None, :]); a lattice of
+    at most LATTICE_BLOCK points is one call.
+    """
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    out = np.empty((len(x), len(y)))
+    rows = max(1, LATTICE_BLOCK // max(1, len(y)))
+    for i in range(0, len(x), rows):
+        out[i:i + rows] = f(x[i:i + rows, None], y[None, :])
+    return out
+
+
 def cdf_lattice(c: CopulaModel, m: int) -> np.ndarray:
     """C(i/m, j/m) for i, j = 0..m, an (m+1, m+1) array."""
     g = np.arange(m + 1) / m
-    return np.asarray(c.cdf(g[:, None], g[None, :]))
+    return lattice(c.cdf, g, g)
 
 
 def checkerboard_approx(c: CopulaModel, N: int) -> CheckerboardMatrix:

@@ -114,7 +114,8 @@ def ev_copula(p: PickandsFunction) -> CopulaModel:
     def cdf(x, y):
         x, y = _unit(x), _unit(y)
         lx, ly = _log(x), _log(y)
-        val = np.exp((lx + ly) * p.a(lx / (lx + ly)))
+        lxy = lx + ly
+        val = np.exp(lxy * p.a(lx / lxy))
         val = np.where(x >= 1.0, y, np.where(y >= 1.0, x, val))
         return np.where((x <= 0.0) | (y <= 0.0), 0.0, val)
 
@@ -125,13 +126,14 @@ def ev_copula(p: PickandsFunction) -> CopulaModel:
         def kernel(y):
             y = np.asarray(y, dtype=float)
             ly = _log(y)
-            t = lx / (lx + ly)
+            lxy = lx + ly
+            t = lx / lxy
             a = p.a(t)
-            c = np.exp((lx + ly) * a)
+            c = np.exp(lxy * a)
             # at subnormal x the terms over x overflow to +inf, which the clip
             # reads as 1, the limit at x -> 0
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                val = c * (p.dplus_a(t) * ly / (x * (lx + ly)) + a / x)
+                val = c * (p.dplus_a(t) * ly / (x * lxy) + a / x)
             val = np.clip(val, 0.0, 1.0)
             val = np.where((y <= 0.0) | (y >= 1.0), np.clip(y, 0.0, 1.0), val)
             return np.where(x_edge, 1.0, val)

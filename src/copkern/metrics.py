@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from ._accel import levy_distance
-from .core import CopulaModel, cdf_lattice, make_pi, transpose
+from .core import CopulaModel, cdf_lattice, lattice, make_pi, transpose
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # checked_kernel_grid rejects a kernel grid whose column defect exceeds this / m
@@ -47,11 +47,6 @@ def midpoints(m: int) -> np.ndarray:
     return (np.arange(m) + 0.5) / m
 
 
-def _kernel_lattice(c: CopulaModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """K(x_i, [0, y_j]): the model's exact kernel on an (x column, y row) lattice."""
-    return np.asarray(c.kernel_cdf(x[:, None], y[None, :]), dtype=float)
-
-
 def kernel_grid(c: CopulaModel, q: QuadratureSpec) -> np.ndarray:
     """K(x_i, [0, y_j]) on the midpoint grid.
 
@@ -59,7 +54,7 @@ def kernel_grid(c: CopulaModel, q: QuadratureSpec) -> np.ndarray:
     `pi_measures` compare it with the midpoint vector, which is Pi's grid.
     """
     x = midpoints(q.m)
-    return _kernel_lattice(c, x, x)
+    return lattice(c.kernel_cdf, x, x)
 
 
 def sup_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -155,12 +150,12 @@ def wcc_grid(c: CopulaModel, xs: Sequence[float] = None, y_grid: int = 512) -> n
     default uses a golden-ratio sequence which avoids dyadic rationals.
     """
     xs = golden_xs() if xs is None else np.asarray(xs, dtype=float)
-    return _kernel_lattice(c, xs, np.linspace(0.0, 1.0, y_grid + 1))
+    return lattice(c.kernel_cdf, xs, np.linspace(0.0, 1.0, y_grid + 1))
 
 
 def levy_grids(K1: np.ndarray, K2: np.ndarray) -> np.ndarray:
     """Levy distance between matching rows of two `wcc_grid` arrays."""
-    return np.array([levy_distance(a, b) for a, b in zip(K1, K2)])
+    return levy_distance(K1, K2)
 
 
 def wcc_profile(c1: CopulaModel, c2: CopulaModel, xs: Sequence[float] = None,
@@ -177,4 +172,4 @@ def wcc_profile(c1: CopulaModel, c2: CopulaModel, xs: Sequence[float] = None,
 def disintegration_defect(c: CopulaModel, ys: Sequence[float] = None, m: int = 2000):
     """Max defect of the disintegration identity: integral of K(x,[0,y]) dx = y."""
     ys = np.linspace(0.05, 0.95, 19) if ys is None else np.asarray(ys, dtype=float)
-    return _column_defect(_kernel_lattice(c, midpoints(m), ys), ys)
+    return _column_defect(lattice(c.kernel_cdf, midpoints(m), ys), ys)

@@ -5,7 +5,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .core import CopulaModel, _bisect
+from .core import CopulaModel, _bisect, lattice
 from .metrics import sup_distance
 
 # most points one conditional_inverse call of `sample_many` inverts: a
@@ -85,9 +85,8 @@ def sample(c: CopulaModel, n: int, rng: RngSpec) -> SampleSet:
 def sample_fidelity(c: CopulaModel, n: int, rng: RngSpec, grid: int = 50) -> float:
     """Sup distance on the (grid+1)^2 lattice between `c` and the sample's
     empirical copula (1/n) #{i : u_i <= x, v_i <= y}."""
-    from .estimation import empirical_copula_cdf, pseudo_obs
+    from .estimation import empirical_copula_lattice, pseudo_obs
 
     p = pseudo_obs(sample(c, n, rng))
     edges = np.linspace(0.0, 1.0, grid + 1)
-    emp = empirical_copula_cdf(p, edges[:, None], edges[None, :])
-    return sup_distance(emp, np.asarray(c.cdf(edges[:, None], edges[None, :])))
+    return sup_distance(empirical_copula_lattice(p, edges), lattice(c.cdf, edges, edges))

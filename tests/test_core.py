@@ -9,6 +9,7 @@ from copkern.core import (
     MarshallOlkinParams,
     checkerboard_approx,
     checkerboard_copula,
+    lattice,
     make_m,
     make_marshall_olkin,
     make_pi,
@@ -299,3 +300,49 @@ def test_kernel_off_the_unit_interval_reads_the_clipped_y(spec, transposed):
             assert c.kernel_cdf(x, -0.5) == c.kernel_cdf(x, 0.0)
             assert c.kernel_cdf(x, 1.0) == 1.0
             assert c.kernel_cdf(x, 1.2) == 1.0
+
+
+def _lattice_models():
+    # seeds fixed before the first run
+    p_arch = pseudo_obs(sample(make_copula("gumbel:3"), 50, RngSpec(seed=21)))
+    p_ev = pseudo_obs(sample(make_copula("galambos:3"), 50, RngSpec(seed=22)))
+    return {
+        **{spec: lambda spec=spec: make_copula(spec) for spec in registered_examples()},
+        "strip:5": lambda: strip_copula(5),
+        "shift:3": lambda: shift_copula(3),
+        "checkerboard:7": lambda: checkerboard_copula(
+            checkerboard_approx(make_copula("clayton:2"), 7)),
+        "plugin-arch": lambda: archimedean_copula(reconstruct_generator(empirical_kendall(p_arch))),
+        "plugin-ev": lambda: ev_copula(convexify_pickands(cfg_estimator(p_ev))),
+    }
+
+
+@pytest.mark.parametrize("m", [256, 300, 512])
+@pytest.mark.parametrize("spec", list(_lattice_models()))
+def test_lattice_blocks_are_bit_identical_to_one_call(spec, m):
+    # 256 is two full blocks, 300 ends in a partial block, 512 is eight blocks
+    c = _lattice_models()[spec]()
+    mid, edges = (np.arange(m) + 0.5) / m, np.arange(m + 1) / m
+    for f, g in ((c.kernel_cdf, mid), (c.cdf, edges)):
+        one_call = np.asarray(f(g[:, None], g[None, :]), dtype=float)
+        blocked = lattice(f, g, g)
+        assert blocked.shape == one_call.shape
+        assert np.array_equal(blocked.view(np.int64), one_call.view(np.int64))
+
+
+def test_lattice_blocks_rows_by_the_point_budget():
+    calls = []
+
+    def f(x, y):
+        calls.append(x.shape[0])
+        return x + y
+
+    x, y = np.linspace(0, 1, 300), np.linspace(0, 1, 300)
+    assert np.array_equal(lattice(f, x, y), x[:, None] + y[None, :])
+    assert calls == [109, 109, 82]
+    calls.clear()
+    lattice(f, x[:180], y[:180])          # 32 400 points: one call
+    assert calls == [180]
+    calls.clear()
+    lattice(f, x[:3], np.linspace(0, 1, 40_000))   # a row over budget is one block
+    assert calls == [1, 1, 1]

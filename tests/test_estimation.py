@@ -12,6 +12,7 @@ from copkern.estimation import (
     chatterjee_r,
     convexify_pickands,
     empirical_copula_cdf,
+    empirical_copula_lattice,
     empirical_kendall,
     plugin_zeta1_r,
     pseudo_obs,
@@ -64,6 +65,28 @@ def test_empirical_copula_values():
     assert empirical_copula_cdf(p, 0.0, 0.5) == 0.0
     anti = pseudo_obs(_sset([(1, 3), (2, 2), (3, 1)]))
     assert empirical_copula_cdf(anti, 0.5, 0.5) == pytest.approx(1.0 / 3.0)
+
+
+def _lattice_samples():
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, 6, 300).astype(float)
+    yield "clayton:2 n=500", pseudo_obs(sample(make_copula("clayton:2"), 500, RngSpec(seed=3)))
+    yield "ties n=300", pseudo_obs(SampleSet(x=x, y=x + rng.integers(0, 4, 300)))
+    # n + 1 = 100: at grid 50 every even rank lands exactly on an edge
+    yield "on edges n=99", pseudo_obs(sample(make_copula("gumbel:3"), 99, RngSpec(seed=4)))
+    yield "n=2", pseudo_obs(_sset([(1, 2), (2, 1)]))
+    edge = np.array([0.0, 0.5, 1.0, 0.25, 1.0])
+    yield "at 0 and 1", PseudoObservations(u=edge, v=edge[::-1].copy())
+
+
+@pytest.mark.parametrize("grid", [50, 7])
+def test_empirical_copula_lattice_counts_like_the_cdf(grid):
+    edges = np.linspace(0.0, 1.0, grid + 1)
+    for name, p in _lattice_samples():
+        want = empirical_copula_cdf(p, edges[:, None], edges[None, :])
+        got = empirical_copula_lattice(p, edges)
+        assert got.shape == (grid + 1, grid + 1)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
 
 
 def test_chatterjee_monotone_small():

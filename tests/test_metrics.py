@@ -31,11 +31,13 @@ from copkern.metrics import (
     disintegration_defect,
     golden_xs,
     kernel_grid,
+    levy_grids,
     midpoints,
     partial_distance,
     pi_measures,
     r_identity_residual,
     r_measure,
+    wcc_grid,
     wcc_profile,
     zeta1,
 )
@@ -207,6 +209,59 @@ def test_levy_distance_two_point_masses():
     pb = (y >= 0.5).astype(float)
     d = levy_distance(pa, pb)
     assert 0.05 <= d <= 0.2001
+
+
+def _levy_scan(f, g):
+    # the smallest shift k whose Levy condition holds, scanning k = 0, 1, ...:
+    # F(y_j - eps) - eps <= G(y_j) <= F(y_j + eps) + eps at eps = k / (m - 1),
+    # F read as 0 left of the grid and 1 right of it
+    m = len(f)
+    for k in range(m):
+        eps = k / (m - 1)
+        left = np.r_[np.zeros(k), f[:m - k]]
+        right = np.r_[f[k:], np.ones(k)]
+        if np.all(left - eps <= g + 1e-12) and np.all(g <= right + eps + 1e-12):
+            return k / (m - 1)
+    return 1.0
+
+
+def _random_cdf_rows(rng, rows, m):
+    kind = rng.integers(3)
+    if kind == 0:                       # continuous
+        return np.sort(rng.random((rows, m)), axis=1)
+    if kind == 1:                       # flat pieces and jumps
+        return np.sort(np.round(rng.random((rows, m)) * 4) / 4, axis=1)
+    return (np.arange(m) >= rng.integers(0, m, (rows, 1))).astype(float)   # point masses
+
+
+def test_levy_distance_rows_match_a_linear_scan():
+    rng = np.random.default_rng(2024)
+    for _ in range(150):
+        m, rows = int(rng.integers(2, 81)), int(rng.integers(1, 6))
+        f, g = _random_cdf_rows(rng, rows, m), _random_cdf_rows(rng, rows, m)
+        got = levy_distance(f, g)
+        want = np.array([_levy_scan(a, b) for a, b in zip(f, g)])
+        assert got.shape == (rows,)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (m, got, want)
+        one = levy_distance(f[0], g[0])
+        assert type(one) is float and one == want[0]
+
+
+@pytest.mark.parametrize("spec,N", [("clayton:2", 8), ("clayton:2", 32), ("galambos:3", 16),
+                                    ("strip:5", 8)])
+def test_levy_distance_of_checkerboard_wcc_grids_matches_a_linear_scan(spec, N):
+    target = strip_copula(5) if spec == "strip:5" else make_copula(spec)
+    board = checkerboard_copula(checkerboard_approx(target, N))
+    K1, K2 = wcc_grid(board), wcc_grid(target)
+    got = levy_distance(K1, K2)
+    want = np.array([_levy_scan(a, b) for a, b in zip(K1, K2)])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(levy_grids(K1, K2).view(np.int64), want.view(np.int64))
+
+
+def test_levy_distance_rejects_a_one_point_table():
+    with pytest.raises(ValueError, match="at least 2 points"):
+        levy_distance([0.5], [0.5])
 
 
 def test_wcc_profile_self_is_zero():
