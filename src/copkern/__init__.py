@@ -17,6 +17,7 @@ from .core import (
     MarshallOlkinParams,
     checkerboard_approx,
     checkerboard_copula,
+    checkerboard_measures,
     make_m,
     make_marshall_olkin,
     make_pi,
@@ -38,6 +39,7 @@ from .estimation import (
 from .extreme_value import (
     PickandsFunction,
     ev_copula,
+    ev_measures,
     make_galambos,
     make_gumbel_pickands,
     make_piecewise_linear_pickands,

@@ -252,12 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, copula=True, m=None):
+    def add_common(p, copula=True, m=None, m_help="quadrature resolution"):
         if copula:
             p.add_argument("--copula", required=True, help="family spec NAME:PARAMS")
             p.add_argument("--knots", default=None, help="CSV of pickands-pwl knots (header x,a)")
         if m is not None:
-            p.add_argument("--m", type=int, default=m, help="quadrature resolution")
+            p.add_argument("--m", type=int, default=m, help=m_help)
         p.add_argument("--out", default="", help="output path (default: stdout)")
 
     p = sub.add_parser("measure", help="dependence measures of a registered copula")
@@ -268,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="sample CSV with header x,y")
     p.add_argument("--mode", required=True, choices=ESTIMATORS)
     p.add_argument("--seed", type=int, default=0)
-    add_common(p, copula=False, m=512)
+    add_common(p, copula=False, m=512,
+               m_help="quadrature resolution of plugin-arch (plugin-ev is exact)")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("sample", help="draw a seeded sample from a copula")
@@ -279,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("simulate", help="replication study comparing r estimators")
-    add_common(p, m=256)
+    add_common(p, m=256, m_help="quadrature resolution of plugin-arch records "
+                                "(plugin-ev is exact)")
     p.add_argument("--sizes", default="50,100,500,2000", help="comma-separated sample sizes")
     p.add_argument("--R", type=int, default=500, help="replications per cell")
     p.add_argument("--estimators", default=",".join(ESTIMATORS))

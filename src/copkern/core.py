@@ -219,12 +219,8 @@ def checkerboard_approx(c: CopulaModel, N: int) -> CheckerboardMatrix:
 _MASS_TOL = 1e-9
 
 
-def checkerboard_copula(m: CheckerboardMatrix) -> CopulaModel:
-    """Copula spreading each cell mass uniformly over its rectangle.
-
-    The CDF is the exact piecewise-bilinear accumulation of the cell masses;
-    the kernel is constant in x on each cell and piecewise linear in y.
-    """
+def _checked_mass(m: CheckerboardMatrix) -> np.ndarray:
+    """The masses of `m`, or ValueError unless they are those of a copula."""
     mass = m.mass
     N = len(mass)
     if np.any(mass < -_MASS_TOL):
@@ -234,7 +230,41 @@ def checkerboard_copula(m: CheckerboardMatrix) -> CopulaModel:
         or np.max(np.abs(mass.sum(axis=1) - 1.0 / N)) > _MASS_TOL
     ):
         raise ValueError("checkerboard mass matrix is not doubly stochastic")
+    return mass
 
+
+def checkerboard_measures(m: CheckerboardMatrix):
+    """Exact (D1(C, Pi), zeta1(C), r(C)) of `checkerboard_copula(m)`, in O(N^2).
+
+    On cell (i, j), with f the fraction across it in y, the kernel is
+    N (c_ij + f m_ij), c_ij = sum_{j' < j} m_ij' column i's mass below the
+    cell, and y = (j + f) / N.  So r = 6 sum (c_ij^2 + c_ij m_ij + m_ij^2 / 3) - 2
+    and D1(C, Pi) = (1/N^2) sum int_0^1 |a_ij + b_ij f| df, with
+    a_ij = N c_ij - j / N and b_ij = N m_ij - 1 / N.
+    """
+    mass = _checked_mass(m)
+    N = len(mass)
+    c = np.cumsum(mass, axis=1) - mass
+    r = 6.0 * float(np.sum(c ** 2 + c * mass + mass ** 2 / 3.0)) - 2.0
+    lo = N * c - np.arange(N) / N       # a_ij: K - y at the cell's bottom
+    hi = lo + N * mass - 1.0 / N        # a_ij + b_ij: at its top
+    # a linear function's mean |.| over [0, 1]: |lo + hi| / 2 without a root,
+    # (lo^2 + hi^2) / (2 |hi - lo|) with one
+    same = lo * hi >= 0.0
+    mean_abs = np.where(same, np.abs(lo + hi) / 2.0,
+                        (lo ** 2 + hi ** 2) / (2.0 * np.where(same, 1.0, np.abs(hi - lo))))
+    d = float(np.sum(mean_abs)) / N ** 2
+    return d, 3.0 * d, r
+
+
+def checkerboard_copula(m: CheckerboardMatrix) -> CopulaModel:
+    """Copula spreading each cell mass uniformly over its rectangle.
+
+    The CDF is the exact piecewise-bilinear accumulation of the cell masses;
+    the kernel is constant in x on each cell and piecewise linear in y.
+    """
+    mass = _checked_mass(m)
+    N = len(mass)
     P = np.zeros((N + 1, N + 1))
     P[1:, 1:] = np.cumsum(np.cumsum(mass, axis=0), axis=1)
 

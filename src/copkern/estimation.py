@@ -9,7 +9,7 @@ import numpy as np
 from ._accel import dominance_counts
 from .archimedean import Generator, archimedean_copula
 from .core import _piecewise_linear
-from .extreme_value import PickandsFunction, ev_copula, make_piecewise_linear_pickands
+from .extreme_value import PickandsFunction, ev_measures, make_piecewise_linear_pickands
 # zeta1 is not used here; the binding remains for callers that trace it
 from .metrics import QuadratureSpec, pi_measures, zeta1  # noqa: F401
 from .sampling import SampleSet
@@ -264,7 +264,11 @@ def convexify_pickands(raw: dict) -> PickandsFunction:
     """
     t = np.asarray(raw["t"], dtype=float)
     a = np.asarray(raw["a"], dtype=float)
-    g = np.maximum(np.minimum(a, 1.0), np.maximum(t, 1.0 - t))
+    # 1 - t can round below the bound, and near t = 0 that tilts the first
+    # hull slope below -1 (by 3% at t = 2e-16); the next float up does not
+    one_minus_t = 1.0 - t
+    one_minus_t = np.where(1.0 - one_minus_t > t, np.nextafter(one_minus_t, 2.0), one_minus_t)
+    g = np.maximum(np.minimum(a, 1.0), np.maximum(t, one_minus_t))
     while True:
         above = np.diff(t)[:-1] * (g[2:] - g[:-2]) <= (t[2:] - t[:-2]) * np.diff(g)[:-1]
         if not above.any():
@@ -278,14 +282,18 @@ def plugin_zeta1_r(
 ):
     """Structural plugin estimates (zeta1, r) under an Archimedean or EV assumption,
     and the fit the model is built from: the EmpiricalKendall or the convexified
-    PickandsFunction."""
+    PickandsFunction.
+
+    The Archimedean measures are read off the fitted model's kernel grid at
+    `q`; the Extreme-Value ones are `ev_measures` of the fit, which are exact
+    and take no `q`.
+    """
     if which == "archimedean":
         fit = empirical_kendall(p)
-        model = archimedean_copula(reconstruct_generator(fit))
+        _, z, r = pi_measures(archimedean_copula(reconstruct_generator(fit)), q)
     elif which == "extreme-value":
         fit = convexify_pickands(cfg_estimator(p))
-        model = ev_copula(fit)
+        _, z, r = ev_measures(fit)
     else:
         raise ValueError("structural assumption must be 'archimedean' or 'extreme-value'")
-    _, z, r = pi_measures(model, q)
     return z, r, fit

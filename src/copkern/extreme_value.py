@@ -16,6 +16,7 @@ class PickandsFunction:
     a: Callable          # [0,1] -> [1/2,1], convex, a(0)=a(1)=1
     dplus_a: Callable    # right derivative, nondecreasing, values in [-1,1]
     label: str
+    breakpoints: tuple   # points in [0,1] where D+A may jump; empty if it is continuous
     transpose_factory: Callable  # self -> Pickands function of A(1-x)
 
 
@@ -40,7 +41,7 @@ def _power_mean_pickands(p: float, label: str) -> PickandsFunction:
         val = np.where(x <= 0.0, -1.0, val)
         return np.clip(np.where(x >= 1.0, 1.0, val), -1.0, 1.0)
 
-    return PickandsFunction(a, dplus, label, lambda q: q)  # M_p is symmetric: A^t = A
+    return PickandsFunction(a, dplus, label, (), lambda q: q)  # M_p is symmetric: A^t = A
 
 
 def make_galambos(theta: float) -> PickandsFunction:
@@ -66,7 +67,8 @@ def make_piecewise_linear_pickands(
 
     Rejects knot lists violating the Pickands constraints, naming the failed
     invariant in the error message.  The right derivative is the piecewise
-    constant right-hand slope (left-hand slope at x = 1).
+    constant right-hand slope (left-hand slope at x = 1); it may jump at
+    every knot, so the knots are the breakpoints.
     """
     pts = sorted((float(x), float(v)) for x, v in knots)
     xs = np.array([p[0] for p in pts])
@@ -92,7 +94,7 @@ def make_piecewise_linear_pickands(
     def mirror(q):  # A(1-x) interpolates the mirrored knots (1-x_i, a_i)
         return make_piecewise_linear_pickands(list(zip(1.0 - xs, vs)), q.label + "^t")
 
-    return PickandsFunction(*_piecewise_linear(xs, vs), label, mirror)
+    return PickandsFunction(*_piecewise_linear(xs, vs), label, tuple(xs.tolist()), mirror)
 
 
 def paper_pwl_knots() -> list:
@@ -150,6 +152,72 @@ def ev_copula(p: PickandsFunction) -> CopulaModel:
         label=f"ev[{p.label}]",
         transpose_factory=transpose_factory,
     )
+
+
+# ev_measures integrates in t by Gauss-Legendre with _EV_NODES nodes on each
+# piece between 0, the breakpoints, the points of a uniform _EV_PARTITION-cell
+# partition of [0, 1] (which resolves the smooth families) and 1
+_EV_NODES = 16
+_EV_PARTITION = 32
+
+
+def _gauss_legendre(n: int):
+    """Nodes and weights of n-point Gauss-Legendre quadrature on [-1, 1]: Newton
+    steps on the roots of P_n from Tricomi's guesses, which converge within a
+    few steps (importing numpy.polynomial for this costs 1.5 MB of memory)."""
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(8):
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x ** 2 - 1.0)    # P_n'(x)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x ** 2) * dp ** 2)
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(_EV_NODES)
+
+
+def _tail(c, s):
+    """int_s^inf z e^(-c z) dz."""
+    return np.exp(-c * s) * (1.0 + c * s) / c ** 2
+
+
+def ev_measures(p: PickandsFunction):
+    """(D1(C_A, Pi), zeta1(C_A), r(C_A)) of the Extreme-Value copula of `p`.
+
+    With u = -ln x, v = -ln y, s = u + v and t = u / s, dx dy = s e^-s ds dt,
+    y = e^(-(1-t)s) and the kernel is K = B e^(-(A-t)s), B = A + (1-t) D+A:
+
+        r     = 6 int_0^1 B^2 / (1 + 2A - 2t)^2 dt - 2,
+        zeta1 = 3 int_0^1 int_0^inf s |B e^(-(A-t+1)s) - e^(-(2-t)s)| ds dt.
+
+    The inner integrand is negative below s* = ln B / (A - 1) and positive
+    above when B < 1 (s* = inf when A = 1 too), and never negative when
+    B >= 1 (s* = 0); it is integrated in closed form on both sides of s*.
+    The outer integrals are Gauss-Legendre on the pieces where A is smooth.
+    A result that is not finite (a damaged D+A) is a ValueError.
+    """
+    edges = np.union1d(np.linspace(0.0, 1.0, _EV_PARTITION + 1), p.breakpoints)
+    half = 0.5 * np.diff(edges)[:, None]
+    t = (edges[:-1, None] + half * (1.0 + _GL_NODES)).ravel()
+    w = (half * _GL_WEIGHTS).ravel()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = p.a(t)
+        # B >= 0 for a valid A; the clip drops rounding below 0, as the kernel's does
+        b = np.maximum(a + (1.0 - t) * p.dplus_a(t), 0.0)
+        r = 6.0 * np.dot(w, b ** 2 / (1.0 + 2.0 * a - 2.0 * t) ** 2) - 2.0
+        c1, c2 = a - t + 1.0, 2.0 - t
+        s_star = np.where(b >= 1.0, 0.0, np.where(a < 1.0, np.log(b) / (a - 1.0), np.inf))
+        # every tail past s = 1e4 underflows to 0; the cap keeps inf * 0 out
+        s_star = np.minimum(s_star, 1e4)
+        # int |f| = 2 int_{s*}^inf f - int_0^inf f, since f < 0 exactly below s*
+        inner = 2.0 * (b * _tail(c1, s_star) - _tail(c2, s_star)) - (b / c1 ** 2 - 1.0 / c2 ** 2)
+        z = 3.0 * float(np.dot(w, inner))
+    if not (np.isfinite(z) and np.isfinite(r)):
+        raise ValueError(f"the Extreme-Value measures of '{p.label}' are not finite "
+                         f"(zeta1 = {z}, r = {r})")
+    return z / 3.0, z, float(r)
 
 
 def max_stability_check(c: CopulaModel, n: int) -> float:

@@ -8,9 +8,16 @@ import pytest
 from conftest import ACCEPTANCE_LINES
 
 from copkern.archimedean import archimedean_copula, kendall_function, make_clayton
-from copkern.core import checkerboard_approx, checkerboard_copula, make_m, make_pi, transpose
+from copkern.core import (
+    checkerboard_approx,
+    checkerboard_copula,
+    checkerboard_measures,
+    make_m,
+    make_pi,
+    transpose,
+)
 from copkern.estimation import plugin_zeta1_r, pseudo_obs, reconstruct_generator
-from copkern.extreme_value import ev_copula, make_galambos
+from copkern.extreme_value import ev_copula, ev_measures, make_galambos, make_gumbel_pickands
 from copkern.fixtures import shift_copula, strip_copula, strip_index
 from copkern.metrics import (
     QuadratureSpec,
@@ -18,6 +25,7 @@ from copkern.metrics import (
     d_inf,
     disintegration_defect,
     golden_xs,
+    pi_measures,
     r_identity_residual,
     r_measure,
     wcc_profile,
@@ -245,11 +253,32 @@ def test_acceptance_09_oracle_equivalences():
     fid_g = sample_fidelity(make_copula("galambos:3"), 20_000, RngSpec(seed=18))
     fidelity_ok = fid_c <= 0.02 and fid_g <= 0.02
 
-    ok = identity_ok and roundtrip_ok and fidelity_ok
-    assert report(9, "oracle equivalences (r identity, round trips, sampler)", ok,
+    # exact measures against the kernel grid: every (D1, zeta1, r) is an
+    # integral of a kernel in [0, 1] whose midpoint error is at most first
+    # order, so the grid must agree within one step 1/m
+    exact = {
+        "galambos:3": ev_measures(make_galambos(3.0)),
+        "gumbel-ev:2.5": ev_measures(make_gumbel_pickands(2.5)),
+        "checkerboard(clayton:2, 8)": checkerboard_measures(
+            checkerboard_approx(make_copula("clayton:2"), 8)),
+    }
+    grids = {
+        "galambos:3": make_copula("galambos:3"),
+        "gumbel-ev:2.5": make_copula("gumbel-ev:2.5"),
+        "checkerboard(clayton:2, 8)": checkerboard_copula(
+            checkerboard_approx(make_copula("clayton:2"), 8)),
+    }
+    exact_errs = {k: float(np.max(np.abs(np.array(pi_measures(grids[k], Q)) - exact[k])))
+                  for k in exact}
+    exact_ok = max(exact_errs.values()) <= 1.0 / Q.m
+
+    ok = identity_ok and roundtrip_ok and fidelity_ok and exact_ok
+    assert report(9, "oracle equivalences (r identity, round trips, sampler, exact measures)",
+                  ok,
                   f"max identity residual={max(residuals.values()):.2e}, "
                   f"phi errs=({err_pi:.2e},{err_gum:.2e}), "
-                  f"fidelity=({fid_c:.4f},{fid_g:.4f})")
+                  f"fidelity=({fid_c:.4f},{fid_g:.4f}), "
+                  f"exact vs grid: " + ", ".join(f"{k} {v:.1e}" for k, v in exact_errs.items()))
 
 
 def test_acceptance_10_invariant_suites(tmp_path):

@@ -164,6 +164,17 @@ def test_estimate_plugin_modes(tmp_path):
     assert "pickands_table" in rep
 
 
+def test_estimate_plugin_ev_comonotone_is_exactly_m(tmp_path):
+    # the CFG fit of a comonotone sample is A = max(t, 1 - t), whose exact
+    # measures are 1; the m = 256 grid read r = 1.0117
+    s = tmp_path / "m.csv"
+    assert run(["sample", "--copula", "m", "--n", "1000", "--out", str(s)]) == 0
+    out = tmp_path / "e.json"
+    assert run(["estimate", str(s), "--mode", "plugin-ev", "--out", str(out)]) == 0
+    rep = read_json(out)
+    assert abs(rep["r"] - 1.0) <= 1e-12 and abs(rep["zeta1"] - 1.0) <= 1e-12
+
+
 @pytest.mark.parametrize("mode,step", [
     ("plugin-arch", "dominance_counts"),
     ("plugin-ev", "make_piecewise_linear_pickands"),

@@ -9,6 +9,7 @@ from copkern.core import (
     MarshallOlkinParams,
     checkerboard_approx,
     checkerboard_copula,
+    checkerboard_measures,
     lattice,
     make_m,
     make_marshall_olkin,
@@ -116,6 +117,41 @@ def test_checkerboard_copula_diagonal_kernel():
     cb = checkerboard_copula(checkerboard_approx(make_m(), 4))
     y = np.linspace(0.0, 0.25, 11)
     assert np.allclose(cb.kernel_cdf(0.1, y), np.minimum(4 * y, 1.0))
+
+
+@pytest.mark.parametrize("N", [2, 3, 8])
+@pytest.mark.parametrize("bound", [make_m, make_w])
+def test_checkerboard_measures_of_the_bounds(bound, N):
+    # the N-board of M or W: a cell of mass 1/N per column, the kernel ramping
+    # from 0 to 1 across it, so r = 1 - 1/N and zeta1 = 1 - 1/(2N) by hand
+    d, z, r = checkerboard_measures(checkerboard_approx(bound(), N))
+    assert abs(r - (1.0 - 1.0 / N)) <= 1e-12
+    assert abs(z - (1.0 - 0.5 / N)) <= 1e-12 and d == z / 3.0
+
+
+def test_checkerboard_measures_of_the_uniform_board():
+    assert checkerboard_measures(CheckerboardMatrix(np.full((4, 4), 1.0 / 16))) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("spec, N", [("clayton:2", 8), ("galambos:3", 16)])
+def test_checkerboard_measures_against_the_grid(spec, N):
+    from copkern.metrics import QuadratureSpec, pi_measures
+
+    cb = checkerboard_approx(make_copula(spec), N)
+    exact = np.array(checkerboard_measures(cb))
+    err = {m: np.abs(np.array(pi_measures(checkerboard_copula(cb), QuadratureSpec(m=m)))
+                     - exact) for m in (256, 1024)}
+    # for m a multiple of N the kernel is constant in x and linear in y on each
+    # grid cell: the midpoint rule errs by exactly C/m^2 on K^2 (a quadratic),
+    # and at second order or first (the kink of |K - y|) on D1; 1e-9 is the
+    # rounding a checkerboard's masses may carry
+    assert err[1024][2] <= err[256][2] / 16 + 1e-9
+    assert np.all(err[1024][:2] <= err[256][:2] / 4 + 1e-9)
+
+
+def test_checkerboard_measures_check_the_masses():
+    with pytest.raises(ValueError, match="not doubly stochastic"):
+        checkerboard_measures(CheckerboardMatrix(np.full((2, 2), 0.3)))
 
 
 def test_checkerboard_disintegration():

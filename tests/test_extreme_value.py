@@ -5,8 +5,10 @@ import pytest
 
 from copkern.archimedean import archimedean_copula, make_gumbel
 from copkern.core import transpose
+from copkern.estimation import cfg_estimator, convexify_pickands, pseudo_obs
 from copkern.extreme_value import (
     ev_copula,
+    ev_measures,
     make_galambos,
     make_gumbel_pickands,
     make_piecewise_linear_pickands,
@@ -14,6 +16,9 @@ from copkern.extreme_value import (
     paper_pwl_knots,
     transpose_pickands,
 )
+from copkern.metrics import QuadratureSpec, pi_measures
+from copkern.registry import make_copula
+from copkern.sampling import RngSpec, sample
 
 
 def check_pickands_invariants(p, grid=401, tol=1e-9):
@@ -200,3 +205,75 @@ def test_power_mean_pickands_edges(p):
     # D+A is -1 left of the interval and +1 right of it, Pi (gumbel-ev:1) included
     assert np.all(p.a(np.array([0.0, 1.0])) == 1.0)
     assert p.dplus_a(np.array([-0.5, 0.0, 1.0, 1.5])).tolist() == [-1.0, -1.0, 1.0, 1.0]
+
+
+def test_power_mean_pickands_have_no_breakpoints():
+    assert make_galambos(3.0).breakpoints == ()
+    assert make_gumbel_pickands(2.5).breakpoints == ()
+
+
+def test_pwl_breakpoints_are_its_knots_and_mirror_under_transpose():
+    p = make_piecewise_linear_pickands(paper_pwl_knots())
+    assert p.breakpoints == (0.0, 0.25, 0.7, 1.0)
+    assert transpose_pickands(p).breakpoints == tuple(sorted(1.0 - x for x in p.breakpoints))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_gauss_legendre_is_exact_up_to_degree_2n_minus_1(n):
+    from copkern.extreme_value import _gauss_legendre
+
+    x, w = _gauss_legendre(n)
+    for k in range(2 * n):
+        assert abs(np.dot(w, x ** k) - (1 - (-1) ** (k + 1)) / (k + 1)) <= 1e-14
+
+
+def test_ev_measures_of_the_paper_pwl():
+    d, z, r = ev_measures(make_piecewise_linear_pickands(paper_pwl_knots()))
+    assert abs(r - 0.4) <= 1e-12
+    # the reference value is given to 7 decimals
+    assert abs(z - 0.5578485) <= 5e-8
+    assert d == z / 3.0
+
+
+@pytest.mark.parametrize("knots, want", [
+    ([(0.0, 1.0), (1.0, 1.0)], 0.0),                  # A = 1: independence
+    ([(0.0, 1.0), (0.5, 0.5), (1.0, 1.0)], 1.0),      # A = max(t, 1-t): M
+], ids=["pi", "m"])
+def test_ev_measures_of_the_bounds(knots, want):
+    _, z, r = ev_measures(make_piecewise_linear_pickands(knots))
+    assert abs(z - want) <= 1e-12 and abs(r - want) <= 1e-12
+
+
+def _grid_errors(c, exact):
+    """|pi_measures(c, m) - exact| in (zeta1, r) at m = 256 and m = 1024."""
+    return {m: np.abs(np.array(pi_measures(c, QuadratureSpec(m=m))[1:]) - exact[1:])
+            for m in (256, 1024)}
+
+
+@pytest.mark.parametrize("theta", [1.5, 3.0, 10.0])
+def test_ev_measures_match_the_archimedean_gumbel_grid(theta):
+    # gumbel:theta and gumbel-ev:theta are one copula; the midpoint grid of the
+    # Archimedean form converges to the exact EV values at first order or better
+    err = _grid_errors(make_copula(f"gumbel:{theta:g}"),
+                       np.array(ev_measures(make_gumbel_pickands(theta))))
+    for m in (256, 1024):
+        assert np.all(err[m] <= 1.0 / m)
+    assert np.all(err[1024] < err[256])
+
+
+@pytest.mark.parametrize("n", [50, 100, 2000])
+def test_ev_measures_of_plugin_fits_against_the_grid(n):
+    s = sample(make_copula("galambos:3"), n, RngSpec(seed=3))
+    fit = convexify_pickands(cfg_estimator(pseudo_obs(s)))
+    err = _grid_errors(ev_copula(fit), np.array(ev_measures(fit)))
+    for m in (256, 1024):
+        assert np.all(err[m] <= 1.0 / m)
+    # the grid's r error is first order in 1/m; its zeta1 error is O(1/m) with a
+    # sign that changes with m, so only its size is bounded
+    assert err[1024][1] < err[256][1]
+
+
+def test_ev_measures_name_a_damaged_pickands_function():
+    # galambos:100's D+A overflows to NaN near the endpoints
+    with pytest.raises(ValueError, match="'galambos:100'.*not finite"):
+        ev_measures(make_galambos(100.0))

@@ -14,6 +14,7 @@ from copkern.estimation import (
     pseudo_obs,
     reconstruct_generator,
 )
+from copkern.extreme_value import ev_measures
 from copkern.sampling import SampleSet
 
 
@@ -56,6 +57,24 @@ def test_convexify_always_yields_valid_pickands(vals, seed):
     assert np.all(a >= np.maximum(g, 1.0 - g) - 1e-12)
     slopes = np.diff(a) / np.diff(g)
     assert np.min(np.diff(slopes)) >= -1e-8
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                          st.floats(0.0, 1.0)), min_size=0, max_size=12))
+def test_ev_measures_of_random_convex_pwl_lie_in_unit_interval(points):
+    # knots anywhere between the Pickands bounds, the lower ones included; their
+    # lower convex hull is a valid piecewise-linear Pickands function
+    t = np.array([0.0, *(x for x, _ in points), 1.0])
+    lo = np.maximum(t, 1.0 - t)
+    a = np.array([1.0, *(lam for _, lam in points), 1.0])
+    order = np.argsort(t, kind="stable")
+    t, a = t[order], (lo + a * (1.0 - lo))[order]
+    keep = np.r_[True, np.diff(t) > 0]
+    p = convexify_pickands({"t": t[keep], "a": a[keep]})
+    _, z, r = ev_measures(p)
+    assert -1e-12 <= z <= 1.0 + 1e-12
+    assert -1e-12 <= r <= 1.0 + 1e-12
 
 
 @st.composite
