@@ -14,7 +14,6 @@ from .archimedean import (
 from .core import (
     CheckerboardMatrix,
     CopulaModel,
-    MarshallOlkinParams,
     checkerboard_approx,
     checkerboard_copula,
     checkerboard_measures,
@@ -35,6 +34,7 @@ from .estimation import (
     plugin_zeta1_r,
     pseudo_obs,
     reconstruct_generator,
+    sample_fidelity,
 )
 from .extreme_value import (
     PickandsFunction,
@@ -62,7 +62,7 @@ from .metrics import (
     zeta1,
 )
 from .registry import make_copula, read_knots_csv, registered_examples
-from .sampling import RngSpec, SampleSet, conditional_inverse, sample, sample_fidelity, sample_many
+from .sampling import RngSpec, SampleSet, conditional_inverse, sample, sample_many
 from .study import StudyConfig, StudyResult, replication_seed, run_study, summarize
 
 __version__ = "0.1.0"

@@ -12,12 +12,13 @@ import sys
 
 import numpy as np
 
+from ._accel import levy_distance
 from .archimedean import kendall_function
-from .core import cdf_lattice, checkerboard_approx, checkerboard_copula
+from .core import cdf_lattice, checkerboard_approx, checkerboard_copula, sup_distance
 from .estimation import chatterjee_r, plugin_zeta1_r, pseudo_obs
 from .fixtures import strip_copula
-from .metrics import QuadratureSpec, checked_kernel_grid, d1_grids, d_inf, levy_grids
-from .metrics import pi_measures, sup_distance, wcc_grid
+from .metrics import WCC_STATS, QuadratureSpec, checked_kernel_grid, d1_grids, d_inf
+from .metrics import pi_measures, wcc_grid
 from .registry import (
     COPULA_OF_KIND,
     FAMILIES,
@@ -219,7 +220,7 @@ def cmd_converge(args):
         _against_limit(lambda c: cdf_lattice(c, q.m), sup_distance, limit, models),
         *(_against_limit(table, sup_distance, part_lim, parts) for table in sups.values()),
         _against_limit(lambda c: checked_kernel_grid(c, q), d1_grids, limit, models),
-        _against_limit(wcc_grid, lambda a, b: np.max(levy_grids(a, b)), limit, models),
+        _against_limit(wcc_grid, lambda a, b: np.max(levy_distance(a, b)), limit, models),
     ]
     header = ["k", "theta", "d_inf", *sups, "d1", "wcc_max"]
     _check_finite("converge rows", args, zip(header[2:], columns))
@@ -239,10 +240,9 @@ def cmd_approximate(args):
         target = reference = make_copula(args.copula, knots=_load_knots(args))
     resolutions = _int_list(args.resolutions, "resolution")
     boards = (checkerboard_copula(checkerboard_approx(target, N)) for N in resolutions)
-    dists = _against_limit(wcc_grid, levy_grids, reference, boards)
-    stats = {"wcc_max": np.max, "wcc_mean": np.mean, "wcc_q95": lambda d: np.quantile(d, 0.95)}
-    columns = [resolutions, *([f(d) for d in dists] for f in stats.values())]
-    _emit_csv(["resolution", *stats], columns, args.out)
+    dists = _against_limit(wcc_grid, levy_distance, reference, boards)
+    columns = [resolutions, *([f(d) for d in dists] for f in WCC_STATS.values())]
+    _emit_csv(["resolution", *(f"wcc_{name}" for name in WCC_STATS)], columns, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

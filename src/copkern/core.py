@@ -37,19 +37,18 @@ class CopulaModel:
         return self.conditional(x)(y)
 
 
-@dataclass(frozen=True)
-class MarshallOlkinParams:
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
-            raise ValueError("Marshall-Olkin parameters must lie in [0,1]")
+# rounding allowed in a checkerboard's masses and margins
+_MASS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class CheckerboardMatrix:
-    """Cell masses of an N-checkerboard; N is the side of the square `mass`."""
+    """Cell masses of an N-checkerboard; N is the side of the square `mass`.
+
+    Construction raises ValueError unless the masses are those of a copula:
+    non-negative and doubly stochastic, each row and column summing to 1/N,
+    up to _MASS_TOL.  A NaN or infinite mass is rejected too.
+    """
 
     mass: np.ndarray
 
@@ -58,6 +57,12 @@ class CheckerboardMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
             raise ValueError(f"checkerboard mass matrix must be square and non-empty, "
                              f"got shape {m.shape}")
+        if np.any(m < -_MASS_TOL):
+            raise ValueError("checkerboard mass matrix has negative entries")
+        N = len(m)
+        if not (np.max(np.abs(m.sum(axis=0) - 1.0 / N)) <= _MASS_TOL
+                and np.max(np.abs(m.sum(axis=1) - 1.0 / N)) <= _MASS_TOL):
+            raise ValueError("checkerboard mass matrix is not doubly stochastic")
         object.__setattr__(self, "mass", m)
 
 
@@ -113,9 +118,11 @@ def make_w() -> CopulaModel:
     )
 
 
-def make_marshall_olkin(p: MarshallOlkinParams) -> CopulaModel:
+def make_marshall_olkin(alpha: float, beta: float) -> CopulaModel:
     """Marshall-Olkin copula M_{alpha,beta} with its two-branch Markov kernel."""
-    a, b = p.alpha, p.beta
+    if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
+        raise ValueError("Marshall-Olkin parameters must lie in [0,1]")
+    a, b = alpha, beta
 
     def cdf(x, y):
         x, y = _unit(x), _unit(y)
@@ -142,7 +149,7 @@ def make_marshall_olkin(p: MarshallOlkinParams) -> CopulaModel:
         cdf=cdf,
         conditional=conditional,
         label=f"marshall-olkin:{a}:{b}",
-        transpose_factory=lambda c: make_marshall_olkin(MarshallOlkinParams(b, a)),
+        transpose_factory=lambda c: make_marshall_olkin(b, a),
     )
 
 
@@ -172,6 +179,11 @@ def _piecewise_linear(xs: np.ndarray, vs: np.ndarray):
         return slopes[np.clip(idx, 0, len(slopes) - 1)]
 
     return value, right_slope
+
+
+def sup_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| of two grids or tables of the same shape."""
+    return float(np.max(np.abs(a - b)))
 
 
 def transpose(c: CopulaModel) -> CopulaModel:
@@ -215,24 +227,6 @@ def checkerboard_approx(c: CopulaModel, N: int) -> CheckerboardMatrix:
     return CheckerboardMatrix(mass)
 
 
-# rounding allowed in a checkerboard's masses and margins
-_MASS_TOL = 1e-9
-
-
-def _checked_mass(m: CheckerboardMatrix) -> np.ndarray:
-    """The masses of `m`, or ValueError unless they are those of a copula."""
-    mass = m.mass
-    N = len(mass)
-    if np.any(mass < -_MASS_TOL):
-        raise ValueError("checkerboard mass matrix has negative entries")
-    if (
-        np.max(np.abs(mass.sum(axis=0) - 1.0 / N)) > _MASS_TOL
-        or np.max(np.abs(mass.sum(axis=1) - 1.0 / N)) > _MASS_TOL
-    ):
-        raise ValueError("checkerboard mass matrix is not doubly stochastic")
-    return mass
-
-
 def checkerboard_measures(m: CheckerboardMatrix):
     """Exact (D1(C, Pi), zeta1(C), r(C)) of `checkerboard_copula(m)`, in O(N^2).
 
@@ -242,7 +236,7 @@ def checkerboard_measures(m: CheckerboardMatrix):
     and D1(C, Pi) = (1/N^2) sum int_0^1 |a_ij + b_ij f| df, with
     a_ij = N c_ij - j / N and b_ij = N m_ij - 1 / N.
     """
-    mass = _checked_mass(m)
+    mass = m.mass
     N = len(mass)
     c = np.cumsum(mass, axis=1) - mass
     r = 6.0 * float(np.sum(c ** 2 + c * mass + mass ** 2 / 3.0)) - 2.0
@@ -263,7 +257,7 @@ def checkerboard_copula(m: CheckerboardMatrix) -> CopulaModel:
     The CDF is the exact piecewise-bilinear accumulation of the cell masses;
     the kernel is constant in x on each cell and piecewise linear in y.
     """
-    mass = _checked_mass(m)
+    mass = m.mass
     N = len(mass)
     P = np.zeros((N + 1, N + 1))
     P[1:, 1:] = np.cumsum(np.cumsum(mass, axis=0), axis=1)

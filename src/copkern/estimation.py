@@ -8,11 +8,11 @@ import numpy as np
 
 from ._accel import dominance_counts
 from .archimedean import Generator, archimedean_copula
-from .core import _piecewise_linear
+from .core import CopulaModel, _piecewise_linear, lattice, sup_distance
 from .extreme_value import PickandsFunction, ev_measures, make_piecewise_linear_pickands
 # zeta1 is not used here; the binding remains for callers that trace it
 from .metrics import QuadratureSpec, pi_measures, zeta1  # noqa: F401
-from .sampling import SampleSet
+from .sampling import RngSpec, SampleSet, sample
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -102,6 +102,14 @@ def empirical_copula_lattice(p: PseudoObservations, edges) -> np.ndarray:
     b = np.searchsorted(edges, p.v, side="left")
     bins = np.bincount(a * k + b, minlength=k * k).reshape(k, k)[:-1, :-1]
     return bins.cumsum(axis=0).cumsum(axis=1) / p.n
+
+
+def sample_fidelity(c: CopulaModel, n: int, rng: RngSpec, grid: int = 50) -> float:
+    """Sup distance on the (grid+1)^2 lattice between `c` and the sample's
+    empirical copula (1/n) #{i : u_i <= x, v_i <= y}."""
+    p = pseudo_obs(sample(c, n, rng))
+    edges = np.linspace(0.0, 1.0, grid + 1)
+    return sup_distance(empirical_copula_lattice(p, edges), lattice(c.cdf, edges, edges))
 
 
 def chatterjee_r(s: SampleSet, rng: np.random.Generator = None) -> float:

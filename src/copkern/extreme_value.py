@@ -5,8 +5,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .core import CopulaModel, _piecewise_linear, _unit
-from .metrics import sup_distance
+from .core import CopulaModel, _piecewise_linear, _unit, sup_distance
 
 _EPS = 1e-15
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from ._accel import levy_distance
-from .core import CopulaModel, cdf_lattice, lattice, make_pi, transpose
+from .core import CopulaModel, cdf_lattice, lattice, make_pi, sup_distance, transpose
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # checked_kernel_grid rejects a kernel grid whose column defect exceeds this / m
@@ -55,11 +55,6 @@ def kernel_grid(c: CopulaModel, q: QuadratureSpec) -> np.ndarray:
     """
     x = midpoints(q.m)
     return lattice(c.kernel_cdf, x, x)
-
-
-def sup_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b| of two grids or tables of the same shape."""
-    return float(np.max(np.abs(a - b)))
 
 
 def d_inf(c1: CopulaModel, c2: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
@@ -153,9 +148,8 @@ def wcc_grid(c: CopulaModel, xs: Sequence[float] = None, y_grid: int = 512) -> n
     return lattice(c.kernel_cdf, xs, np.linspace(0.0, 1.0, y_grid + 1))
 
 
-def levy_grids(K1: np.ndarray, K2: np.ndarray) -> np.ndarray:
-    """Levy distance between matching rows of two `wcc_grid` arrays."""
-    return levy_distance(K1, K2)
+# the summary statistics of a profile's per-x Levy distances
+WCC_STATS = {"max": np.max, "mean": np.mean, "q95": lambda d: np.quantile(d, 0.95)}
 
 
 def wcc_profile(c1: CopulaModel, c2: CopulaModel, xs: Sequence[float] = None,
@@ -163,9 +157,8 @@ def wcc_profile(c1: CopulaModel, c2: CopulaModel, xs: Sequence[float] = None,
     """Per-x Levy distances between the conditional CDFs of two copulas."""
     xs = golden_xs() if xs is None else np.asarray(xs, dtype=float)
     K1, K2 = wcc_grid(c1, xs, y_grid), wcc_grid(c2, xs, y_grid)
-    dist = levy_grids(K1, K2)
-    summary = {"max": float(np.max(dist)), "mean": float(np.mean(dist)),
-               "q95": float(np.quantile(dist, 0.95))}
+    dist = levy_distance(K1, K2)
+    summary = {name: float(stat(dist)) for name, stat in WCC_STATS.items()}
     return WccProfile(xs=xs, dist=dist, summary=summary)
 
 

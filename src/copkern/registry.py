@@ -8,7 +8,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .archimedean import archimedean_copula, make_clayton, make_frank, make_gumbel
-from .core import CopulaModel, MarshallOlkinParams, make_m, make_marshall_olkin, make_pi, make_w
+from .core import CopulaModel, make_m, make_marshall_olkin, make_pi, make_w
 from .extreme_value import (
     ev_copula,
     make_galambos,
@@ -19,35 +19,25 @@ from .extreme_value import (
 
 class Family(NamedTuple):
     arity: int
-    # (params, knots) -> the family's component: a CopulaModel for kind
-    # "closed-form", a Generator for "archimedean", a PickandsFunction for
-    # "extreme-value"
-    build: Callable
+    # factory(*params), or factory(knots) for a family that takes knots: the
+    # family's component, a CopulaModel for kind "closed-form", a Generator
+    # for "archimedean", a PickandsFunction for "extreme-value"
+    factory: Callable
     kind: str
     takes_knots: bool = False
 
 
-def _of_params(factory: Callable) -> Callable:
-    return lambda params, knots: factory(*params)
-
-
 FAMILIES = {
-    "pi": Family(0, _of_params(make_pi), "closed-form"),
-    "m": Family(0, _of_params(make_m), "closed-form"),
-    "w": Family(0, _of_params(make_w), "closed-form"),
-    "clayton": Family(1, _of_params(make_clayton), "archimedean"),
-    "gumbel": Family(1, _of_params(make_gumbel), "archimedean"),
-    "frank": Family(1, _of_params(make_frank), "archimedean"),
-    "galambos": Family(1, _of_params(make_galambos), "extreme-value"),
-    "gumbel-ev": Family(1, _of_params(make_gumbel_pickands), "extreme-value"),
-    "marshall-olkin": Family(
-        2, lambda params, knots: make_marshall_olkin(MarshallOlkinParams(*params)),
-        "closed-form",
-    ),
-    "pickands-pwl": Family(
-        0, lambda params, knots: make_piecewise_linear_pickands(knots), "extreme-value",
-        takes_knots=True,
-    ),
+    "pi": Family(0, make_pi, "closed-form"),
+    "m": Family(0, make_m, "closed-form"),
+    "w": Family(0, make_w, "closed-form"),
+    "clayton": Family(1, make_clayton, "archimedean"),
+    "gumbel": Family(1, make_gumbel, "archimedean"),
+    "frank": Family(1, make_frank, "archimedean"),
+    "galambos": Family(1, make_galambos, "extreme-value"),
+    "gumbel-ev": Family(1, make_gumbel_pickands, "extreme-value"),
+    "marshall-olkin": Family(2, make_marshall_olkin, "closed-form"),
+    "pickands-pwl": Family(0, make_piecewise_linear_pickands, "extreme-value", takes_knots=True),
 }
 
 # kind -> copula of a built component.  The lambdas look the model factories
@@ -123,7 +113,7 @@ def build_component(name: str, params: Sequence[float], knots=None):
     if (knots is not None) != family.takes_knots:
         need = "requires a" if family.takes_knots else "takes no"
         raise ValueError(f"{name} {need} knots table (--knots CSV)")
-    return family.build(params, knots)
+    return family.factory(knots) if family.takes_knots else family.factory(*params)
 
 
 def make_copula(spec: str, knots: Optional[Sequence[Tuple[float, float]]] = None) -> CopulaModel:

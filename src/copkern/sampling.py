@@ -5,8 +5,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .core import CopulaModel, _bisect, lattice
-from .metrics import sup_distance
+from .core import CopulaModel, _bisect
 
 # most points one conditional_inverse call of `sample_many` inverts: a
 # batch amortizes the bisection's per-step numpy overhead over its draws,
@@ -81,12 +80,3 @@ def sample(c: CopulaModel, n: int, rng: RngSpec) -> SampleSet:
     """Draw n pairs with uniform margins from the copula `c`."""
     return sample_many(c, n, [rng])[0]
 
-
-def sample_fidelity(c: CopulaModel, n: int, rng: RngSpec, grid: int = 50) -> float:
-    """Sup distance on the (grid+1)^2 lattice between `c` and the sample's
-    empirical copula (1/n) #{i : u_i <= x, v_i <= y}."""
-    from .estimation import empirical_copula_lattice, pseudo_obs
-
-    p = pseudo_obs(sample(c, n, rng))
-    edges = np.linspace(0.0, 1.0, grid + 1)
-    return sup_distance(empirical_copula_lattice(p, edges), lattice(c.cdf, edges, edges))

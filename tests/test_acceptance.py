@@ -16,7 +16,7 @@ from copkern.core import (
     make_pi,
     transpose,
 )
-from copkern.estimation import plugin_zeta1_r, pseudo_obs, reconstruct_generator
+from copkern.estimation import plugin_zeta1_r, pseudo_obs, reconstruct_generator, sample_fidelity
 from copkern.extreme_value import ev_copula, ev_measures, make_galambos, make_gumbel_pickands
 from copkern.fixtures import shift_copula, strip_copula, strip_index
 from copkern.metrics import (
@@ -32,7 +32,7 @@ from copkern.metrics import (
     zeta1,
 )
 from copkern.registry import make_copula, registered_examples
-from copkern.sampling import RngSpec, sample, sample_fidelity
+from copkern.sampling import RngSpec, sample
 from copkern.study import StudyConfig, run_study
 
 Q = QuadratureSpec(m=512)

@@ -354,6 +354,18 @@ def test_converge_rejects_k_below_one(ks, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_converge_non_finite_column_exit_2(tmp_path, capsys):
+    # clayton:200's D+phi overflows on the table grid, so dphi_sup is not finite
+    out = tmp_path / "c.csv"
+    with np.errstate(all="ignore"):
+        assert run(["converge", "--copula", "clayton:200", "--ks", "1,2", "--m", "16",
+                    "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "the converge rows of 'clayton:200' are not finite at m = 16" in err
+    assert "dphi_sup" in err
+    assert not out.exists()
+
+
 def test_approximate_identity_row(tmp_path):
     out = tmp_path / "a.csv"
     assert run(["approximate", "--copula", "clayton:2", "--resolutions", "8,64",

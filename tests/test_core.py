@@ -1,12 +1,14 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import copkern
 from copkern.archimedean import archimedean_copula
 from copkern.core import (
     CheckerboardMatrix,
-    MarshallOlkinParams,
     checkerboard_approx,
     checkerboard_copula,
     checkerboard_measures,
@@ -59,25 +61,25 @@ def test_m_w_values():
 
 
 def test_marshall_olkin_reduces_to_pi():
-    mo = make_marshall_olkin(MarshallOlkinParams(0.0, 0.0))
+    mo = make_marshall_olkin(0.0, 0.0)
     g = np.linspace(0, 1, 21)
     assert np.allclose(mo.cdf(g[:, None], g[None, :]), g[:, None] * g[None, :])
 
 
 def test_marshall_olkin_reduces_to_m():
-    mo = make_marshall_olkin(MarshallOlkinParams(1.0, 1.0))
+    mo = make_marshall_olkin(1.0, 1.0)
     assert mo.cdf(0.4, 0.7) == pytest.approx(0.4)
 
 
 def test_marshall_olkin_kernel_boundary():
     # alpha = beta = 1/2 at the boundary case y^beta = x^alpha: upper branch
-    mo = make_marshall_olkin(MarshallOlkinParams(0.5, 0.5))
+    mo = make_marshall_olkin(0.5, 0.5)
     assert mo.kernel_cdf(0.25, 0.5) == pytest.approx(0.5 ** 0.5, abs=1e-12)
 
 
 def test_transpose_marshall_olkin_swaps_params():
-    mo = make_marshall_olkin(MarshallOlkinParams(0.3, 0.8))
-    swapped = make_marshall_olkin(MarshallOlkinParams(0.8, 0.3))
+    mo = make_marshall_olkin(0.3, 0.8)
+    swapped = make_marshall_olkin(0.8, 0.3)
     t = transpose(mo)
     g = np.linspace(0, 1, 51)
     assert np.max(np.abs(t.cdf(g[:, None], g[None, :])
@@ -285,11 +287,14 @@ def test_kernel_monotone_and_reaches_one(build, transposed):
 
 
 @pytest.mark.parametrize("build,msg", [
-    (lambda: MarshallOlkinParams(-0.1, 0.5), r"must lie in \[0,1\]"),
-    (lambda: MarshallOlkinParams(0.5, 1.5), r"must lie in \[0,1\]"),
+    (lambda: make_marshall_olkin(-0.1, 0.5), r"must lie in \[0,1\]"),
+    (lambda: make_marshall_olkin(0.5, 1.5), r"must lie in \[0,1\]"),
     (lambda: checkerboard_copula(CheckerboardMatrix(np.array([[-0.1, 0.6], [0.6, -0.1]]))),
      "negative entries"),
-], ids=["mo-alpha-below-0", "mo-beta-above-1", "checkerboard-negative-mass"])
+    # a NaN mass passed every check, and the board's measures and CDF read NaN
+    (lambda: CheckerboardMatrix(np.full((2, 2), np.nan)), "not doubly stochastic"),
+], ids=["mo-alpha-below-0", "mo-beta-above-1", "checkerboard-negative-mass",
+        "checkerboard-nan-mass"])
 def test_core_parameter_checks(build, msg):
     with pytest.raises(ValueError, match=msg):
         build()
@@ -382,3 +387,15 @@ def test_lattice_blocks_rows_by_the_point_budget():
     calls.clear()
     lattice(f, x[:3], np.linspace(0, 1, 40_000))   # a row over budget is one block
     assert calls == [1, 1, 1]
+
+
+def test_no_import_inside_a_function():
+    # the module graph is the import lines at the top of each module; a
+    # function-level import hid sampling's dependence on estimation, a cycle
+    found = []
+    for path in sorted(Path(copkern.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []

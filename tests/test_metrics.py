@@ -31,7 +31,6 @@ from copkern.metrics import (
     disintegration_defect,
     golden_xs,
     kernel_grid,
-    levy_grids,
     midpoints,
     partial_distance,
     pi_measures,
@@ -256,7 +255,6 @@ def test_levy_distance_of_checkerboard_wcc_grids_matches_a_linear_scan(spec, N):
     got = levy_distance(K1, K2)
     want = np.array([_levy_scan(a, b) for a, b in zip(K1, K2)])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert np.array_equal(levy_grids(K1, K2).view(np.int64), want.view(np.int64))
 
 
 def test_levy_distance_rejects_a_one_point_table():

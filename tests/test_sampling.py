@@ -3,9 +3,9 @@ import pytest
 
 from copkern.archimedean import Generator, archimedean_copula, make_clayton, make_w_generator
 from copkern.core import make_m, make_pi, make_w
-from copkern.estimation import empirical_kendall, pseudo_obs, reconstruct_generator
+from copkern.estimation import empirical_kendall, pseudo_obs, reconstruct_generator, sample_fidelity
 from copkern.registry import make_copula
-from copkern.sampling import RngSpec, conditional_inverse, sample, sample_fidelity, sample_many
+from copkern.sampling import RngSpec, conditional_inverse, sample, sample_many
 
 
 def test_determinism_bit_identical():
