@@ -171,10 +171,12 @@ def reconstruct_generator(k) -> Generator:
     which gives phi(1) = 0.  The generator is strict exactly when the first
     segment's integral diverges, i.e. when K(0) = 0; the table then starts at
     the first positive knot t1 and, with K the chord through the origin on
-    [0, t1], phi(x) = phi(t1) (t1 / x)**alpha below it.
+    [0, t1], phi(x) = phi(t1) (t1 / x)**alpha below it.  log phi(1/2) is
+    integrated within its segment: a knot at 1/2 inside a linear piece of phi
+    would split its slope in two by rounding, and the kernel would drop in y.
     """
     if isinstance(k, EmpiricalKendall):
-        ts = np.union1d(k.w_values, [0.0, 0.5, 1.0])
+        ts = np.union1d(k.w_values, [0.0, 1.0])
         k_lo = k_hi = k.eval(ts[:-1])
     else:
         ts = _KENDALL_GRID
@@ -190,8 +192,11 @@ def reconstruct_generator(k) -> Generator:
         alpha = -ts[1] / g_hi[0]
         ts, steps = ts[1:], steps[1:]
     log_phi = np.concatenate(([0.0], np.cumsum(steps)))
+    j = np.searchsorted(ts, 0.5, side="right") - 1
+    # log phi(1/2) - log phi(t_j) on the segment of the last knot t_j <= 1/2
+    half = (0.5 - ts[j]) / _log_mean(ts[j] - k.eval(ts[j]), 0.5 - k.eval(0.5))
     with np.errstate(over="ignore"):
-        phis = np.exp(log_phi - log_phi[np.searchsorted(ts, 0.5)])    # 1/2 is a knot
+        phis = np.exp(log_phi - log_phi[j] - half)
     if not (np.isfinite(phis[0]) and np.all(phis[:-1] > 0)):
         raise ValueError("the generator's range exceeds floating point "
                          "(a Kendall estimate too close to comonotone)")

@@ -19,7 +19,7 @@ from copkern.estimation import (
     reconstruct_generator,
 )
 from copkern.extreme_value import ev_copula, ev_measures, make_galambos
-from copkern.metrics import QuadratureSpec, disintegration_defect, r_measure, zeta1
+from copkern.metrics import QuadratureSpec, disintegration_defect, kernel_grid, r_measure, zeta1
 from copkern.registry import make_copula
 from copkern.sampling import RngSpec, SampleSet, sample
 
@@ -237,6 +237,16 @@ def test_plugin_models_satisfy_disintegration(spec, n):
             if defect > 1e-3:
                 bad.append(f"{which} seed={seed}: {defect:.2e}")
     assert not bad, bad
+
+
+@pytest.mark.parametrize("spec,n,seed", [("clayton:2", 2000, 1), ("clayton:2", 50, 2),
+                                         ("gumbel:3", 500, 3), ("frank:5", 1000, 4)])
+def test_plugin_arch_kernel_is_monotone_in_y(spec, n, seed):
+    # a knot at 1/2 inside a linear piece of phi made K drop by 2.5e-13 where
+    # C crossed 1/2 (clayton:2, n = 2000)
+    p = pseudo_obs(sample(make_copula(spec), n, RngSpec(seed=seed)))
+    model = archimedean_copula(reconstruct_generator(empirical_kendall(p)))
+    assert np.min(np.diff(kernel_grid(model, QuadratureSpec(m=512)), axis=1)) >= 0.0
 
 
 def test_cfg_endpoints_exact_one():

@@ -154,7 +154,8 @@ def test_reconstructed_generator_is_exact_on_the_step_estimate(xy):
     assert np.max(np.abs(kendall_function(g).eval(mids) - k.eval(mids))) <= 1e-9
     t = np.union1d(np.r_[0.0, 0.5, atoms], mids)
     phi = g.phi(t)
-    assert g.phi(0.5) == 1.0 and g.phi(1.0) == 0.0
+    # 1/2 lies inside a linear piece of phi, so phi(1/2) = 1 holds to rounding
+    assert abs(g.phi(0.5) - 1.0) <= 1e-12 and g.phi(1.0) == 0.0
     assert np.isfinite(g.phi(0.0)) and not g.strict
     assert np.all(np.diff(phi) < 0)
     slopes = np.diff(phi) / np.diff(t)
