@@ -291,7 +291,7 @@ def test_kernel_monotone_and_reaches_one(build, transposed):
     (lambda: make_marshall_olkin(0.5, 1.5), r"must lie in \[0,1\]"),
     (lambda: checkerboard_copula(CheckerboardMatrix(np.array([[-0.1, 0.6], [0.6, -0.1]]))),
      "negative entries"),
-    # a NaN mass passed every check, and the board's measures and CDF read NaN
+    # a NaN mass would make the board's measures and CDF read NaN
     (lambda: CheckerboardMatrix(np.full((2, 2), np.nan)), "not doubly stochastic"),
 ], ids=["mo-alpha-below-0", "mo-beta-above-1", "checkerboard-negative-mass",
         "checkerboard-nan-mass"])
@@ -390,8 +390,8 @@ def test_lattice_blocks_rows_by_the_point_budget():
 
 
 def test_no_import_inside_a_function():
-    # the module graph is the import lines at the top of each module; a
-    # function-level import hid sampling's dependence on estimation, a cycle
+    # the module graph is the import lines at the top of each module; an
+    # import inside a function hides an edge of it, and can hide a cycle
     found = []
     for path in sorted(Path(copkern.__file__).parent.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text())):

@@ -242,8 +242,8 @@ def test_plugin_models_satisfy_disintegration(spec, n):
 @pytest.mark.parametrize("spec,n,seed", [("clayton:2", 2000, 1), ("clayton:2", 50, 2),
                                          ("gumbel:3", 500, 3), ("frank:5", 1000, 4)])
 def test_plugin_arch_kernel_is_monotone_in_y(spec, n, seed):
-    # a knot at 1/2 inside a linear piece of phi made K drop by 2.5e-13 where
-    # C crossed 1/2 (clayton:2, n = 2000)
+    # phi is linear between the step estimate's atoms; a knot inside a piece
+    # splits its slope by rounding, and K then drops in y where C crosses it
     p = pseudo_obs(sample(make_copula(spec), n, RngSpec(seed=seed)))
     model = archimedean_copula(reconstruct_generator(empirical_kendall(p)))
     assert np.min(np.diff(kernel_grid(model, QuadratureSpec(m=512)), axis=1)) >= 0.0
