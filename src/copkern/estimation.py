@@ -174,6 +174,7 @@ def reconstruct_generator(k) -> Generator:
     [0, t1], phi(x) = phi(t1) (t1 / x)**alpha below it.  log phi(1/2) is
     integrated within its segment: a knot at 1/2 inside a linear piece of phi
     would split its slope in two by rounding, and the kernel would drop in y.
+    The table (ts, phi(ts)) is the generator's `knots`.
     """
     if isinstance(k, EmpiricalKendall):
         ts = np.union1d(k.w_values, [0.0, 1.0])
@@ -224,7 +225,9 @@ def reconstruct_generator(k) -> Generator:
                 out = np.where(s > phi1, t1 * (phi1 / s) ** (1.0 / alpha), out)
         return out
 
-    return Generator(phi, dplus, inverse, "reconstructed")
+    for a in (ts, phis):
+        a.setflags(write=False)
+    return Generator(phi, dplus, inverse, "reconstructed", knots=(ts, phis))
 
 
 # the CFG estimate is tabulated on t = i / _CFG_GRID, i = 0.._CFG_GRID

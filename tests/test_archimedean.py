@@ -14,6 +14,7 @@ from copkern.archimedean import (
     make_frank,
     make_gumbel,
     make_w_generator,
+    piecewise_measures,
 )
 from copkern.core import make_w
 from copkern.estimation import empirical_kendall, pseudo_obs, reconstruct_generator
@@ -375,3 +376,77 @@ def test_kendall_function_is_1_at_1(build):
 def test_generator_parameter_checks(build, msg):
     with pytest.raises(ValueError, match=msg):
         build()
+
+
+def _plugin_generator(spec, n, seed):
+    p = pseudo_obs(sample(make_copula(spec), n, RngSpec(seed=seed)))
+    return reconstruct_generator(empirical_kendall(p))
+
+
+@pytest.mark.parametrize("name", list(_LIBRARY_GENERATORS), ids=list(_LIBRARY_GENERATORS))
+def test_knots_are_the_reconstructed_table(name):
+    g = _LIBRARY_GENERATORS[name][0]()
+    if g.label != "reconstructed":
+        assert g.knots is None
+        return
+    ts, phis = g.knots
+    assert np.all(np.diff(ts) > 0) and ts[-1] == 1.0 and phis[-1] == 0.0
+    assert np.array_equal(g.phi(ts), phis)
+    assert not (ts.flags.writeable or phis.flags.writeable)
+
+
+# plugin fits, and near-comonotone ones whose phi(0) runs from 1e23 to 1e82
+_PIECEWISE_FITS = [(spec, n, seed) for spec in ("gumbel:3", "clayton:2")
+                   for n in (50, 100) for seed in range(3)]
+_NEAR_COMONOTONE_FITS = [("m", 100, 0), ("m", 200, 0), ("gumbel:50", 200, 0),
+                         ("clayton:20", 100, 0)]
+
+
+@pytest.mark.parametrize("spec, n, seed", _PIECEWISE_FITS + _NEAR_COMONOTONE_FITS,
+                         ids=lambda v: str(v))
+def test_piecewise_measures_match_the_grid(spec, n, seed):
+    g = _plugin_generator(spec, n, seed)
+    if (spec, n, seed) in _NEAR_COMONOTONE_FITS:
+        assert g.knots[1][0] >= 1e23
+    exact = np.array(piecewise_measures(g))
+    for m in (1024, 4096):
+        err = np.abs(np.array(pi_measures(archimedean_copula(g), QuadratureSpec(m))) - exact)
+        # the kernel is a step function: the midpoint grid's error is first
+        # order, with a sign that changes with m; r = 6 int K^2 - 2 carries the
+        # factor 6 on an integral of a kernel in [0, 1] (it reads 5.05/m at
+        # m = 4096 on clayton:2, n = 100, seed 0)
+        assert err[1] <= 2.0 / m and err[2] <= 6.0 / m
+
+
+@pytest.mark.parametrize("spec, n, r", [
+    ("gumbel:3", 50, 0.625489), ("gumbel:3", 100, 0.562740), ("gumbel:3", 500, 0.491111),
+    ("clayton:2", 50, 0.409230), ("clayton:2", 100, 0.367382),
+])
+def test_piecewise_measures_pin_the_exact_r(spec, n, r):
+    # values of an independent O(P^2) sum over Psi = int phi^-, seed 3
+    assert abs(piecewise_measures(_plugin_generator(spec, n, 3))[2] - r) <= 1e-6
+
+
+def test_piecewise_measures_of_the_countermonotone_fit():
+    g = _plugin_generator("w", 50, 0)
+    assert len(g.knots[0]) == 2          # P = 1: phi is linear, the generator of W
+    _, z, r = piecewise_measures(g)
+    assert abs(z - 1.0) <= 1e-15 and abs(r - 1.0) <= 1e-15
+
+
+def _table(ts, phis):
+    return replace(make_w_generator(), label="table", knots=(np.array(ts), np.array(phis)))
+
+
+@pytest.mark.parametrize("build, msg", [
+    (lambda: make_gumbel(3.0), r"'archimedean\[gumbel:3\]' need a non-strict generator"),
+    (lambda: reconstruct_generator(kendall_function(make_gumbel(3.0))),
+     r"'archimedean\[reconstructed\]' need a non-strict generator"),
+    (lambda: _table([0.0, 0.5, 1.0], [2.0, 1.5, 0.0]), "not decreasing and convex"),
+    (lambda: _table([0.0, 0.5, 1.0], [2.0, np.nan, 0.0]), "not decreasing and convex"),
+    # the first slope overflows to -inf, so kappa_00 = inf / inf
+    (lambda: _table([0.0, 1e-10, 1.0], [1e300, 1.0, 0.0]), r"'archimedean\[table\]'.*not finite"),
+], ids=["parametric", "strict-reconstructed", "concave", "nan", "overflow"])
+def test_piecewise_measures_checks(build, msg):
+    with pytest.raises(ValueError, match=msg):
+        piecewise_measures(build())

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copkern._accel import dominance_counts, levy_distance
-from copkern.archimedean import kendall_function
+from copkern.archimedean import kendall_function, piecewise_measures
 from copkern.estimation import (
     PseudoObservations,
     _average_ranks,
@@ -160,3 +160,13 @@ def test_reconstructed_generator_is_exact_on_the_step_estimate(xy):
     assert np.all(np.diff(phi) < 0)
     slopes = np.diff(phi) / np.diff(t)
     assert np.all(np.diff(slopes) >= -1e-9 * np.abs(slopes[:-1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_points().filter(lambda xy: 2 <= len(xy[0]) <= 150
+                            and np.ptp(xy[0]) > 0 and np.ptp(xy[1]) > 0))
+def test_exact_plugin_measures_lie_in_unit_interval(xy):
+    # the sums the exact Archimedean plugin route reads, with no slack for a grid
+    g = reconstruct_generator(empirical_kendall(pseudo_obs(SampleSet(x=xy[0], y=xy[1]))))
+    _, z, r = piecewise_measures(g)
+    assert 0.0 <= z <= 1.0 and 0.0 <= r <= 1.0
