@@ -155,9 +155,13 @@ def ev_copula(p: PickandsFunction) -> CopulaModel:
 
 # ev_measures integrates in t by Gauss-Legendre with _EV_NODES nodes on each
 # piece between 0, the breakpoints, the points of a uniform _EV_PARTITION-cell
-# partition of [0, 1] (which resolves the smooth families) and 1
+# partition of [0, 1] (which resolves the smooth families) and 1.  A Pickands
+# function without breakpoints also gets the cells _EV_GEOMETRIC toward each
+# end: its D+A may have a power singularity there (galambos:0.2, gumbel-ev:1.01)
+# that the uniform cells resolve only to about 1e-6
 _EV_NODES = 16
 _EV_PARTITION = 32
+_EV_GEOMETRIC = 2.0 ** -np.arange(6, 53)
 
 
 def _gauss_legendre(n: int):
@@ -194,10 +198,12 @@ def ev_measures(p: PickandsFunction):
     The inner integrand is negative below s* = ln B / (A - 1) and positive
     above when B < 1 (s* = inf when A = 1 too), and never negative when
     B >= 1 (s* = 0); it is integrated in closed form on both sides of s*.
-    The outer integrals are Gauss-Legendre on the pieces where A is smooth.
+    The outer integrals are Gauss-Legendre on the pieces where A is smooth,
+    refined geometrically toward 0 and 1 when A has no breakpoints.
     A result that is not finite (a damaged D+A) is a ValueError.
     """
-    edges = np.union1d(np.linspace(0.0, 1.0, _EV_PARTITION + 1), p.breakpoints)
+    edges = np.union1d(np.linspace(0.0, 1.0, _EV_PARTITION + 1),
+                       p.breakpoints or np.r_[_EV_GEOMETRIC, 1.0 - _EV_GEOMETRIC])
     half = 0.5 * np.diff(edges)[:, None]
     t = (edges[:-1, None] + half * (1.0 + _GL_NODES)).ravel()
     w = (half * _GL_WEIGHTS).ravel()

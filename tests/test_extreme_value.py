@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import copkern.extreme_value as ev
 from copkern.archimedean import archimedean_copula, make_gumbel
 from copkern.core import transpose
 from copkern.estimation import cfg_estimator, convexify_pickands, pseudo_obs
@@ -271,6 +272,26 @@ def test_ev_measures_of_plugin_fits_against_the_grid(n):
     # the grid's r error is first order in 1/m; its zeta1 error is O(1/m) with a
     # sign that changes with m, so only its size is bounded
     assert err[1024][1] < err[256][1]
+
+
+@pytest.mark.parametrize("p", [make_galambos(0.2), make_gumbel_pickands(1.01),
+                               make_galambos(3.0), make_gumbel_pickands(3.0)],
+                         ids=lambda p: p.label)
+def test_ev_measures_resolve_endpoint_singularities(monkeypatch, p):
+    # D+A of galambos:0.2 and gumbel-ev:1.01 has a power singularity at 0 and
+    # 1; the reference is 64 Gauss-Legendre nodes on 4096 uniform cells, once
+    # refined geometrically toward both ends as ev_measures refines and once
+    # not, where the uniform cells alone converge to the same values
+    got = np.array(ev_measures(p))
+    nodes, weights = ev._gauss_legendre(64)
+    monkeypatch.setattr(ev, "_GL_NODES", nodes)
+    monkeypatch.setattr(ev, "_GL_WEIGHTS", weights)
+    uniform = np.linspace(0.0, 1.0, 4097)
+    geometric = np.r_[ev._EV_GEOMETRIC, 1.0 - ev._EV_GEOMETRIC]
+    refined = np.array(ev_measures(replace(p, breakpoints=tuple(np.union1d(uniform, geometric)))))
+    plain = np.array(ev_measures(replace(p, breakpoints=tuple(uniform))))
+    assert np.max(np.abs(got - refined)) <= 1e-14
+    assert np.max(np.abs(got - plain)) <= 1e-9
 
 
 def test_ev_measures_name_a_damaged_pickands_function():
