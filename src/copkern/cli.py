@@ -269,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=ESTIMATORS)
     p.add_argument("--seed", type=int, default=0)
     add_common(p, copula=False, m=512,
-               m_help="quadrature resolution of plugin-arch (plugin-ev is exact)")
+               m_help="quadrature resolution of plugin-arch fits whose P-piece generator "
+                      "has P(P+1)/2 > m^2/8 (smaller fits and plugin-ev are exact)")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("sample", help="draw a seeded sample from a copula")
@@ -280,8 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("simulate", help="replication study comparing r estimators")
-    add_common(p, m=256, m_help="quadrature resolution of plugin-arch records "
-                                "(plugin-ev is exact)")
+    add_common(p, m=256, m_help="quadrature resolution of plugin-arch records whose "
+                                "P-piece generator has P(P+1)/2 > m^2/8, about n > 100 "
+                                "at m = 256 (smaller fits and plugin-ev are exact)")
     p.add_argument("--sizes", default="50,100,500,2000", help="comma-separated sample sizes")
     p.add_argument("--R", type=int, default=500, help="replications per cell")
     p.add_argument("--estimators", default=",".join(ESTIMATORS))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import dominance_counts
-from .archimedean import Generator, archimedean_copula
+from .archimedean import Generator, archimedean_copula, piecewise_measures
 from .core import CopulaModel, _piecewise_linear, lattice, sup_distance
 from .extreme_value import PickandsFunction, ev_measures, make_piecewise_linear_pickands
 # zeta1 is not used here; the binding remains for callers that trace it
@@ -300,13 +300,21 @@ def plugin_zeta1_r(
     and the fit the model is built from: the EmpiricalKendall or the convexified
     PickandsFunction.
 
-    The Archimedean measures are read off the fitted model's kernel grid at
-    `q`; the Extreme-Value ones are `ev_measures` of the fit, which are exact
-    and take no `q`.
+    The Extreme-Value measures are `ev_measures` of the fit, which are exact
+    and take no `q`.  The Archimedean fit's generator is linear on P pieces:
+    its measures are the exact `piecewise_measures`, a sum over P(P+1)/2
+    piece pairs, when P(P+1)/2 <= m^2/8 (P <= 127 at m = 256, fits at
+    n <= 100 have P <= 68), and are read off the model's kernel grid at `q`
+    above that: a pair costs about as much as 8 points of the m^2 grid.
     """
     if which == "archimedean":
         fit = empirical_kendall(p)
-        _, z, r = pi_measures(archimedean_copula(reconstruct_generator(fit)), q)
+        g = reconstruct_generator(fit)
+        pieces = len(g.knots[0]) - 1
+        if 4 * pieces * (pieces + 1) <= q.m ** 2:
+            _, z, r = piecewise_measures(g)
+        else:
+            _, z, r = pi_measures(archimedean_copula(g), q)
     elif which == "extreme-value":
         fit = convexify_pickands(cfg_estimator(p))
         _, z, r = ev_measures(fit)

@@ -417,12 +417,30 @@ def test_plugin_equals_single_measures_of_rebuilt_model(which):
     assert tabulate(out[2]).tobytes() == tabulate(fit).tobytes()
 
 
-@pytest.mark.parametrize(
-    "which, factory",
-    [("archimedean", "archimedean_copula"), ("extreme-value", "ev_copula")],
-)
-def test_plugin_evaluates_one_kernel_grid(monkeypatch, which, factory):
-    # the Archimedean plugin reads one kernel grid, the Extreme-Value one none
+def _pieces(p):
+    return len(reconstruct_generator(empirical_kendall(p)).knots[0]) - 1
+
+
+def _exact_side_m(n):
+    """The least m at which the plugin-arch fit of _plugin_sample(n) is exact:
+    P(P+1)/2 <= m^2/8."""
+    P = _pieces(_plugin_sample(n))
+    return int(np.ceil(np.sqrt(4 * P * (P + 1))))
+
+
+@pytest.mark.parametrize("which, factory, n, m, grids", [
+    pytest.param("archimedean", "archimedean_copula", 200, 32, 1,
+                 id="archimedean-archimedean_copula"),
+    pytest.param("extreme-value", "ev_copula", 200, 32, 0, id="extreme-value-ev_copula"),
+    # the plugin-arch fit at n = 50 (P = 30) on either side of the rule
+    pytest.param("archimedean", "archimedean_copula", 50, _exact_side_m(50), 0,
+                 id="archimedean-exact-side"),
+    pytest.param("archimedean", "archimedean_copula", 50, _exact_side_m(50) - 1, 1,
+                 id="archimedean-grid-side"),
+])
+def test_plugin_evaluates_one_kernel_grid(monkeypatch, which, factory, n, m, grids):
+    # the Archimedean plugin reads one kernel grid above the rule
+    # P(P+1)/2 <= m^2/8 and none at or below it; the Extreme-Value one none
     import copkern.estimation as est
     import copkern.extreme_value as ev
 
@@ -447,8 +465,8 @@ def test_plugin_evaluates_one_kernel_grid(monkeypatch, which, factory):
 
     for mod in owners:
         monkeypatch.setattr(mod, factory, counting_factory)
-    plugin_zeta1_r(_plugin_sample(), which, QuadratureSpec(m=32))
-    assert sizes == ([32 * 32] if which == "archimedean" else [])
+    plugin_zeta1_r(_plugin_sample(n), which, QuadratureSpec(m=m))
+    assert sizes == [m * m] * grids
 
 
 @pytest.mark.parametrize("build,msg", [
