@@ -239,12 +239,14 @@ def _positive_square_mean(a, b):
 
 
 def _piece_pair_sums(ts, phis, s, j):
-    """Sums over the bands j (a column of indices) of the r and 3 D1 terms.
+    """(2 sum int (kappa_ij^2 - kappa_{i,j-1}^2) Y_j dx, 3 D1) summed over the
+    bands j, a column of indices, of `piecewise_measures`.
 
-    Row j holds the knots (t_i, Y_j(t_i)) and their mirrors (Y_j(t_i), t_i),
-    Y_j(x) = phi^-(phi_j - phi(x)) the level curve C = t_j; sorted by x, each
-    pair of neighbours bounds a segment on which x lies in one piece i and
-    Y_j is linear, which is integrated exactly from its two ends.
+    Row j holds the points (t_i, Y_j(t_i)) of the level curve C = t_j,
+    Y_j(x) = phi^-(phi_j - phi(x)), and their mirrors (Y_j(t_i), t_i), which
+    lie on it too since C is symmetric: there Y_j crosses the knot t_i.
+    Sorted by x, each pair of neighbours bounds a segment on which x lies in
+    one piece i and Y_j is linear, integrated exactly from its two ends.
     """
     P = len(ts) - 1
     v = np.interp(phis[j] - phis, phis[::-1], ts[::-1])     # Y_j(t_i)
@@ -281,9 +283,9 @@ def piecewise_measures(g: Generator):
 
     the last since int int (K - y) = 0.  Y_j is linear in x between the
     knots and the mirror points Y_j(t_k), so each x-integral is exact on
-    those segments: this is the difference of the antiderivatives of phi^-
-    and (phi^-)^2 cut at phi(kappa), taken segment by segment so that no
-    term carries the size of phi(0) (up to 1e82 on near-comonotone fits).
+    those segments: the difference of the antiderivatives of phi^- and
+    (phi^-)^2 cut at phi(kappa), taken segment by segment, where each term
+    is bounded by its segment's width whatever the size of phi(0).
 
     A generator without a knot table or with phi(0) = inf, a table whose
     slopes are not negative and non-decreasing (phi decreasing and convex:
@@ -304,7 +306,8 @@ def piecewise_measures(g: Generator):
         rows = max(1, _PIECEWISE_BLOCK // (2 * P + 2))
         r_sum = d1_sum = 0.0
         for j0 in range(0, P, rows):
-            r_part, d1_part = _piece_pair_sums(ts, phis, s, np.arange(j0, min(P, j0 + rows))[:, None])
+            j = np.arange(j0, min(P, j0 + rows))[:, None]
+            r_part, d1_part = _piece_pair_sums(ts, phis, s, j)
             r_sum, d1_sum = r_sum + r_part, d1_sum + d1_part
         d1, r = d1_sum / 3.0, 6.0 * (1.0 - r_sum / 2.0) - 2.0
     if not (np.isfinite(d1) and np.isfinite(r)):

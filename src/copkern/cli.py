@@ -270,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     add_common(p, copula=False, m=512,
                m_help="quadrature resolution of plugin-arch fits whose P-piece generator "
-                      "has P(P+1)/2 > m^2/8 (smaller fits and plugin-ev are exact)")
+                      "(P <= n) has P(P+1)/2 > m^2/8 (smaller fits and plugin-ev are "
+                      "exact)")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("sample", help="draw a seeded sample from a copula")
@@ -282,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="replication study comparing r estimators")
     add_common(p, m=256, m_help="quadrature resolution of plugin-arch records whose "
-                                "P-piece generator has P(P+1)/2 > m^2/8, about n > 100 "
-                                "at m = 256 (smaller fits and plugin-ev are exact)")
+                                "P-piece generator (P <= n) has P(P+1)/2 > m^2/8 "
+                                "(smaller fits and plugin-ev are exact)")
     p.add_argument("--sizes", default="50,100,500,2000", help="comma-separated sample sizes")
     p.add_argument("--R", type=int, default=500, help="replications per cell")
     p.add_argument("--estimators", default=",".join(ESTIMATORS))

@@ -301,11 +301,13 @@ def plugin_zeta1_r(
     PickandsFunction.
 
     The Extreme-Value measures are `ev_measures` of the fit, which are exact
-    and take no `q`.  The Archimedean fit's generator is linear on P pieces:
-    its measures are the exact `piecewise_measures`, a sum over P(P+1)/2
-    piece pairs, when P(P+1)/2 <= m^2/8 (P <= 127 at m = 256, fits at
-    n <= 100 have P <= 68), and are read off the model's kernel grid at `q`
-    above that: a pair costs about as much as 8 points of the m^2 grid.
+    and take no `q`.  The Archimedean fit's generator is linear on P <= n
+    pieces (its knots are 0, 1 and the atoms i/(n+1), i < n): its measures
+    are the exact `piecewise_measures`, a sum over P(P+1)/2 piece pairs, when
+    P(P+1)/2 <= m^2/8 (P <= 127 at m = 256), and are read off the model's
+    kernel grid at `q` above that, where the sum costs about as much as the
+    grid or more (2.9 ms against 4.7 ms for the m = 256 grid at P = 124; the
+    sum grows as P^2, the grid hardly).
     """
     if which == "archimedean":
         fit = empirical_kendall(p)

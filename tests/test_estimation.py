@@ -417,14 +417,10 @@ def test_plugin_equals_single_measures_of_rebuilt_model(which):
     assert tabulate(out[2]).tobytes() == tabulate(fit).tobytes()
 
 
-def _pieces(p):
-    return len(reconstruct_generator(empirical_kendall(p)).knots[0]) - 1
-
-
 def _exact_side_m(n):
     """The least m at which the plugin-arch fit of _plugin_sample(n) is exact:
     P(P+1)/2 <= m^2/8."""
-    P = _pieces(_plugin_sample(n))
+    P = len(reconstruct_generator(empirical_kendall(_plugin_sample(n))).knots[0]) - 1
     return int(np.ceil(np.sqrt(4 * P * (P + 1))))
 
 
