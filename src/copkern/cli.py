@@ -17,8 +17,8 @@ from .archimedean import kendall_function
 from .core import cdf_lattice, checkerboard_approx, checkerboard_copula, sup_distance
 from .estimation import chatterjee_r, plugin_zeta1_r, pseudo_obs
 from .fixtures import strip_copula
-from .metrics import WCC_STATS, QuadratureSpec, checked_kernel_grid, d1_grids, d_inf
-from .metrics import pi_measures, wcc_grid
+from .metrics import WCC_STATS, QuadratureSpec, checked_kernel_grid, d1_to_grid, d_inf
+from .metrics import d_inf_to_lattice, pi_measures, wcc_grid
 from .registry import (
     COPULA_OF_KIND,
     FAMILIES,
@@ -187,13 +187,18 @@ _CONVERGE_SUPS = {
 
 
 def _against_limit(grid, reduce, limit, terms):
-    """reduce(grid(t), grid(limit)) per term t, building the limit's grid once.
+    """reduce(t, grid(limit)) per term t, building the limit's grid once.
 
-    No term or term grid outlives its own reduction: lazily built `terms` are
-    alive one at a time, and no two term grids ever are.
+    No term or anything `reduce` builds of it outlives its own reduction:
+    lazily built `terms` are alive one at a time.
     """
     at_limit = grid(limit)
-    return list(map(lambda t: reduce(grid(t), at_limit), terms))
+    return list(map(lambda t: reduce(t, at_limit), terms))
+
+
+def _gridded(grid, reduce):
+    """The `_against_limit` reduce that compares grid(t) with the limit's grid."""
+    return lambda t, at_limit: reduce(grid(t), at_limit)
 
 
 def cmd_converge(args):
@@ -215,12 +220,15 @@ def cmd_converge(args):
     part_lim = build_component(name, [theta], _load_knots(args))
     parts = [build_component(name, [t]) for t in thetas]
     limit, models = to_copula(part_lim), [to_copula(p) for p in parts]
-    # one column at a time, so that one limit-sized grid is alive at a time
+    # one column at a time, so that one limit-sized grid is alive at a time;
+    # the d_inf and d1 columns reduce each term's row blocks against it
     columns = [
-        _against_limit(lambda c: cdf_lattice(c, q.m), sup_distance, limit, models),
-        *(_against_limit(table, sup_distance, part_lim, parts) for table in sups.values()),
-        _against_limit(lambda c: checked_kernel_grid(c, q), d1_grids, limit, models),
-        _against_limit(wcc_grid, lambda a, b: np.max(levy_distance(a, b)), limit, models),
+        _against_limit(lambda c: cdf_lattice(c, q.m), d_inf_to_lattice, limit, models),
+        *(_against_limit(table, _gridded(table, sup_distance), part_lim, parts)
+          for table in sups.values()),
+        _against_limit(lambda c: checked_kernel_grid(c, q), d1_to_grid, limit, models),
+        _against_limit(wcc_grid, _gridded(wcc_grid, lambda a, b: np.max(levy_distance(a, b))),
+                       limit, models),
     ]
     header = ["k", "theta", "d_inf", *sups, "d1", "wcc_max"]
     _check_finite("converge rows", args, zip(header[2:], columns))
@@ -240,7 +248,7 @@ def cmd_approximate(args):
         target = reference = make_copula(args.copula, knots=_load_knots(args))
     resolutions = _int_list(args.resolutions, "resolution")
     boards = (checkerboard_copula(checkerboard_approx(target, N)) for N in resolutions)
-    dists = _against_limit(wcc_grid, levy_distance, reference, boards)
+    dists = _against_limit(wcc_grid, _gridded(wcc_grid, levy_distance), reference, boards)
     columns = [resolutions, *([f(d) for d in dists] for f in WCC_STATS.values())]
     _emit_csv(["resolution", *(f"wcc_{name}" for name in WCC_STATS)], columns, args.out)
 

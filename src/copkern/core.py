@@ -182,8 +182,10 @@ def _piecewise_linear(xs: np.ndarray, vs: np.ndarray):
 
 
 def sup_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b| of two grids or tables of the same shape."""
-    return float(np.max(np.abs(a - b)))
+    """max |a - b| of two grids or tables of the same shape (or broadcasting
+    to one); the abs is taken in place, on the difference's own array."""
+    diff = np.subtract(a, b)
+    return float(np.max(np.abs(diff, out=diff)))
 
 
 def transpose(c: CopulaModel) -> CopulaModel:
@@ -197,19 +199,32 @@ def transpose(c: CopulaModel) -> CopulaModel:
 LATTICE_BLOCK = 2 ** 15
 
 
-def lattice(f: Callable, x, y) -> np.ndarray:
-    """f(x_i, y_j) as a (len(x), len(y)) array, for an elementwise f.
+def lattice_blocks(f: Callable, x, y):
+    """Yield (first_row, f(x_block[:, None], y[None, :])) over the rows of x, for
+    an elementwise f: blocks of at most LATTICE_BLOCK points (at least one row),
+    so a lattice of at most LATTICE_BLOCK points is one block.
 
-    The rows are filled in blocks of at most LATTICE_BLOCK points (at least
-    one row), each by one call f(x_block[:, None], y[None, :]); a lattice of
-    at most LATTICE_BLOCK points is one call.
+    A reduction over these blocks never holds the whole lattice.
     """
     x, y = np.asarray(x, float), np.asarray(y, float)
-    out = np.empty((len(x), len(y)))
     rows = max(1, LATTICE_BLOCK // max(1, len(y)))
     for i in range(0, len(x), rows):
-        out[i:i + rows] = f(x[i:i + rows, None], y[None, :])
+        yield i, f(x[i:i + rows, None], y[None, :])
+
+
+def lattice(f: Callable, x, y) -> np.ndarray:
+    """f(x_i, y_j) as a (len(x), len(y)) array, filled from `lattice_blocks`."""
+    out = np.empty((len(x), len(y)))
+    for i, block in lattice_blocks(f, x, y):
+        out[i:i + len(block)] = block
+        del block   # one block alive at a time, also while f makes the next
     return out
+
+
+def cdf_lattice_blocks(c: CopulaModel, m: int):
+    """`lattice_blocks` of C(i/m, j/m) for i, j = 0..m: the blocks of `cdf_lattice`."""
+    g = np.arange(m + 1) / m
+    return lattice_blocks(c.cdf, g, g)
 
 
 def cdf_lattice(c: CopulaModel, m: int) -> np.ndarray:

@@ -12,6 +12,16 @@ identity integral K(x,[0,y]) dx = y to a column defect of 4/m (healthy
 models read <= 2.25/m, overflow-damaged ones >= 5.5/m at m = 256).
 Damage no midpoint reaches passes; kernels varying in x faster than m
 resolves (the shift fixtures) fail, and so does a grid with a NaN cell.
+`d1_to_grid` runs the same check on the column sums it streams.
+
+No reduction builds a second m^2 array beside its inputs.  `d_inf`,
+`d_inf_to_lattice` and `d1_to_grid` stream a model's lattice by the row
+blocks of `core.lattice_blocks`, so they never hold it whole; the others
+take abs or square in place on their own difference.  `pi_measures` keeps
+its one kernel grid materialized on purpose: freeing a 2 MB array raises
+glibc's dynamic mmap and trim thresholds, and with none ever freed the
+block working set of the exact plugin measures is trimmed and re-faulted
+on every block, which made a streamed version slower on small studies.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +30,15 @@ from typing import Sequence
 import numpy as np
 
 from ._accel import levy_distance
-from .core import CopulaModel, cdf_lattice, lattice, make_pi, sup_distance, transpose
+from .core import (
+    CopulaModel,
+    cdf_lattice_blocks,
+    lattice,
+    lattice_blocks,
+    make_pi,
+    sup_distance,
+    transpose,
+)
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # checked_kernel_grid rejects a kernel grid whose column defect exceeds this / m
@@ -57,14 +75,50 @@ def kernel_grid(c: CopulaModel, q: QuadratureSpec) -> np.ndarray:
     return lattice(c.kernel_cdf, x, x)
 
 
+def _block_sup(pairs) -> float:
+    """max |a - b| over paired blocks.  The max is order-free, so this is the
+    sup of the whole lattices bit for bit, and a NaN in any block gives NaN
+    as np.max does (the builtin max() would drop one after the first block)."""
+    return float(np.max([sup_distance(a, b) for a, b in pairs]))
+
+
 def d_inf(c1: CopulaModel, c2: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
-    """Uniform distance max |C1 - C2| on the (m+1)^2 lattice (error <= 2/m)."""
-    return sup_distance(cdf_lattice(c1, q.m), cdf_lattice(c2, q.m))
+    """Uniform distance max |C1 - C2| on the (m+1)^2 lattice (error <= 2/m),
+    reduced over paired row blocks: neither lattice is built."""
+    pairs = zip(cdf_lattice_blocks(c1, q.m), cdf_lattice_blocks(c2, q.m))
+    return _block_sup((a, b) for (_, a), (_, b) in pairs)
+
+
+def d_inf_to_lattice(c: CopulaModel, L: np.ndarray) -> float:
+    """`d_inf` of `c` against another model whose `cdf_lattice` L is given,
+    bit for bit: c's blocks are reduced against the matching rows of L."""
+    return _block_sup((a, L[i:i + len(a)]) for i, a in cdf_lattice_blocks(c, len(L) - 1))
 
 
 def d1_grids(K1: np.ndarray, K2: np.ndarray) -> float:
     """D1 between two kernel grids (or a grid and Pi's midpoint vector)."""
-    return float(np.mean(np.abs(K1 - K2)))
+    diff = np.subtract(K1, K2)
+    return float(np.mean(np.abs(diff, out=diff)))
+
+
+def d1_to_grid(c: CopulaModel, K: np.ndarray) -> float:
+    """D1 of `c` against another model whose m x m `kernel_grid` K is given.
+
+    c's kernel is reduced block by block against the matching rows of K, so
+    no m^2 array of c is built, and its column sums go through the check of
+    `checked_kernel_grid` (same ValueError).  The sum of |K_c - K| is taken
+    per block, so with more than one block (m > 181) it differs from
+    `d1_grids(kernel_grid(c, q), K)` at rounding level; with one it is equal.
+    """
+    m = len(K)
+    x = midpoints(m)
+    total, columns = 0.0, np.zeros(m)
+    for i, block in lattice_blocks(c.kernel_cdf, x, x):
+        columns += block.sum(axis=0)
+        diff = np.subtract(block, K[i:i + len(block)])
+        total += float(np.sum(np.abs(diff, out=diff)))
+    _check_disintegration(c.label, columns / m, m)
+    return total / K.size
 
 
 def d1(c1: CopulaModel, c2: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
@@ -74,18 +128,30 @@ def d1(c1: CopulaModel, c2: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
 
 def d2_squared(c1: CopulaModel, c2: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
     """D2^2: double integral of the squared kernel difference."""
-    return float(np.mean((kernel_grid(c1, q) - kernel_grid(c2, q)) ** 2))
+    diff = kernel_grid(c1, q)
+    diff -= kernel_grid(c2, q)
+    return float(np.mean(np.square(diff, out=diff)))
 
 
 def d_infty_metric(c1: CopulaModel, c2: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
     """D-infinity: sup over y of the x-integral of |K1 - K2|."""
-    diff = np.abs(kernel_grid(c1, q) - kernel_grid(c2, q))
-    return float(np.max(np.mean(diff, axis=0)))
+    diff = kernel_grid(c1, q)
+    diff -= kernel_grid(c2, q)
+    return float(np.max(np.mean(np.abs(diff, out=diff), axis=0)))
 
 
 def _column_defect(K: np.ndarray, y: np.ndarray) -> float:
     """max_j |mean_i K_ij - y_j|: the disintegration identity on a kernel lattice."""
-    return float(np.max(np.abs(np.mean(K, axis=0) - y)))
+    return sup_distance(np.mean(K, axis=0), y)
+
+
+def _check_disintegration(label: str, column_means: np.ndarray, m: int):
+    """ValueError naming the model `label` unless the column means of its
+    m x m kernel grid are within 4/m of the midpoints (a NaN mean fails)."""
+    defect = sup_distance(column_means, midpoints(m))
+    if not defect <= _DEFECT_PER_M / m:
+        raise ValueError(f"the kernel of '{label}' does not disintegrate it at "
+                         f"m = {m}: column defect {defect:.3g} > {_DEFECT_PER_M}/m")
 
 
 def zeta1(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
@@ -99,9 +165,11 @@ def r_identity_residual(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
     It is 0 for every array, so it is rounding only: it detects no wrong kernel.
     """
     K, y = kernel_grid(c, q), midpoints(q.m)
-    r = 6.0 * float(np.mean(K ** 2)) - 2.0
-    defect = 12.0 * float(np.mean(K * y)) - 6.0 * float(np.mean(y ** 2)) - 2.0
-    return abs(r - 6.0 * float(np.mean((K - y) ** 2)) - defect)
+    work = np.multiply(K, y)
+    defect = 12.0 * float(np.mean(work)) - 6.0 * float(np.mean(y ** 2)) - 2.0
+    d2 = float(np.mean(np.square(np.subtract(K, y, out=work), out=work)))
+    r = 6.0 * float(np.mean(np.square(K, out=K))) - 2.0
+    return abs(r - 6.0 * d2 - defect)
 
 
 def r_measure(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
@@ -113,19 +181,16 @@ def checked_kernel_grid(c: CopulaModel, q: QuadratureSpec) -> np.ndarray:
     """`kernel_grid(c, q)`, or ValueError naming the model when the grid's
     column defect is not at most 4/m (a NaN cell makes the defect NaN)."""
     K = kernel_grid(c, q)
-    defect = _column_defect(K, midpoints(q.m))
-    if not defect <= _DEFECT_PER_M / q.m:
-        raise ValueError(f"the kernel of '{c.label}' does not disintegrate it at "
-                         f"m = {q.m}: column defect {defect:.3g} > {_DEFECT_PER_M}/m")
+    _check_disintegration(c.label, np.mean(K, axis=0), q.m)
     return K
 
 
 def pi_measures(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
     """(D1(C, Pi), zeta1(C), r(C)) from one `checked_kernel_grid` K of `c`,
-    r = 6*mean(K^2) - 2."""
+    r = 6*mean(K^2) - 2.  K is squared in place once D1 is read."""
     K, y = checked_kernel_grid(c, q), midpoints(q.m)
     d = d1_grids(K, y)
-    return d, 3.0 * d, 6.0 * float(np.mean(K ** 2)) - 2.0
+    return d, 3.0 * d, 6.0 * float(np.mean(np.square(K, out=K))) - 2.0
 
 
 def partial_distance(c1: CopulaModel, c2: CopulaModel, q: QuadratureSpec = QuadratureSpec()):

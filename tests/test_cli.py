@@ -682,6 +682,25 @@ def test_converge_damaged_rows_exit_2(tmp_path, capsys, spec, msg):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec,scale,msg", [
+    # the limit is healthy and the term gumbel:200 is overflow-damaged
+    ("gumbel:100", "100", "the kernel of 'archimedean[gumbel:200]' does not disintegrate it "
+                          "at m = 512: column defect"),
+    # the term galambos:100 has a NaN kernel grid
+    ("galambos:50", "50", "the kernel of 'ev[galambos:100]' does not disintegrate it at "
+                          "m = 512: column defect nan"),
+])
+def test_converge_damaged_term_exit_2(tmp_path, capsys, spec, scale, msg):
+    # a term's kernel is checked on its row blocks, as the limit's grid is
+    out = tmp_path / "c.csv"
+    assert run(["converge", "--copula", spec, "--offset-scale", scale, "--ks", "1,2",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert msg in err
+    assert "> 4/m" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd", ["sample", "measure"])
 def test_frank_normalizer_underflow_exit_2(tmp_path, capsys, cmd):
     # from theta ~ 1490 the Frank normalizer underflows to 0 and phi is inf/NaN
@@ -735,3 +754,18 @@ def test_converge_columns_are_the_public_metrics(tmp_path, spec):
         assert set(row) == {"k", "theta", *expected}
         for col, value in expected.items():
             assert row[col] == _fmt(value), col
+
+
+@pytest.mark.parametrize("spec", ["clayton:3", "galambos:3"])
+def test_converge_columns_are_the_public_metrics_at_m_512(tmp_path, spec):
+    # 8 row blocks: d_inf stays bit-identical, and d1 sums its blocks in turn
+    out = tmp_path / "c.csv"
+    assert run(["converge", "--copula", spec, "--ks", "1,2", "--out", str(out)]) == 0
+    name, (theta,) = parse_spec(spec)
+    to_copula = COPULA_OF_KIND[FAMILIES[name].kind]
+    limit = to_copula(build_component(name, [theta]))
+    q = QuadratureSpec(m=512)
+    for row in read_csv(out):
+        ck = to_copula(build_component(name, [theta + 1.0 / int(row["k"])]))
+        assert row["d_inf"] == _fmt(d_inf(ck, limit, q))
+        assert float(row["d1"]) == pytest.approx(d1(ck, limit, q), rel=1e-15, abs=0.0)

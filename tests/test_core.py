@@ -9,6 +9,8 @@ import copkern
 from copkern.archimedean import archimedean_copula
 from copkern.core import (
     CheckerboardMatrix,
+    CopulaModel,
+    cdf_lattice,
     checkerboard_approx,
     checkerboard_copula,
     checkerboard_measures,
@@ -17,6 +19,7 @@ from copkern.core import (
     make_marshall_olkin,
     make_pi,
     make_w,
+    sup_distance,
     transpose,
     _bisect,
 )
@@ -29,6 +32,7 @@ from copkern.estimation import (
 )
 from copkern.extreme_value import ev_copula
 from copkern.fixtures import shift_copula, strip_copula
+from copkern.metrics import QuadratureSpec, d_inf, d_inf_to_lattice
 from copkern.registry import FAMILIES, make_copula, parse_spec, registered_examples
 from copkern.sampling import RngSpec, conditional_inverse, sample
 
@@ -387,6 +391,32 @@ def test_lattice_blocks_rows_by_the_point_budget():
     calls.clear()
     lattice(f, x[:3], np.linspace(0, 1, 40_000))   # a row over budget is one block
     assert calls == [1, 1, 1]
+
+
+@pytest.mark.parametrize("m", [256, 300, 512])
+@pytest.mark.parametrize("spec", list(_lattice_models()))
+def test_streamed_d_inf_is_the_sup_of_the_lattices(spec, m):
+    # d_inf reduces paired row blocks; the whole lattices are the reference
+    c, pi = _lattice_models()[spec](), make_pi()
+    L, L_pi = cdf_lattice(c, m), cdf_lattice(pi, m)
+    expected = sup_distance(L, L_pi)
+    q = QuadratureSpec(m=m)
+    for got in (d_inf(c, pi, q), d_inf(pi, c, q), d_inf_to_lattice(c, L_pi),
+                d_inf_to_lattice(pi, L)):
+        assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
+
+
+def test_streamed_d_inf_propagates_a_nan_of_the_last_block():
+    # at m = 512 a block is 63 rows of 513, so the rows x > 0.9 fall in the
+    # last two blocks: the builtin max() would drop their NaN
+    pi = make_pi()
+    stub = CopulaModel(cdf=lambda x, y: np.where(x > 0.9, np.nan, pi.cdf(x, y)),
+                       conditional=pi.conditional, label="nan-above-0.9",
+                       transpose_factory=lambda c: c)
+    q = QuadratureSpec(m=512)
+    assert np.isnan(d_inf(stub, pi, q))
+    assert np.isnan(d_inf(pi, stub, q))
+    assert np.isnan(d_inf_to_lattice(stub, cdf_lattice(pi, 512)))
 
 
 def test_no_import_inside_a_function():

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,11 +7,13 @@ import pytest
 from copkern._accel import levy_distance
 from copkern.archimedean import archimedean_copula
 from copkern.core import (
+    cdf_lattice,
     checkerboard_approx,
     checkerboard_copula,
     make_m,
     make_pi,
     make_w,
+    sup_distance,
 )
 from copkern.estimation import (
     cfg_estimator,
@@ -25,8 +28,11 @@ from copkern.metrics import (
     QuadratureSpec,
     _column_defect,
     d1,
+    d1_grids,
+    d1_to_grid,
     d2_squared,
     d_inf,
+    d_inf_to_lattice,
     d_infty_metric,
     disintegration_defect,
     golden_xs,
@@ -123,11 +129,15 @@ def test_pi_measures_equal_single_measures(spec):
     assert r_identity_residual(c, q) <= 1e-6
 
 
+def _d1_to_pi_grid(c, q):
+    return d1_to_grid(c, kernel_grid(make_pi(), q))
+
+
 @pytest.mark.parametrize("spec,m", [
     ("gumbel:200", 256), ("gumbel:200", 512), ("clayton:200", 256), ("clayton:200", 512),
     ("frank:1000", 64), ("clayton:500", 64),
 ])
-@pytest.mark.parametrize("measure", [r_measure, pi_measures])
+@pytest.mark.parametrize("measure", [r_measure, pi_measures, _d1_to_pi_grid])
 def test_kernel_check_rejects_overflow_damaged_models(spec, m, measure):
     # these kernels overflow, so their x-means miss the disintegration identity
     c = make_copula(spec)
@@ -138,6 +148,61 @@ def test_kernel_check_rejects_overflow_damaged_models(spec, m, measure):
     assert defect > 4.0 / m
     assert (f"the kernel of '{c.label}' does not disintegrate it at m = {m}: "
             f"column defect {defect:.3g} > 4/m") in str(info.value)
+
+
+def _bits(v):
+    return np.float64(v).view(np.int64)
+
+
+@pytest.mark.parametrize("spec", ["gumbel:3", "galambos:3", "marshall-olkin:0.5:0.7", "m"])
+def test_in_place_reductions_match_the_allocating_forms(spec):
+    # the references allocate |K1 - K2| or (K1 - K2)^2 beside the difference
+    q = QuadratureSpec(m=300)
+    c, pi = make_copula(spec), make_pi()
+    K, P, y = kernel_grid(c, q), kernel_grid(pi, q), midpoints(q.m)
+    assert _bits(d1_grids(K, P)) == _bits(np.mean(np.abs(K - P)))
+    assert _bits(sup_distance(K, P)) == _bits(np.max(np.abs(K - P)))
+    assert np.array_equal(K, kernel_grid(c, q)) and np.array_equal(P, kernel_grid(pi, q))
+    assert _bits(d2_squared(c, pi, q)) == _bits(np.mean((K - P) ** 2))
+    assert _bits(d_infty_metric(c, pi, q)) == _bits(np.max(np.mean(np.abs(K - P), axis=0)))
+    d, z, r = pi_measures(c, q)
+    assert _bits(d) == _bits(np.mean(np.abs(K - y)))
+    assert _bits(r) == _bits(6.0 * float(np.mean(K ** 2)) - 2.0)
+    residual = abs(6.0 * float(np.mean(K ** 2)) - 2.0 - 6.0 * float(np.mean((K - y) ** 2))
+                   - (12.0 * float(np.mean(K * y)) - 6.0 * float(np.mean(y ** 2)) - 2.0))
+    assert _bits(r_identity_residual(c, q)) == _bits(residual)
+
+
+@pytest.mark.parametrize("spec", ["gumbel:3", "galambos:3"])
+@pytest.mark.parametrize("m", [64, 512])
+def test_d1_to_grid_is_d1_of_the_grids(spec, m):
+    # one block (m <= 181) is bit-identical; 8 blocks add their sums in turn
+    q = QuadratureSpec(m=m)
+    c, limit = make_copula(spec), make_copula("clayton:2")
+    got, expected = d1_to_grid(c, kernel_grid(limit, q)), d1(c, limit, q)
+    if m == 64:
+        assert _bits(got) == _bits(expected)
+    assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def _peak_bytes(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("spec", ["gumbel:3", "galambos:3"])
+def test_block_reductions_hold_less_than_one_lattice(spec):
+    # a block reduction's peak stays below that of building c's lattice alone
+    c, other, q = make_copula(spec), make_copula("clayton:2"), QuadratureSpec(m=512)
+    L, K = cdf_lattice(other, q.m), kernel_grid(other, q)
+    lattice_peak = _peak_bytes(lambda: cdf_lattice(c, q.m))
+    assert _peak_bytes(lambda: d_inf(c, other, q)) < lattice_peak
+    assert _peak_bytes(lambda: d_inf_to_lattice(c, L)) < lattice_peak
+    assert _peak_bytes(lambda: d1_to_grid(c, K)) < _peak_bytes(lambda: kernel_grid(c, q))
 
 
 def _plugin_fit_models():
