@@ -7,40 +7,106 @@ import numpy as np
 
 from .core import CopulaModel, _piecewise_linear, _unit, sup_distance
 
-_EPS = 1e-15
+# x and y are clipped to this before their log, so u = -ln x is finite for every x > 0
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
 class PickandsFunction:
+    """A Pickands dependence function A and the stable tail dependence function
+    l(u, v) = (u + v) A(u / (u + v)) of u, v >= 0, through which `ev_copula`
+    reads its copula.
+
+    ``stable_tail(u)`` computes the terms in u alone once and returns the
+    callable v -> (l(u, v), D1 l(u, v)), with D1 l the derivative in u,
+    A(t) + (1 - t) D+A(t) at t = u / (u + v), as `CopulaModel.conditional`
+    does for x.  u and v are broadcast-compatible arrays of at least one
+    dimension; the two results are new arrays of their broadcast shape,
+    which the caller may overwrite.  Both are elementwise.
+    """
+
     a: Callable          # [0,1] -> [1/2,1], convex, a(0)=a(1)=1
     dplus_a: Callable    # right derivative, nondecreasing, values in [-1,1]
     label: str
     breakpoints: tuple   # points in [0,1] where D+A may jump; empty if it is continuous
     transpose_factory: Callable  # self -> Pickands function of A(1-x)
+    stable_tail: Callable        # u -> (v -> (l(u, v), D1 l(u, v)))
+
+
+def _softplus(t):
+    """ln(1 + e^t) = max(t, 0) + ln(1 + e^-|t|), which neither overflows nor
+    underflows; computed in place on one new array."""
+    out = np.asarray(np.abs(t))
+    np.log1p(np.exp(np.negative(out, out=out), out=out), out=out)
+    out += np.maximum(t, 0.0)
+    return out
 
 
 def _power_mean_pickands(p: float, label: str) -> PickandsFunction:
     """A = M_p for p > 0 and A = 1 - M_p for p < 0, with the power mean
-    M_p(x) = (x^p + (1-x)^p)^(1/p); D+A = +-M_p^(1-p) (x^(p-1) - (1-x)^(p-1))."""
+    M_p(u, v) = (u^p + v^p)^(1/p) read at (x, 1 - x).
+
+    No power is taken.  With q = ln(1 + e^(p (ln v - ln u))), the log-sum-exp
+    ln(e^(p ln u) + e^(p ln v)) less p ln u, M_p = u e^(q / p) and
+    D_u M_p = (M_p / u)^(1-p) = e^((1/p - 1) q).  q is a softplus of per-axis
+    logs: it neither overflows nor underflows, and D_u M_p takes no difference
+    of logs that the factor 1 - p would amplify.  l = M_p(u, v) for p > 0 and
+    u + v - M_p(u, v) for p < 0; l is symmetric, so A(x) = l(x, 1 - x) and
+    D+A(x) = D1 l(x, 1 - x) - D1 l(1 - x, x).
+    """
+
+    def stable_tail(u):
+        pu = p * np.log(u)
+
+        def at(v):
+            z = np.subtract(p * np.log(v), pu)
+            q = _softplus(z)
+            d1_m = np.multiply(q, 1.0 / p - 1.0, out=z)
+            np.exp(d1_m, out=d1_m)                  # D_u M_p
+            q /= p
+            m = np.exp(q, out=q)
+            m *= u                                  # M_p = u e^(q / p)
+            if p > 0:
+                return m, d1_m
+            ell = u + v
+            ell -= m
+            return ell, np.subtract(1.0, d1_m, out=d1_m)
+
+        return at
 
     def a(x):
-        xc = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        # for p < 0, 0^p = inf gives M_p = 0, so A reads 1 at the endpoints
-        with np.errstate(divide="ignore", over="ignore"):
-            m = (xc ** p + (1.0 - xc) ** p) ** (1.0 / p)
-        return m if p > 0 else 1.0 - m
+        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+        t = np.atleast_1d(x)
+        # the logs of 0 at the ends give NaN; A reads 1 there
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = stable_tail(t)(1.0 - t)[0].reshape(x.shape)
+        return np.where((x <= 0.0) | (x >= 1.0), 1.0, val)
 
     def dplus(x):
         x = np.asarray(x, dtype=float)
-        xc = np.clip(x, _EPS, 1.0 - _EPS)
-        # the order of the difference u^(p-1) - v^(p-1) carries the sign of D+A
-        u, v = (xc, 1.0 - xc) if p > 0 else (1.0 - xc, xc)
-        with np.errstate(over="ignore"):
-            val = (u ** p + v ** p) ** (1.0 / p - 1.0) * (u ** (p - 1.0) - v ** (p - 1.0))
+        t = np.atleast_1d(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = (stable_tail(t)(1.0 - t)[1] - stable_tail(1.0 - t)(t)[1]).reshape(x.shape)
         val = np.where(x <= 0.0, -1.0, val)
         return np.clip(np.where(x >= 1.0, 1.0, val), -1.0, 1.0)
 
-    return PickandsFunction(a, dplus, label, (), lambda q: q)  # M_p is symmetric: A^t = A
+    return PickandsFunction(a, dplus, label, (), lambda q: q, stable_tail)  # M_p is symmetric
+
+
+def _pickands_tail(a: Callable, dplus_a: Callable) -> Callable:
+    """`PickandsFunction.stable_tail` from A and D+A: l = s A(t) and
+    D1 l = A(t) + (1 - t) D+A(t), with s = u + v and t = u / s."""
+
+    def stable_tail(u):
+        def at(v):
+            s = u + v
+            t = u / s
+            a_t = a(t)
+            return s * a_t, a_t + (1.0 - t) * dplus_a(t)
+
+        return at
+
+    return stable_tail
 
 
 def make_galambos(theta: float) -> PickandsFunction:
@@ -93,7 +159,9 @@ def make_piecewise_linear_pickands(
     def mirror(q):  # A(1-x) interpolates the mirrored knots (1-x_i, a_i)
         return make_piecewise_linear_pickands(list(zip(1.0 - xs, vs)), q.label + "^t")
 
-    return PickandsFunction(*_piecewise_linear(xs, vs), label, tuple(xs.tolist()), mirror)
+    a, dplus_a = _piecewise_linear(xs, vs)
+    return PickandsFunction(a, dplus_a, label, tuple(xs.tolist()), mirror,
+                            _pickands_tail(a, dplus_a))
 
 
 def paper_pwl_knots() -> list:
@@ -107,37 +175,45 @@ def transpose_pickands(p: PickandsFunction) -> PickandsFunction:
 
 
 def ev_copula(p: PickandsFunction) -> CopulaModel:
-    """Extreme-Value copula C_A(x,y) = (xy)^A(ln x / ln xy) and its kernel."""
+    """Extreme-Value copula C_A(x,y) = (xy)^A(ln x / ln xy) and its kernel.
 
-    def _log(t):
-        return np.log(np.clip(t, _EPS, 1.0 - _EPS))
+    Both read the stable tail function l of `p` at u = -ln x and v = -ln y:
+    C = e^(-l), and the kernel is dC/dx = C D1 l / x = e^(u - l) D1 l.
+    `conditional(x)` computes u and the terms of l in u alone once.  At x = 1
+    or y = 1 the log of u = 0 or v = 0 is -inf; the edge rules replace what
+    that gives.
+    """
+
+    def _neg_log(t):
+        # at least 1-d, so that `stable_tail` and the edge rules work in place
+        return -np.log(np.clip(np.atleast_1d(t), _TINY, 1.0))
 
     def cdf(x, y):
         x, y = _unit(x), _unit(y)
-        lx, ly = _log(x), _log(y)
-        lxy = lx + ly
-        val = np.exp(lxy * p.a(lx / lxy))
-        val = np.where(x >= 1.0, y, np.where(y >= 1.0, x, val))
-        return np.where((x <= 0.0) | (y <= 0.0), 0.0, val)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ell = p.stable_tail(_neg_log(x))(_neg_log(y))[0]
+        val = np.exp(np.negative(ell, out=ell), out=ell)
+        np.copyto(val, x, where=y >= 1.0)
+        np.copyto(val, y, where=x >= 1.0)
+        np.copyto(val, 0.0, where=(x <= 0.0) | (y <= 0.0))
+        return val.reshape(np.broadcast(x, y).shape)
 
     def conditional(x):
         x = np.asarray(x, dtype=float)
-        lx, x_edge = _log(x), (x <= 0.0) | (x >= 1.0)
+        u, x_edge = _neg_log(x), (x <= 0.0) | (x >= 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            at = p.stable_tail(u)
 
         def kernel(y):
             y = np.asarray(y, dtype=float)
-            ly = _log(y)
-            lxy = lx + ly
-            t = lx / lxy
-            a = p.a(t)
-            c = np.exp(lxy * a)
-            # at subnormal x the terms over x overflow to +inf, which the clip
-            # reads as 1, the limit at x -> 0
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                val = c * (p.dplus_a(t) * ly / (x * lxy) + a / x)
-            val = np.clip(val, 0.0, 1.0)
-            val = np.where((y <= 0.0) | (y >= 1.0), np.clip(y, 0.0, 1.0), val)
-            return np.where(x_edge, 1.0, val)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ell, d1 = at(_neg_log(y))
+                val = np.exp(np.subtract(u, ell, out=ell), out=ell)
+                val *= d1
+            np.clip(val, 0.0, 1.0, out=val)
+            np.copyto(val, np.clip(y, 0.0, 1.0), where=(y <= 0.0) | (y >= 1.0))
+            np.copyto(val, 1.0, where=x_edge)
+            return val.reshape(np.broadcast(x, y).shape)
 
         return kernel
 

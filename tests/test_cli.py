@@ -8,6 +8,7 @@ import pytest
 from copkern.archimedean import kendall_function
 from copkern.cli import _PGRID, _TGRID, _emit_csv, _emit_json, _fmt, _read_sample_csv, main
 from copkern.core import checkerboard_approx, checkerboard_copula
+from copkern.extreme_value import ev_measures, make_galambos
 from copkern.fixtures import strip_copula
 from copkern.metrics import QuadratureSpec, d1, d_inf, wcc_profile
 from copkern.registry import (
@@ -294,8 +295,8 @@ def test_simulate_integer_columns_are_written_exactly(tmp_path):
         assert r["value"] == _fmt(float(r["value"]))
 
 
-def test_simulate_non_finite_true_r_exit_2(tmp_path, capsys):
-    # galambos:100's kernel grid is NaN: its summary read "true_r": NaN with exit 0
+def test_simulate_non_finite_true_r_exit_2(tmp_path, capsys, nan_galambos):
+    # a NaN kernel grid made the summary read "true_r": NaN with exit 0
     out = tmp_path / "sim.csv"
     with np.errstate(all="ignore"):
         assert run(["simulate", "--copula", "galambos:100", "--sizes", "10", "--R", "1",
@@ -304,6 +305,16 @@ def test_simulate_non_finite_true_r_exit_2(tmp_path, capsys):
             "column defect nan" in capsys.readouterr().err)
     assert not out.exists()
     assert not (tmp_path / "sim.csv.summary.json").exists()
+
+
+def test_simulate_true_r_of_galambos_100(tmp_path):
+    # the power form of galambos:100's kernel overflowed to NaN, and simulate
+    # exited 2; its true r is the exact r within the grid's error
+    out = tmp_path / "sim.csv"
+    assert run(["simulate", "--copula", "galambos:100", "--sizes", "10", "--R", "1",
+                "--estimators", "chatterjee", "--out", str(out)]) == 0
+    true_r = read_json(str(out) + ".summary.json")["true_r"]
+    assert abs(true_r - ev_measures(make_galambos(100.0))[2]) <= 1.0 / 512
 
 
 def test_simulate_determinism_modulo_wall_time(tmp_path):
@@ -634,8 +645,8 @@ def test_simulate_jobs_below_one_exit_2(tmp_path, capsys, jobs):
 
 
 @pytest.mark.parametrize("spec", ["galambos:100", "galambos:300"])
-def test_measure_non_finite_exit_2(tmp_path, capsys, spec):
-    # the kernel overflows to NaN for these parameters, which the kernel check rejects
+def test_measure_non_finite_exit_2(tmp_path, capsys, nan_galambos, spec):
+    # a NaN kernel, which the kernel check rejects
     out = tmp_path / "m.json"
     with np.errstate(all="ignore"):
         assert run(["measure", "--copula", spec, "--m", "512", "--out", str(out)]) == 2
@@ -643,6 +654,19 @@ def test_measure_non_finite_exit_2(tmp_path, capsys, spec):
     assert (f"the kernel of 'ev[{spec}]' does not disintegrate it at m = 512: "
             "column defect nan" in err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("theta", [100.0, 300.0])
+def test_measure_of_galambos_at_large_theta(tmp_path, theta):
+    # the power form's kernel overflowed to NaN at these theta, and measure
+    # exited 2; the grid's measures are the exact ones within 1/m
+    out = tmp_path / "m.json"
+    assert run(["measure", "--copula", f"galambos:{theta:g}", "--m", "512",
+                "--out", str(out)]) == 0
+    rep = read_json(out)
+    d, z, r = ev_measures(make_galambos(theta))
+    assert abs(rep["zeta1"] - z) <= 1.0 / 512 and abs(rep["r"] - r) <= 1.0 / 512
+    assert rep["d1_to_pi"] == rep["zeta1"] / 3.0
 
 
 @pytest.mark.parametrize("spec,m", [("frank:1000", 64), ("frank:1000", 512),
@@ -668,14 +692,14 @@ def test_simulate_kernel_check_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("spec,msg", [
-    # galambos:100's kernel grid is NaN: d1 read nan and wcc_max 1
+    # a NaN kernel grid: d1 read nan and wcc_max 1
     ("galambos:100", "the kernel of 'ev[galambos:100]' does not disintegrate it at "
                      "m = 512: column defect nan"),
     # gumbel:200 read phi_sup 4.5e127 from an overflow-damaged kernel
     ("gumbel:200", "the kernel of 'archimedean[gumbel:200]' does not disintegrate it at "
                    "m = 512: column defect"),
 ])
-def test_converge_damaged_rows_exit_2(tmp_path, capsys, spec, msg):
+def test_converge_damaged_rows_exit_2(tmp_path, capsys, nan_galambos, spec, msg):
     out = tmp_path / "c.csv"
     assert run(["converge", "--copula", spec, "--ks", "1,2", "--out", str(out)]) == 2
     assert msg in capsys.readouterr().err
@@ -690,7 +714,7 @@ def test_converge_damaged_rows_exit_2(tmp_path, capsys, spec, msg):
     ("galambos:50", "50", "the kernel of 'ev[galambos:100]' does not disintegrate it at "
                           "m = 512: column defect nan"),
 ])
-def test_converge_damaged_term_exit_2(tmp_path, capsys, spec, scale, msg):
+def test_converge_damaged_term_exit_2(tmp_path, capsys, nan_galambos, spec, scale, msg):
     # a term's kernel is checked on its row blocks, as the limit's grid is
     out = tmp_path / "c.csv"
     assert run(["converge", "--copula", spec, "--offset-scale", scale, "--ks", "1,2",
@@ -699,6 +723,25 @@ def test_converge_damaged_term_exit_2(tmp_path, capsys, spec, scale, msg):
     assert msg in err
     assert "> 4/m" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec,scale", [("galambos:100", "1"), ("galambos:50", "50")])
+def test_converge_of_galambos_at_large_theta(tmp_path, spec, scale):
+    # the power form's kernel overflowed to NaN at galambos:100, the limit of
+    # the first sequence and the k = 1 term of the second, and converge exited
+    # 2.  D1(C_k, C) >= |D1(C_k, Pi) - D1(C, Pi)| on the grid, and each grid D1
+    # to Pi is the exact one within 1/(3m)
+    out = tmp_path / "c.csv"
+    assert run(["converge", "--copula", spec, "--offset-scale", scale, "--ks", "1,2",
+                "--out", str(out)]) == 0
+    rows = read_csv(out)
+    limit = ev_measures(make_galambos(float(spec.split(":")[1])))[0]
+    for row in rows:
+        assert all(np.isfinite(float(v)) for v in row.values())
+        gap = abs(ev_measures(make_galambos(float(row["theta"])))[0] - limit)
+        assert float(row["d1"]) >= gap - 2.0 / (3 * 512)
+        assert float(row["wcc_max"]) < 0.1
+    assert float(rows[1]["d1"]) <= float(rows[0]["d1"])
 
 
 @pytest.mark.parametrize("cmd", ["sample", "measure"])

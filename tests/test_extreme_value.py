@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -173,17 +174,135 @@ def test_ev_kernel_transpose_disintegration():
     assert disintegration_defect(ct) <= 1e-3
 
 
-def test_ev_kernel_evaluates_pickands_once():
+def test_ev_kernel_computes_the_x_terms_once_per_conditional():
+    # conditional(x) reads the stable tail function's terms in u = -ln x once;
+    # each kernel(y) call computes only the terms in v = -ln y
     calls = []
     p = make_galambos(3.0)
 
-    def a(t):
-        calls.append(np.shape(t))
-        return p.a(t)
+    def stable_tail(u):
+        calls.append(("u", np.shape(u)))
+        at = p.stable_tail(u)
+
+        def at_v(v):
+            calls.append(("v", np.shape(v)))
+            return at(v)
+
+        return at_v
 
     x = (np.arange(16) + 0.5) / 16
-    ev_copula(replace(p, a=a)).kernel_cdf(x[:, None], x[None, :])
-    assert calls == [(16, 16)]
+    kernel = ev_copula(replace(p, stable_tail=stable_tail)).conditional(x[:, None])
+    assert calls == [("u", (16, 1))]
+    kernel(x[None, :])
+    kernel(x[None, :8])
+    assert calls == [("u", (16, 1)), ("v", (1, 16)), ("v", (1, 8))]
+
+
+def _power_form(theta, galambos):
+    """A and D+A of galambos:theta or gumbel-ev:theta written with powers,
+    M_p(t) = (t^p + (1-t)^p)^(1/p), as the library computed them before the
+    log-sum-exp form: a reference independent of it, exact where no power
+    overflows (galambos:100's D+A does, as NaN)."""
+    p = -theta if galambos else theta
+
+    def a(t):
+        tc = np.clip(t, 0.0, 1.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            m = (tc ** p + (1.0 - tc) ** p) ** (1.0 / p)
+        return 1.0 - m if galambos else m
+
+    def dplus_a(t):
+        tc = np.clip(t, 1e-15, 1.0 - 1e-15)
+        u, v = (1.0 - tc, tc) if galambos else (tc, 1.0 - tc)
+        with np.errstate(over="ignore"):
+            val = (u ** p + v ** p) ** (1.0 / p - 1.0) * (u ** (p - 1.0) - v ** (p - 1.0))
+        return np.clip(np.where(t <= 0.0, -1.0, np.where(t >= 1.0, 1.0, val)), -1.0, 1.0)
+
+    return a, dplus_a
+
+
+def _t_form(a, dplus_a):
+    """C = exp(ln xy A(t)) and K = C (D+A(t) ln y / (x ln xy) + A(t) / x) in
+    t = ln x / ln xy, with the edge rules of `ev_copula`: the reference form."""
+
+    def logs(x, y):
+        lx, ly = (np.log(np.clip(s, 1e-15, 1.0 - 1e-15)) for s in (x, y))
+        return lx, ly, lx + ly
+
+    def cdf(x, y):
+        lx, ly, lxy = logs(x, y)
+        val = np.where(x >= 1.0, y, np.where(y >= 1.0, x, np.exp(lxy * a(lx / lxy))))
+        return np.where((x <= 0.0) | (y <= 0.0), 0.0, val)
+
+    def kernel(x, y):
+        lx, ly, lxy = logs(x, y)
+        t = lx / lxy
+        a_t = a(t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = np.exp(lxy * a_t) * (dplus_a(t) * ly / (x * lxy) + a_t / x)
+        val = np.where((y <= 0.0) | (y >= 1.0), np.clip(y, 0.0, 1.0), np.clip(val, 0.0, 1.0))
+        return np.where((x <= 0.0) | (x >= 1.0), 1.0, val)
+
+    return cdf, kernel
+
+
+@pytest.mark.parametrize("spec", ["galambos:0.2", "galambos:3", "galambos:30", "gumbel-ev:1",
+                                  "gumbel-ev:1.01", "gumbel-ev:3", "gumbel-ev:30"])
+def test_ev_copula_matches_the_t_form(spec):
+    name, theta = spec.split(":")
+    cdf, kernel = _t_form(*_power_form(float(theta), name == "galambos"))
+    # galambos:30's powers overflow in the reference at (1e-9, 1 - 1e-9)
+    corners = [1e-6, 1e-4, 1.0 - 1e-4, 1.0 - 1e-6]
+    g = np.r_[np.linspace(0.0, 1.0, 65), corners]
+    X, Y = g[:, None], g[None, :]
+    c = make_copula(spec)
+    assert np.max(np.abs(c.kernel_cdf(X, Y) - kernel(X, Y))) <= 5e-14
+    assert np.max(np.abs(c.cdf(X, Y) - cdf(X, Y))) <= 5e-14
+
+
+def test_ev_kernel_near_the_corner_x_0():
+    # at x < 1e-15 the kernel read 1.0, with ln x clipped at 1e-15 but divided
+    # by the unclipped x; the closed form of the Gumbel copula's dC/dx is
+    # C M^(1 - theta) u^(theta - 1) / x, with M = (u^theta + v^theta)^(1/theta)
+    x, y, theta = 2.13e-16, 1.81e-14, 10.0
+    u, v = -math.log(x), -math.log(y)
+    m = (u ** theta + v ** theta) ** (1.0 / theta)
+    want = math.exp(-m) * m ** (1.0 - theta) * u ** (theta - 1.0) / x
+    assert abs(want - 0.3383303178679762) <= 1e-15
+    got = float(make_copula("gumbel-ev:10").kernel_cdf(x, y))
+    assert abs(got - want) <= 1e-14
+
+
+@pytest.mark.parametrize("name, thetas", [
+    ("galambos", [0.2, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1e3, 1e4, 1e5]),
+    ("gumbel-ev", [1.01, 3.0, 10.0, 100.0, 1e3, 1e4, 1e5]),
+])
+def test_ev_kernels_pass_the_kernel_check_up_to_theta_1e5(name, thetas):
+    # the log-sum-exp form neither overflows nor underflows: every grid passes
+    # pi_measures' kernel check, and r grows with theta.  From theta = 1e4 the
+    # grid has saturated at its value for the near-M kernel (1/2 on the
+    # diagonal cells, where u = v): there it moves by 3e-10, below its own
+    # error, so the grid's r is checked against the exact r within 2/m
+    m = 512
+    grid = np.array([pi_measures(make_copula(f"{name}:{t:g}"), QuadratureSpec(m=m))[2]
+                     for t in thetas])
+    make = make_galambos if name == "galambos" else make_gumbel_pickands
+    exact = np.array([ev_measures(make(t))[2] for t in thetas])
+    assert np.all(np.diff(exact) > 0.0)
+    assert np.all(np.diff(grid) >= -1e-9)
+    assert np.max(np.abs(grid - exact)) <= 2.0 / m
+
+
+@pytest.mark.parametrize("name", ["galambos", "gumbel-ev"])
+def test_ev_copula_at_theta_1e300(name):
+    # p ln u is finite for |p| up to about 4.9e306: the kernel is M's to
+    # rounding, 1 above the diagonal cells, 1/2 on them and 0 below, whose
+    # grid r is 1 - 1.5/m; the exact r is 1
+    m = 512
+    grid = pi_measures(make_copula(f"{name}:1e300"), QuadratureSpec(m=m))[2]
+    assert abs(grid - (1.0 - 1.5 / m)) <= 1e-12
+    make = make_galambos if name == "galambos" else make_gumbel_pickands
+    assert abs(ev_measures(make(1e300))[2] - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("build,msg", [
@@ -295,6 +414,17 @@ def test_ev_measures_resolve_endpoint_singularities(monkeypatch, p):
 
 
 def test_ev_measures_name_a_damaged_pickands_function():
-    # galambos:100's D+A overflows to NaN near the endpoints
-    with pytest.raises(ValueError, match="'galambos:100'.*not finite"):
-        ev_measures(make_galambos(100.0))
+    p = replace(make_galambos(3.0), label="damaged", dplus_a=lambda t: np.full(np.shape(t), np.nan))
+    with pytest.raises(ValueError, match="'damaged'.*not finite"):
+        ev_measures(p)
+
+
+@pytest.mark.parametrize("theta, want, tol", [(100.0, 0.985106310585124, 1e-10),
+                                              (300.0, 0.995011827970666, 2e-8)])
+def test_ev_measures_of_galambos_at_large_theta(theta, want, tol):
+    # the power form's D+A overflowed to NaN here; the references are
+    # high-precision quadratures of r, and ev_measures' error grows with theta,
+    # as D+A steepens around 1/2
+    d, z, r = ev_measures(make_galambos(theta))
+    assert abs(r - want) <= tol
+    assert 0.0 <= z <= 1.0 and d == z / 3.0

@@ -27,6 +27,7 @@ from copkern.fixtures import shift_copula, strip_copula, strip_index
 from copkern.metrics import (
     QuadratureSpec,
     _column_defect,
+    checked_kernel_grid,
     d1,
     d1_grids,
     d1_to_grid,
@@ -148,6 +149,15 @@ def test_kernel_check_rejects_overflow_damaged_models(spec, m, measure):
     assert defect > 4.0 / m
     assert (f"the kernel of '{c.label}' does not disintegrate it at m = {m}: "
             f"column defect {defect:.3g} > 4/m") in str(info.value)
+
+
+@pytest.mark.parametrize("measure", [checked_kernel_grid, r_measure, pi_measures,
+                                     _d1_to_pi_grid])
+def test_kernel_check_rejects_a_nan_kernel(nan_galambos, measure):
+    # a NaN cell makes the column defect NaN, which fails the check
+    with pytest.raises(ValueError, match="the kernel of 'ev\\[galambos:100\\]' does not "
+                                         "disintegrate it at m = 64: column defect nan"):
+        measure(make_copula("galambos:100"), QuadratureSpec(m=64))
 
 
 def _bits(v):

@@ -15,9 +15,10 @@ from copkern.study import StudyConfig, replication_seed, run_study
     ("gumbel:200", 0, "column defect"),
     ("galambos:100", 0, "column defect nan"),
 ], ids=["gumbel:3-2", "gumbel:200-0", "galambos:100-0"])
-def test_run_study_checks_true_r_before_replications(monkeypatch, spec, expected_calls, msg):
-    # gumbel:200 and galambos:100 (a NaN grid) fail the kernel check of their
-    # true r, before any sample is drawn
+def test_run_study_checks_true_r_before_replications(monkeypatch, nan_galambos, spec,
+                                                     expected_calls, msg):
+    # gumbel:200 and a NaN kernel (the galambos:100 stand-in) fail the kernel
+    # check of their true r, before any sample is drawn
     calls = []
     original = study.sample_many
 
