@@ -199,12 +199,20 @@ def archimedean_copula(g: Generator) -> CopulaModel:
 
         return kernel
 
+    def measures(m):
+        # P(P+1)/2 <= m^2/8 for P pieces from 0: the O(P^2) sum is cheaper than the grid
+        if g.knots is None or g.knots[0][0] != 0.0:
+            return None
+        pieces = len(g.knots[0]) - 1
+        return piecewise_measures(g) if 4 * pieces * (pieces + 1) <= m * m else None
+
     # archimedean copulas are symmetric
     return CopulaModel(
         cdf=cdf,
         conditional=conditional,
         label=f"archimedean[{g.label}]",
         transpose_factory=lambda c: c,
+        measures=measures,
     )
 
 

@@ -18,7 +18,7 @@ from .core import cdf_lattice, checkerboard_approx, checkerboard_copula, sup_dis
 from .estimation import chatterjee_r, plugin_zeta1_r, pseudo_obs
 from .fixtures import strip_copula
 from .metrics import WCC_STATS, QuadratureSpec, checked_kernel_grid, d1_to_grid, d_inf
-from .metrics import d_inf_to_lattice, pi_measures, wcc_grid
+from .metrics import d_inf_to_lattice, measures, wcc_grid
 from .registry import (
     COPULA_OF_KIND,
     FAMILIES,
@@ -111,15 +111,15 @@ def _check_finite(what: str, args, columns):
 def cmd_measure(args):
     c = make_copula(args.copula, knots=_load_knots(args))
     q = QuadratureSpec(m=args.m)
-    d1_to_pi, z, r = pi_measures(c, q)
-    measures = {
+    d1_to_pi, z, r = measures(c, q)
+    report = {
         "zeta1": z,
         "r": r,
         "d1_to_pi": d1_to_pi,
         "d_inf_to_pi": d_inf(c, make_copula("pi"), q),
     }
-    _check_finite("measures", args, measures.items())
-    _emit_json({"copula": c.label, "m": args.m, **measures}, args.out)
+    _check_finite("measures", args, report.items())
+    _emit_json({"copula": c.label, "m": args.m, **report}, args.out)
 
 
 def _read_sample_csv(path: str) -> SampleSet:
@@ -277,9 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=ESTIMATORS)
     p.add_argument("--seed", type=int, default=0)
     add_common(p, copula=False, m=512,
-               m_help="quadrature resolution of plugin-arch fits whose P-piece generator "
-                      "(P <= n) has P(P+1)/2 > m^2/8 (smaller fits and plugin-ev are "
-                      "exact)")
+               m_help="quadrature resolution of fits without exact measures")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("sample", help="draw a seeded sample from a copula")
@@ -290,9 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("simulate", help="replication study comparing r estimators")
-    add_common(p, m=256, m_help="quadrature resolution of plugin-arch records whose "
-                                "P-piece generator (P <= n) has P(P+1)/2 > m^2/8 "
-                                "(smaller fits and plugin-ev are exact)")
+    add_common(p, m=256, m_help="quadrature resolution of fits without exact measures")
     p.add_argument("--sizes", default="50,100,500,2000", help="comma-separated sample sizes")
     p.add_argument("--R", type=int, default=500, help="replications per cell")
     p.add_argument("--estimators", default=",".join(ESTIMATORS))

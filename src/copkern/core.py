@@ -24,13 +24,15 @@ class CopulaModel:
     metrics evaluate as given.  The required ``transpose_factory(c)``
     returns the transpose of the model `c` it is called with, with its own
     exact kernel; a symmetric model is built with ``lambda c: c``.  Models
-    are immutable and safe for concurrent reads.
+    are immutable and safe for concurrent reads.  ``measures(m)`` is the exact
+    (D1(C, Pi), zeta1, r), or None where it has none cheaper than an m x m grid.
     """
 
     cdf: Callable
     conditional: Callable
     label: str
     transpose_factory: Callable = field(repr=False)
+    measures: Callable = field(default=lambda m: None, repr=False)
 
     def kernel_cdf(self, x, y):
         """K(x, [0, y]) = ``conditional(x)(y)``."""
@@ -95,6 +97,7 @@ def make_pi() -> CopulaModel:
         conditional=_pi_conditional,
         label="pi",
         transpose_factory=lambda c: c,
+        measures=lambda m: (0.0, 0.0, 0.0),
     )
 
 
@@ -105,6 +108,7 @@ def make_m() -> CopulaModel:
         conditional=_point_mass_conditional(lambda x: x),
         label="m",
         transpose_factory=lambda c: c,
+        measures=lambda m: (1.0 / 3.0, 1.0, 1.0),
     )
 
 
@@ -115,6 +119,7 @@ def make_w() -> CopulaModel:
         conditional=_point_mass_conditional(lambda x: 1.0 - x),
         label="w",
         transpose_factory=lambda c: c,
+        measures=lambda m: (1.0 / 3.0, 1.0, 1.0),
     )
 
 
@@ -306,4 +311,5 @@ def checkerboard_copula(m: CheckerboardMatrix) -> CopulaModel:
         conditional=conditional,
         label=f"checkerboard:{N}",
         transpose_factory=lambda c: checkerboard_copula(CheckerboardMatrix(mass.T.copy())),
+        measures=lambda _: checkerboard_measures(m),
     )

@@ -7,11 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import dominance_counts
-from .archimedean import Generator, archimedean_copula, piecewise_measures
+from .archimedean import Generator, archimedean_copula
 from .core import CopulaModel, _piecewise_linear, lattice, sup_distance
-from .extreme_value import PickandsFunction, ev_measures, make_piecewise_linear_pickands
+from .extreme_value import PickandsFunction, ev_copula, make_piecewise_linear_pickands
 # zeta1 is not used here; the binding remains for callers that trace it
-from .metrics import QuadratureSpec, pi_measures, zeta1  # noqa: F401
+from .metrics import QuadratureSpec, measures, zeta1  # noqa: F401
 from .sampling import RngSpec, SampleSet, sample
 
 _EULER_GAMMA = 0.5772156649015329
@@ -296,30 +296,16 @@ def convexify_pickands(raw: dict) -> PickandsFunction:
 def plugin_zeta1_r(
     p: PseudoObservations, which: str, q: QuadratureSpec = QuadratureSpec()
 ):
-    """Structural plugin estimates (zeta1, r) under an Archimedean or EV assumption,
-    and the fit the model is built from: the EmpiricalKendall or the convexified
-    PickandsFunction.
-
-    The Extreme-Value measures are `ev_measures` of the fit, which are exact
-    and take no `q`.  The Archimedean fit's generator is linear on P <= n
-    pieces (its knots are 0, 1 and the atoms i/(n+1), i < n): its measures
-    are the exact `piecewise_measures`, a sum over P(P+1)/2 piece pairs, when
-    P(P+1)/2 <= m^2/8 (P <= 127 at m = 256), and are read off the model's
-    kernel grid at `q` above that, where the sum costs about as much as the
-    grid or more (2.9 ms against 4.7 ms for the m = 256 grid at P = 124; the
-    sum grows as P^2, the grid hardly).
-    """
+    """Structural plugin estimates (zeta1, r), `metrics.measures` at `q` of the
+    Archimedean or EV model fitted to `p`, and the fit the model is built from:
+    the EmpiricalKendall or the convexified PickandsFunction."""
     if which == "archimedean":
         fit = empirical_kendall(p)
-        g = reconstruct_generator(fit)
-        pieces = len(g.knots[0]) - 1
-        if 4 * pieces * (pieces + 1) <= q.m ** 2:
-            _, z, r = piecewise_measures(g)
-        else:
-            _, z, r = pi_measures(archimedean_copula(g), q)
+        model = archimedean_copula(reconstruct_generator(fit))
     elif which == "extreme-value":
         fit = convexify_pickands(cfg_estimator(p))
-        _, z, r = ev_measures(fit)
+        model = ev_copula(fit)
     else:
         raise ValueError("structural assumption must be 'archimedean' or 'extreme-value'")
+    _, z, r = measures(model, q)
     return z, r, fit

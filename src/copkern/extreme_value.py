@@ -181,7 +181,7 @@ def ev_copula(p: PickandsFunction) -> CopulaModel:
     C = e^(-l), and the kernel is dC/dx = C D1 l / x = e^(u - l) D1 l.
     `conditional(x)` computes u and the terms of l in u alone once.  At x = 1
     or y = 1 the log of u = 0 or v = 0 is -inf; the edge rules replace what
-    that gives.
+    that gives.  The model's `measures` are the exact `ev_measures(p)`.
     """
 
     def _neg_log(t):
@@ -226,6 +226,7 @@ def ev_copula(p: PickandsFunction) -> CopulaModel:
         conditional=conditional,
         label=f"ev[{p.label}]",
         transpose_factory=transpose_factory,
+        measures=lambda m: ev_measures(p),
     )
 
 
@@ -233,11 +234,14 @@ def ev_copula(p: PickandsFunction) -> CopulaModel:
 # piece between 0, the breakpoints, the points of a uniform _EV_PARTITION-cell
 # partition of [0, 1] (which resolves the smooth families) and 1.  A Pickands
 # function without breakpoints also gets the cells _EV_GEOMETRIC toward each
-# end: its D+A may have a power singularity there (galambos:0.2, gumbel-ev:1.01)
-# that the uniform cells resolve only to about 1e-6
+# end, where D+A may have a power singularity (galambos:0.2, gumbel-ev:1.01),
+# and _EV_GEOMETRIC / 2 on either side of 1/2, where the power mean's D+A
+# steepens as theta grows: the uniform cells alone are 1e-6 and 1e-8 off
 _EV_NODES = 16
 _EV_PARTITION = 32
 _EV_GEOMETRIC = 2.0 ** -np.arange(6, 53)
+_EV_GRADED = np.r_[_EV_GEOMETRIC, 1.0 - _EV_GEOMETRIC, 0.5 - _EV_GEOMETRIC / 2,
+                   0.5 + _EV_GEOMETRIC / 2]
 
 
 def _gauss_legendre(n: int):
@@ -274,19 +278,18 @@ def ev_measures(p: PickandsFunction):
     The inner integrand is negative below s* = ln B / (A - 1) and positive
     above when B < 1 (s* = inf when A = 1 too), and never negative when
     B >= 1 (s* = 0); it is integrated in closed form on both sides of s*.
-    The outer integrals are Gauss-Legendre on the pieces where A is smooth,
-    refined geometrically toward 0 and 1 when A has no breakpoints.
-    A result that is not finite (a damaged D+A) is a ValueError.
+    A = l(t, 1 - t) and B = D1 l(t, 1 - t), as the kernel reads them.  The
+    outer integrals are Gauss-Legendre on the pieces where A is smooth, graded
+    toward 0, 1/2 and 1 without breakpoints.  A non-finite result is a ValueError.
     """
-    edges = np.union1d(np.linspace(0.0, 1.0, _EV_PARTITION + 1),
-                       p.breakpoints or np.r_[_EV_GEOMETRIC, 1.0 - _EV_GEOMETRIC])
+    edges = np.union1d(np.linspace(0.0, 1.0, _EV_PARTITION + 1), p.breakpoints or _EV_GRADED)
     half = 0.5 * np.diff(edges)[:, None]
     t = (edges[:-1, None] + half * (1.0 + _GL_NODES)).ravel()
     w = (half * _GL_WEIGHTS).ravel()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a = p.a(t)
+        a, b = p.stable_tail(t)(1.0 - t)
         # B >= 0 for a valid A; the clip drops rounding below 0, as the kernel's does
-        b = np.maximum(a + (1.0 - t) * p.dplus_a(t), 0.0)
+        np.maximum(b, 0.0, out=b)
         r = 6.0 * np.dot(w, b ** 2 / (1.0 + 2.0 * a - 2.0 * t) ** 2) - 2.0
         c1, c2 = a - t + 1.0, 2.0 - t
         s_star = np.where(b >= 1.0, 0.0, np.where(a < 1.0, np.log(b) / (a - 1.0), np.inf))

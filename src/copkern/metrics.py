@@ -193,6 +193,11 @@ def pi_measures(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
     return d, 3.0 * d, 6.0 * float(np.mean(np.square(K, out=K))) - 2.0
 
 
+def measures(c: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
+    """(D1(C, Pi), zeta1, r): ``c.measures(q.m)``, else `pi_measures` of the grid at `q`."""
+    return c.measures(q.m) or pi_measures(c, q)
+
+
 def partial_distance(c1: CopulaModel, c2: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
     """Symmetrized D1: D1(C1,C2) + D1(C1^t, C2^t)."""
     return d1(c1, c2, q) + d1(transpose(c1), transpose(c2), q)

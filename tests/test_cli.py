@@ -646,13 +646,12 @@ def test_simulate_jobs_below_one_exit_2(tmp_path, capsys, jobs):
 
 @pytest.mark.parametrize("spec", ["galambos:100", "galambos:300"])
 def test_measure_non_finite_exit_2(tmp_path, capsys, nan_galambos, spec):
-    # a NaN kernel, which the kernel check rejects
+    # a NaN stable tail function, which the exact Extreme-Value measures reject
     out = tmp_path / "m.json"
     with np.errstate(all="ignore"):
         assert run(["measure", "--copula", spec, "--m", "512", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert (f"the kernel of 'ev[{spec}]' does not disintegrate it at m = 512: "
-            "column defect nan" in err)
+    assert f"the Extreme-Value measures of '{spec}' are not finite" in err
     assert not out.exists()
 
 

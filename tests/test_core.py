@@ -429,3 +429,17 @@ def test_no_import_inside_a_function():
                 found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+def test_exact_measures_are_reached_through_the_model():
+    # estimation, cli and study read measures through metrics.measures, which
+    # picks the model's exact route or the grid; a direct import of a route
+    # would choose again outside the model
+    routes = {"pi_measures", "ev_measures", "piecewise_measures", "checkerboard_measures"}
+    found = []
+    for name in ("estimation", "cli", "study"):
+        tree = ast.parse((Path(copkern.__file__).parent / f"{name}.py").read_text())
+        found += [f"{name}.py:{node.lineno} {alias.name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) for alias in node.names
+                  if alias.name in routes]
+    assert found == []

@@ -433,6 +433,11 @@ def _exact_side_m(n):
                  id="archimedean-exact-side"),
     pytest.param("archimedean", "archimedean_copula", 50, _exact_side_m(50) - 1, 1,
                  id="archimedean-grid-side"),
+    # and at n = 100 (P = 62): m = 125 and 124
+    pytest.param("archimedean", "archimedean_copula", 100, _exact_side_m(100), 0,
+                 id="archimedean-exact-side-n100"),
+    pytest.param("archimedean", "archimedean_copula", 100, _exact_side_m(100) - 1, 1,
+                 id="archimedean-grid-side-n100"),
 ])
 def test_plugin_evaluates_one_kernel_grid(monkeypatch, which, factory, n, m, grids):
     # the Archimedean plugin reads one kernel grid above the rule

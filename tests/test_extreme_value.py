@@ -414,17 +414,28 @@ def test_ev_measures_resolve_endpoint_singularities(monkeypatch, p):
 
 
 def test_ev_measures_name_a_damaged_pickands_function():
-    p = replace(make_galambos(3.0), label="damaged", dplus_a=lambda t: np.full(np.shape(t), np.nan))
+    # ev_measures reads the stable tail function, as the kernel does; here its
+    # derivative D1 l is NaN
+    tail = make_galambos(3.0).stable_tail
+
+    def damaged_tail(u):
+        at = tail(u)
+        return lambda v: (at(v)[0], np.full(np.broadcast(u, v).shape, np.nan))
+
+    p = replace(make_galambos(3.0), label="damaged", stable_tail=damaged_tail)
     with pytest.raises(ValueError, match="'damaged'.*not finite"):
         ev_measures(p)
 
 
-@pytest.mark.parametrize("theta, want, tol", [(100.0, 0.985106310585124, 1e-10),
-                                              (300.0, 0.995011827970666, 2e-8)])
-def test_ev_measures_of_galambos_at_large_theta(theta, want, tol):
-    # the power form's D+A overflowed to NaN here; the references are
-    # high-precision quadratures of r, and ev_measures' error grows with theta,
-    # as D+A steepens around 1/2
-    d, z, r = ev_measures(make_galambos(theta))
-    assert abs(r - want) <= tol
+@pytest.mark.parametrize("p, want", [(make_galambos(100.0), 0.985106310585124),
+                                     (make_galambos(300.0), 0.995011827970666),
+                                     (make_gumbel_pickands(100.0), 0.985000567500687)],
+                         ids=["galambos:100", "galambos:300", "gumbel-ev:100"])
+def test_ev_measures_of_the_power_mean_at_large_theta(p, want):
+    # the power form's D+A overflowed to NaN at these theta.  The references
+    # are 40-digit quadratures of r (mpmath, split at 2^-k toward 0, 1/2 and
+    # 1); D+A steepens around 1/2 as theta grows, and the uniform cells alone
+    # left r 2e-11 (theta = 100) and 1e-8 (galambos:300) off
+    d, z, r = ev_measures(p)
+    assert abs(r - want) <= 1e-13
     assert 0.0 <= z <= 1.0 and d == z / 3.0

@@ -10,10 +10,13 @@ from copkern.core import (
     cdf_lattice,
     checkerboard_approx,
     checkerboard_copula,
+    checkerboard_measures,
     make_m,
+    make_marshall_olkin,
     make_pi,
     make_w,
     sup_distance,
+    transpose,
 )
 from copkern.estimation import (
     cfg_estimator,
@@ -22,7 +25,13 @@ from copkern.estimation import (
     pseudo_obs,
     reconstruct_generator,
 )
-from copkern.extreme_value import ev_copula
+from copkern.extreme_value import (
+    ev_copula,
+    ev_measures,
+    make_piecewise_linear_pickands,
+    paper_pwl_knots,
+    transpose_pickands,
+)
 from copkern.fixtures import shift_copula, strip_copula, strip_index
 from copkern.metrics import (
     QuadratureSpec,
@@ -38,6 +47,7 @@ from copkern.metrics import (
     disintegration_defect,
     golden_xs,
     kernel_grid,
+    measures,
     midpoints,
     partial_distance,
     pi_measures,
@@ -128,6 +138,55 @@ def test_pi_measures_equal_single_measures(spec):
     q = QuadratureSpec(m=128)
     assert pi_measures(c, q) == (d1(c, make_pi(), q), zeta1(c, q), r_measure(c, q))
     assert r_identity_residual(c, q) <= 1e-6
+
+
+# (D1(C, Pi), zeta1, r) of the closed-form models
+_CLOSED_FORMS = {"pi": (0.0, 0.0, 0.0), "m": (1.0 / 3.0, 1.0, 1.0), "w": (1.0 / 3.0, 1.0, 1.0)}
+# registered families whose models carry no exact measures
+_GRID_ONLY = ("clayton", "gumbel", "frank", "marshall-olkin")
+
+
+@pytest.mark.parametrize("spec", _CLOSED_FORMS)
+@pytest.mark.parametrize("m", [64, 512])
+def test_measures_of_the_closed_forms(spec, m):
+    # the grid reads r(M) = r(W) = 1 + 3/m; the models carry the exact values
+    c, q = make_copula(spec), QuadratureSpec(m=m)
+    assert measures(c, q) == _CLOSED_FORMS[spec]
+    assert np.max(np.abs(np.subtract(pi_measures(c, q), _CLOSED_FORMS[spec]))) <= 3.0 / m
+
+
+@pytest.mark.parametrize("spec", registered_examples())
+@pytest.mark.parametrize("m", [64, 512])
+def test_measures_agree_with_the_grid(spec, m):
+    c, q = make_copula(spec), QuadratureSpec(m=m)
+    got, grid = np.array(measures(c, q)), np.array(pi_measures(c, q))
+    if spec.split(":")[0] in _GRID_ONLY:
+        assert got.tobytes() == grid.tobytes()
+    else:
+        assert np.max(np.abs(got - grid)) <= 4.0 / m
+
+
+def test_checkerboard_model_carries_its_exact_measures():
+    cb = checkerboard_approx(make_copula("clayton:2"), 16)
+    assert measures(checkerboard_copula(cb), Q) == checkerboard_measures(cb)
+
+
+def test_transposed_model_carries_the_transposed_measures():
+    # the paper's piecewise-linear A is asymmetric, and so are its measures
+    p = make_piecewise_linear_pickands(paper_pwl_knots())
+    got = measures(transpose(ev_copula(p)), Q)
+    assert got == ev_measures(transpose_pickands(p))
+    assert got[2] != ev_measures(p)[2]
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 0.7), (0.2, 0.9), (0.9, 0.3)])
+@pytest.mark.parametrize("m", [512, 2048])
+def test_r_measure_of_marshall_olkin_against_its_closed_form(alpha, beta, m):
+    # K = (1 - alpha) x^-alpha y below the curve y = x^(alpha/beta) and
+    # y^(1 - beta) above it, which integrates to this r
+    want = ((2.0 * beta * (1.0 - alpha) ** 2 + 6.0 * alpha)
+            / (3.0 * alpha + beta - 2.0 * alpha * beta) - 2.0)
+    assert abs(r_measure(make_marshall_olkin(alpha, beta), QuadratureSpec(m=m)) - want) <= 1.0 / m
 
 
 def _d1_to_pi_grid(c, q):
