@@ -57,6 +57,8 @@ def _cell(c) -> str:
 
 def _column(values):
     """(cells, format) of one CSV column: floats under %.17g, or each cell through `_cell`."""
+    if isinstance(values, np.ndarray) and values.dtype.char in "efd":
+        return values.tolist(), _FLOAT_FMT  # float16/32/64 list as Python floats
     cells = values.tolist() if isinstance(values, np.ndarray) else list(values)
     if all(isinstance(c, float) for c in cells):
         return cells, _FLOAT_FMT

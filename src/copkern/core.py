@@ -188,8 +188,11 @@ def _piecewise_linear(xs: np.ndarray, vs: np.ndarray):
 
 def sup_distance(a: np.ndarray, b: np.ndarray) -> float:
     """max |a - b| of two grids or tables of the same shape (or broadcasting
-    to one); the abs is taken in place, on the difference's own array."""
-    diff = np.subtract(a, b)
+    to one); the abs is taken in place, on the difference's own array.  Equal
+    infinities differ by NaN, quietly: the sup is then NaN, for the caller's
+    finiteness check to name."""
+    with np.errstate(invalid="ignore"):
+        diff = np.subtract(a, b)
     return float(np.max(np.abs(diff, out=diff)))
 
 

@@ -1,8 +1,9 @@
 """Family registry: build copula models from ``name:params`` spec strings."""
 
 import csv
+import io
 import math
-from itertools import chain
+import warnings
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,19 +63,24 @@ def parse_spec(spec: str) -> Tuple[str, List[float]]:
     return name, params
 
 
-def _float_rows(rows, k: int) -> np.ndarray:
-    """The (len(rows), k) float64 array of `rows`; ValueError unless each has k floats."""
-    if set(map(len, rows)) - {k}:
-        raise ValueError
-    return np.fromiter(map(float, chain.from_iterable(rows)), float, k * len(rows)).reshape(-1, k)
+# the ASCII separators 0x1c-0x1f: numpy's float parser strips them as
+# whitespace, float() does not
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 def read_float_csv(path: str, header: Sequence[str], what: str) -> np.ndarray:
     """The (rows, k) float64 array of a CSV of floats under the k-column `header`.
 
-    Blank lines and a leading UTF-8 byte order mark are skipped.  All fields
-    are converted in one pass; only when that fails is the file read again
-    for the first malformed row, whose physical line the error names.
+    Blank lines and a leading UTF-8 byte order mark are skipped.  The body is
+    parsed by numpy's C text reader, which converts each field with the
+    routine behind ``float()``.  Only where it rejects the body (a quoted
+    field, a digit separator, a field it cannot convert, a column count other
+    than k, no rows) or could read a field unlike ``float()`` (one holding a
+    `_NUMPY_ONLY_SPACE` separator) is the body scanned again with ``csv``,
+    which gives the array or names the physical line of the first malformed
+    row.  Accepted inputs, arrays and error messages are those of the ``csv``
+    scan alone, save one: a field longer than ``csv.field_size_limit()``,
+    which the scan refuses with ``csv.Error``, is read.
     """
     k = len(header)
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -82,20 +88,32 @@ def read_float_csv(path: str, header: Sequence[str], what: str) -> np.ndarray:
         if [f.strip() for f in next(reader, [])] != list(header):
             raise ValueError(f"{what} CSV must have header '{','.join(header)}'")
         try:
-            return _float_rows(list(filter(None, reader)), k)
-        except ValueError:
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
-            for row in filter(None, reader):
-                try:
-                    _float_rows([row], k)
-                except ValueError:
-                    raise ValueError(
-                        f"{what} CSV line {reader.line_num}: expected {k} numbers, "
-                        f"got '{','.join(row)}'"
-                    ) from None
-            raise
+            body = fh.read()
+            if not any(c in body for c in _NUMPY_ONLY_SPACE):
+                with warnings.catch_warnings():
+                    # numpy warns "input contained no data" for a header-only file
+                    warnings.simplefilter("error")
+                    rows = np.loadtxt(io.StringIO(body, newline=None), delimiter=",",
+                                      dtype=float, comments=None, ndmin=2)
+                if rows.shape[1] == k:
+                    return rows
+        except (ValueError, Warning):
+            pass  # a rejected or undecodable body: the scan gives its array or error
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
+        values = []
+        for row in filter(None, reader):
+            try:
+                if len(row) != k:
+                    raise ValueError
+                values.extend(map(float, row))
+            except ValueError:
+                raise ValueError(
+                    f"{what} CSV line {reader.line_num}: expected {k} numbers, "
+                    f"got '{','.join(row)}'"
+                ) from None
+        return np.array(values, float).reshape(-1, k)
 
 
 def read_knots_csv(path: str) -> np.ndarray:
