@@ -4,7 +4,8 @@
 empirical Kendall distribution in O(n log^2 n) by counting over merge levels;
 ``levy_distance`` resolves the Levy metric between tabulated CDFs, row by
 row, by one binary search over grid shifts, each step checked for all rows by
-``_levy_check``.
+``_levy_check``.  F is padded into its shifted windows once per
+``levy_distance`` call, not once per search step.
 """
 
 import numpy as np
@@ -46,16 +47,14 @@ def dominance_counts(x, y):
     return out
 
 
-def _levy_check(f, g, k):
+def _levy_check(windows, g, k):
     """Per row r, the Levy condition F(y-eps)-eps <= G(y) <= F(y+eps)+eps at
     eps = k_r * h, checked on the common grid (h = grid step, index shift k_r);
-    `f` and `g` are (rows, m) and `k` holds one integer shift per row."""
-    n, m = f.shape
-    # F read k_r steps to the left and right, 0 below the grid and 1 above it:
-    # windows[r, s] is row r of F padded by m - 1 zeros and m - 1 ones,
-    # read from s on, so picking one window per row copies whole rows
-    padded = np.concatenate((np.zeros((n, m - 1)), f, np.ones((n, m - 1))), axis=1)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, m, axis=1)
+    `g` is (rows, m) and `k` holds one integer shift per row.  windows[r, s]
+    is row r of F padded by m - 1 zeros and m - 1 ones, read from s on, so
+    windows[r, m - 1 -/+ k_r] is F read k_r steps to the left/right, 0 below
+    the grid and 1 above it; picking one window per row copies whole rows."""
+    n, _, m = windows.shape
     rows, k = np.arange(n), np.asarray(k)
     lo, hi = windows[rows, m - 1 - k], windows[rows, m - 1 + k]
     eps = (k / (m - 1))[:, None]
@@ -80,11 +79,14 @@ def levy_distance(f, g):
     m = rows_f.shape[1]
     if m < 2:
         raise ValueError(f"a Levy distance needs CDF tables of at least 2 points, got {m}")
-    lo = np.zeros(len(rows_f), dtype=np.int64)
-    hi = np.where(_levy_check(rows_f, rows_g, lo), 0, m - 1)
+    n = len(rows_f)
+    padded = np.concatenate((np.zeros((n, m - 1)), rows_f, np.ones((n, m - 1))), axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, m, axis=1)
+    lo = np.zeros(n, dtype=np.int64)
+    hi = np.where(_levy_check(windows, rows_g, lo), 0, m - 1)
     while np.any(unsettled := hi - lo > 1):
         mid = (lo + hi) // 2
-        ok = _levy_check(rows_f, rows_g, mid)
+        ok = _levy_check(windows, rows_g, mid)
         hi = np.where(unsettled & ok, mid, hi)
         lo = np.where(unsettled & ~ok, mid, lo)
     dist = hi / (m - 1)

@@ -7,6 +7,7 @@ NaN or infinity (such a value is an error, exit 2, and no file is written).
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -255,7 +256,10 @@ def cmd_approximate(args):
     _emit_csv(["resolution", *(f"wcc_{name}" for name in WCC_STATS)], columns, args.out)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing keeps no state in it,
+    and `main` looks the command's ``cmd_*`` function up at each call."""
     ap = argparse.ArgumentParser(
         prog="copkern",
         description="Markov-kernel copula dependence analysis",
@@ -272,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="dependence measures of a registered copula")
     add_common(p, m=512)
-    p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("estimate", help="estimate dependence measures from a sample CSV")
     p.add_argument("input", help="sample CSV with header x,y")
@@ -280,14 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     add_common(p, copula=False, m=512,
                m_help="quadrature resolution of fits without exact measures")
-    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("sample", help="draw a seeded sample from a copula")
     add_common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stream", type=int, default=0)
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("simulate", help="replication study comparing r estimators")
     add_common(p, m=256, m_help="quadrature resolution of fits without exact measures")
@@ -296,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimators", default=",".join(ESTIMATORS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("converge", help="discrepancy curves along a parameter sequence")
     add_common(p, m=512)
@@ -307,12 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="theta_k = theta + scale/k (0 gives the constant sequence)",
     )
-    p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("approximate", help="checkerboard wcc profiles per resolution")
     add_common(p)
     p.add_argument("--resolutions", default="8,16,32,64,128,256")
-    p.set_defaults(func=cmd_approximate)
 
     return ap
 
@@ -320,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        globals()["cmd_" + args.command](args)
         return 0
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,8 +8,11 @@ import numpy as np
 from .core import CopulaModel, _bisect
 
 # most points one conditional_inverse call of `sample_many` inverts: a
-# batch amortizes the bisection's per-step numpy overhead over its draws,
-# but past a few thousand points a larger batch costs more per point
+# batch amortizes the bisection's per-step numpy overhead over its draws.
+# With branch-free steps the cost per point still falls from 4096 to 8192
+# points on the closed-form families (by 10-20%; flat on a plugin-arch fit)
+# and is higher at 32768 than at 8192 on every model (2 shared cores,
+# numpy 2.4.6)
 BATCH_POINTS = 4096
 
 

@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from copkern.archimedean import kendall_function
-from copkern.cli import _PGRID, _TGRID, _emit_csv, _emit_json, _fmt, _read_sample_csv, main
+from copkern.cli import (
+    _PGRID,
+    _TGRID,
+    _emit_csv,
+    _emit_json,
+    _fmt,
+    _read_sample_csv,
+    build_parser,
+    main,
+)
 from copkern.core import checkerboard_approx, checkerboard_copula
 from copkern.extreme_value import ev_measures, make_galambos
 from copkern.fixtures import strip_copula
@@ -70,6 +79,39 @@ def test_runtime_failure_exit_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_measure", broken)
     assert run(["measure", "--copula", "pi"]) == 1
     assert "failure: boom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("plain,other", [
+    (["sample", "--copula", "clayton:2", "--n", "50"],
+     ["sample", "--copula", "clayton:2", "--n", "50", "--stream", "3", "--seed", "7"]),
+    (["measure", "--copula", "clayton:2"], ["measure", "--copula", "clayton:2", "--m", "16"]),
+    (["estimate", "SAMPLE", "--mode", "plugin-arch"],
+     ["estimate", "SAMPLE", "--mode", "plugin-ev", "--m", "32", "--seed", "5"]),
+], ids=["sample", "measure", "estimate"])
+def test_parser_reuse_keeps_no_state(plain, other, tmp_path, capsys):
+    # one parser serves every main call of a process: neither an earlier
+    # call's flags nor an aborted parse may reach a later call's defaults
+    csv_path = tmp_path / "s.csv"
+    assert run(["sample", "--copula", "gumbel:3", "--n", "200", "--out", str(csv_path)]) == 0
+
+    def filled(argv):
+        return [str(csv_path) if a == "SAMPLE" else a for a in argv]
+
+    def output(argv):
+        assert run(filled(argv)) == 0
+        return capsys.readouterr().out
+
+    build_parser.cache_clear()
+    capsys.readouterr()
+    first = output(plain)
+    assert output(other) != first
+    assert output(plain) == first
+    with pytest.raises(SystemExit) as exc:
+        run(filled(other) + ["--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert output(plain) == first
+    assert build_parser() is build_parser()
 
 
 def test_measure_paper_values(tmp_path):

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import copkern
 from copkern.archimedean import archimedean_copula
@@ -275,6 +277,61 @@ def test_conditional_inverse_bisects_the_kernel(build, transposed):
     u = rng.random(x.size)
     for c in (build(), transpose(build())):
         want = _bisect(lambda y: np.asarray(c.kernel_cdf(x, y)) >= u, u, 60)[1]
+        assert _same_bits(conditional_inverse(c, x, u), want)
+
+
+def _where_bisect(at_or_below, like, steps):
+    # the np.where select `_bisect` made before its min/max one, as an oracle
+    lo = np.zeros_like(like)
+    hi = np.ones_like(like)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        below = at_or_below(mid)
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid)
+    return lo, hi
+
+
+# roots at and past the ends of [0, 1], subnormal ones, and NaN, whose
+# `y >= t` is always False and whose `~(y < t)` is always True
+_THRESHOLDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, 2.2250738585072009e-308, 2.0 ** -60,
+                     2.0 ** -80, 0.5, 1.0 - 2.0 ** -53, -1.0, 2.0, np.inf, -np.inf, np.nan]),
+    st.floats(0.0, 1.0),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+_PREDICATES = {
+    "y >= t": lambda t: lambda y: y >= t,
+    "y > t": lambda t: lambda y: y > t,
+    "~(y < t)": lambda t: lambda y: ~(y < t),
+    "always": lambda t: lambda y: True,
+    "never": lambda t: lambda y: False,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_THRESHOLDS, min_size=1, max_size=40), st.sampled_from(sorted(_PREDICATES)),
+       st.sampled_from([60, 80]), st.booleans())
+def test_bisect_matches_the_where_oracle(thresholds, predicate, steps, zero_d):
+    # the min/max select picks the bits np.where picks, for every monotone
+    # threshold predicate, Python-bool ones included
+    t = np.array(thresholds[0] if zero_d else thresholds)
+    at_or_below = _PREDICATES[predicate](t)
+    for got, want in zip(_bisect(at_or_below, t, steps), _where_bisect(at_or_below, t, steps)):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("build,transposed", _CONTRACT_MODELS)
+def test_conditional_inverse_matches_the_where_oracle(build, transposed):
+    rng = np.random.default_rng(263)
+    x = np.concatenate([rng.random(263), [0.0, 1e-310, 0.5, 1.0 - 1e-16, 1.0]])
+    u = np.concatenate([rng.random(263), [0.0, 1.0, 5e-324, 0.5, 1.0 - 1e-16]])
+    for c in (build(), transpose(build())):
+        kernel = c.conditional(x)
+        want = _where_bisect(lambda y: np.asarray(kernel(y)) >= u, u, 60)[1]
         assert _same_bits(conditional_inverse(c, x, u), want)
 
 
