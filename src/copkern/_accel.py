@@ -66,15 +66,18 @@ def levy_distance(f, g):
 
     `f` and `g` hold the CDF values at ``j/(m-1)``, ``j = 0..m-1``: one pair
     of 1-D tables gives a float, stacked (rows, m) tables give the distance
-    of each row pair as an array.  The result is resolved to the grid step,
-    which is what metrizing weak convergence of conditional laws with atoms
-    requires.  One binary search over index shifts advances every row at
-    once; a shift of m - 1 is taken, not checked.  On monotone rows the
-    check holds from some shift on, so each row gets the smallest shift
-    that passes `_levy_check`.
+    of each row pair as an array; tables of different shapes are an error.
+    The result is resolved to the grid step, which is what metrizing weak
+    convergence of conditional laws with atoms requires.  One binary search
+    over index shifts advances every row at once; a shift of m - 1 is taken,
+    not checked.  On monotone rows the check holds from some shift on, so
+    each row gets the smallest shift that passes `_levy_check`.
     """
     f = np.asarray(f, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
+    if f.shape != g.shape:
+        raise ValueError(f"a Levy distance needs CDF tables of one shape, got {f.shape} "
+                         f"and {g.shape}")
     rows_f, rows_g = np.atleast_2d(f, g)
     m = rows_f.shape[1]
     if m < 2:

@@ -13,13 +13,12 @@ import sys
 
 import numpy as np
 
-from ._accel import levy_distance
 from .archimedean import kendall_function
 from .core import cdf_lattice, checkerboard_approx, checkerboard_copula, sup_distance
 from .estimation import chatterjee_r, plugin_zeta1_r, pseudo_obs
 from .fixtures import strip_copula
 from .metrics import WCC_STATS, QuadratureSpec, checked_kernel_grid, d1_to_grid, d_inf
-from .metrics import d_inf_to_lattice, measures, wcc_grid
+from .metrics import d_inf_to_lattice, levy_distance, measures, wcc_grid
 from .registry import (
     COPULA_OF_KIND,
     FAMILIES,
@@ -189,21 +188,6 @@ _CONVERGE_SUPS = {
 }
 
 
-def _against_limit(grid, reduce, limit, terms):
-    """reduce(t, grid(limit)) per term t, building the limit's grid once.
-
-    No term or anything `reduce` builds of it outlives its own reduction:
-    lazily built `terms` are alive one at a time.
-    """
-    at_limit = grid(limit)
-    return list(map(lambda t: reduce(t, at_limit), terms))
-
-
-def _gridded(grid, reduce):
-    """The `_against_limit` reduce that compares grid(t) with the limit's grid."""
-    return lambda t, at_limit: reduce(grid(t), at_limit)
-
-
 def cmd_converge(args):
     name, params = parse_spec(args.copula)
     kind = FAMILIES[name].kind
@@ -223,19 +207,21 @@ def cmd_converge(args):
     part_lim = build_component(name, [theta], _load_knots(args))
     parts = [build_component(name, [t]) for t in thetas]
     limit, models = to_copula(part_lim), [to_copula(p) for p in parts]
-    # one column at a time, so that one limit-sized grid is alive at a time;
-    # the d_inf and d1 columns reduce each term's row blocks against it
-    columns = [
-        _against_limit(lambda c: cdf_lattice(c, q.m), d_inf_to_lattice, limit, models),
-        *(_against_limit(table, _gridded(table, sup_distance), part_lim, parts)
-          for table in sups.values()),
-        _against_limit(lambda c: checked_kernel_grid(c, q), d1_to_grid, limit, models),
-        _against_limit(wcc_grid, _gridded(wcc_grid, lambda a, b: np.max(levy_distance(a, b))),
-                       limit, models),
-    ]
-    header = ["k", "theta", "d_inf", *sups, "d1", "wcc_max"]
-    _check_finite("converge rows", args, zip(header[2:], columns))
-    _emit_csv(header, [ks, thetas, *columns], args.out)
+    # one limit-sized grid alive at a time; the d_inf and d1 columns reduce
+    # each term's row blocks against it
+    L = cdf_lattice(limit, q.m)
+    columns = {"d_inf": [d_inf_to_lattice(c, L) for c in models]}
+    del L
+    for col, table in sups.items():
+        at_limit = table(part_lim)
+        columns[col] = [sup_distance(table(p), at_limit) for p in parts]
+    K = checked_kernel_grid(limit, q)
+    columns["d1"] = [d1_to_grid(c, K) for c in models]
+    del K
+    W = wcc_grid(limit)
+    columns["wcc_max"] = [np.max(levy_distance(wcc_grid(c), W)) for c in models]
+    _check_finite("converge rows", args, columns.items())
+    _emit_csv(["k", "theta", *columns], [ks, thetas, *columns.values()], args.out)
 
 
 def cmd_approximate(args):
@@ -251,7 +237,10 @@ def cmd_approximate(args):
         target = reference = make_copula(args.copula, knots=_load_knots(args))
     resolutions = _int_list(args.resolutions, "resolution")
     boards = (checkerboard_copula(checkerboard_approx(target, N)) for N in resolutions)
-    dists = _against_limit(wcc_grid, _gridded(wcc_grid, levy_distance), reference, boards)
+    W = wcc_grid(reference)
+    # map, not a comprehension, whose loop variable would keep the previous
+    # board alive while the next one is built
+    dists = list(map(lambda b: levy_distance(wcc_grid(b), W), boards))
     columns = [resolutions, *([f(d) for d in dists] for f in WCC_STATS.values())]
     _emit_csv(["resolution", *(f"wcc_{name}" for name in WCC_STATS)], columns, args.out)
 

@@ -129,10 +129,8 @@ def strict_generators_approaching_w(k: int):
     def inverse(s):
         # phi has no closed-form inverse: bisect for phi(t) = s
         s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
         lo, hi = _bisect(lambda t: ~(phi(t) > s), s, 80)
         out = np.select([s <= 0.0, s == np.inf], [1.0, 0.0], 0.5 * (lo + hi))
-        return float(out[0]) if scalar else out
+        return out if out.ndim else float(out)
 
     return Generator(phi, dplus, inverse, f"w-approx:{k}")

@@ -50,6 +50,8 @@ class QuadratureSpec:
     m: int = 512
 
     def __post_init__(self):
+        if not isinstance(self.m, (int, np.integer)):
+            raise ValueError(f"quadrature resolution m must be an integer, got {self.m!r}")
         if self.m < 8:
             raise ValueError("quadrature resolution must be >= 8")
 

@@ -1,10 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import copkern
 from copkern.archimedean import kendall_function
 from copkern.cli import (
     _PGRID,
@@ -853,3 +859,41 @@ def test_converge_columns_are_the_public_metrics_at_m_512(tmp_path, spec):
         ck = to_copula(build_component(name, [theta + 1.0 / int(row["k"])]))
         assert row["d_inf"] == _fmt(d_inf(ck, limit, q))
         assert float(row["d1"]) == pytest.approx(d1(ck, limit, q), rel=1e-15, abs=0.0)
+
+
+def _peak_bytes(argv):
+    """tracemalloc peak of one in-process `main(argv)`, after one warm call."""
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("spec", ["clayton:3", "galambos:3"])
+def test_converge_holds_one_limit_sized_grid_at_a_time(tmp_path, spec):
+    # the limit's CDF lattice (513^2 floats) and kernel grid (512^2) are
+    # each built once; with both alive together the peak would pass this
+    out = str(tmp_path / "c.csv")
+    assert _peak_bytes(["converge", "--copula", spec, "--out", out]) < 2 * 513 ** 2 * 8
+
+
+def test_approximate_holds_one_board_at_a_time(tmp_path):
+    # with the previous board kept alive while the next one is built, the
+    # default resolutions peak about 12% above the largest board's run alone
+    out = str(tmp_path / "a.csv")
+    argv = ["approximate", "--copula", "clayton:2", "--out", out]
+    alone = _peak_bytes(argv + ["--resolutions", "256"])
+    assert _peak_bytes(argv) <= 1.10 * alone
+
+
+def test_module_entry_point_writes_the_in_process_json(tmp_path):
+    argv = ["measure", "--copula", "pi", "--m", "8", "--out"]
+    assert main(argv + [str(tmp_path / "in.json")]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(copkern.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "copkern.cli", *argv, str(tmp_path / "sub.json")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "sub.json").read_bytes() == (tmp_path / "in.json").read_bytes()

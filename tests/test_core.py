@@ -500,3 +500,11 @@ def test_exact_measures_are_reached_through_the_model():
                   if isinstance(node, ast.ImportFrom) for alias in node.names
                   if alias.name in routes]
     assert found == []
+
+
+def test_cli_imports_nothing_from_accel():
+    # the CLI reaches the numeric kernels through the library modules
+    tree = ast.parse((Path(copkern.__file__).parent / "cli.py").read_text())
+    found = [f"cli.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "_accel"]
+    assert found == []

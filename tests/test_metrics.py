@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -66,6 +67,13 @@ Q = QuadratureSpec(m=512)
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(m=4)
+
+
+@pytest.mark.parametrize("m", [256.5, 256.0, np.float64(256)], ids=["256.5", "256.0", "f64"])
+def test_quadrature_spec_rejects_a_non_integer_m(m):
+    with pytest.raises(ValueError, match="m must be an integer"):
+        QuadratureSpec(m=m)
+    assert QuadratureSpec(m=np.int64(256)).m == 256
 
 
 def test_d1_m_pi_is_one_third():
@@ -394,6 +402,13 @@ def test_levy_distance_of_checkerboard_wcc_grids_matches_a_linear_scan(spec, N):
 def test_levy_distance_rejects_a_one_point_table():
     with pytest.raises(ValueError, match="at least 2 points"):
         levy_distance([0.5], [0.5])
+
+
+@pytest.mark.parametrize("f_shape, g_shape", [((9,), (3, 9)), ((3, 9), (9,)), ((2, 9), (3, 9))])
+def test_levy_distance_rejects_tables_of_different_shapes(f_shape, g_shape):
+    y = np.linspace(0.0, 1.0, 9)
+    with pytest.raises(ValueError, match=re.escape(f"one shape, got {f_shape} and {g_shape}")):
+        levy_distance(np.broadcast_to(y, f_shape), np.broadcast_to(y, g_shape))
 
 
 def test_wcc_profile_self_is_zero():
