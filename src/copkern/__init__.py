@@ -14,6 +14,7 @@ from .archimedean import (
 from .core import (
     CheckerboardMatrix,
     CopulaModel,
+    ExchangeableKernel,
     checkerboard_approx,
     checkerboard_copula,
     checkerboard_measures,

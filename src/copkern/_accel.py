@@ -78,6 +78,9 @@ def levy_distance(f, g):
     if f.shape != g.shape:
         raise ValueError(f"a Levy distance needs CDF tables of one shape, got {f.shape} "
                          f"and {g.shape}")
+    if f.ndim > 2:
+        raise ValueError(f"a Levy distance needs 1-D or (rows, m) CDF tables, got "
+                         f"{f.shape} and {g.shape}")
     rows_f, rows_g = np.atleast_2d(f, g)
     m = rows_f.shape[1]
     if m < 2:

@@ -11,7 +11,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import CopulaModel, _unit
+from .core import CopulaModel, ExchangeableKernel, _unit
 
 _LN2 = np.log(2.0)
 
@@ -19,7 +19,7 @@ _LN2 = np.log(2.0)
 @dataclass(frozen=True)
 class Generator:
     phi: Callable            # [0,1] -> [0,inf], phi(0) = phi(0+), vectorized
-    dplus_phi: Callable      # right derivative on (0,1), vectorized
+    dplus_phi: Callable      # right derivative on (0,1), vectorized, into a new array
     inverse: Callable        # pseudo-inverse phi^- on [0,inf], zero beyond phi(0)
     label: str
     # (t_k, phi(t_k)) of a generator linear between ascending knots t_k, as
@@ -35,6 +35,11 @@ class Generator:
 @dataclass(frozen=True)
 class KendallFunction:
     eval: Callable           # [0,1] -> [0,1], nondecreasing, eval(t) >= t
+
+
+# The families' D+phi and phi^- compute into one new array with in-place
+# ufuncs.  np.asarray turns the numpy scalar a ufunc returns for 0-d input
+# into a 0-d array those steps can write; an array it returns as it is.
 
 
 def make_clayton(theta: float) -> Generator:
@@ -53,12 +58,19 @@ def make_clayton(theta: float) -> Generator:
     def dplus(t):
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore", over="ignore"):
-            return -theta * t ** (-theta - 1.0) / c
+            out = np.asarray(t ** (-theta - 1.0))
+            out *= -theta
+            out /= c
+        return out
 
     def inverse(s):
         s = np.asarray(s, dtype=float)
+        out = np.asarray(c * s)
+        out += 1.0
         with np.errstate(over="ignore"):
-            return np.where(s <= 0.0, 1.0, (1.0 + c * s) ** (-1.0 / theta))
+            out **= -1.0 / theta
+        np.copyto(out, 1.0, where=s <= 0.0)
+        return out
 
     return Generator(phi, dplus, inverse, f"clayton:{theta:g}")
 
@@ -75,12 +87,21 @@ def make_gumbel(theta: float) -> Generator:
     def dplus(t):
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore", over="ignore"):
-            return -theta * (-np.log(t)) ** (theta - 1.0) / (t * _LN2 ** theta)
+            out = np.asarray(np.log(t))
+            np.negative(out, out=out)
+            out **= theta - 1.0
+            out *= -theta
+            out /= t * _LN2 ** theta
+        return out
 
     def inverse(s):
         s = np.asarray(s, dtype=float)
         with np.errstate(over="ignore"):
-            return np.where(s <= 0.0, 1.0, np.exp(-_LN2 * s ** (1.0 / theta)))
+            out = np.asarray(s ** (1.0 / theta))
+            out *= -_LN2
+            np.exp(out, out=out)
+        np.copyto(out, 1.0, where=s <= 0.0)
+        return out
 
     return Generator(phi, dplus, inverse, f"gumbel:{theta:g}")
 
@@ -116,14 +137,25 @@ def make_frank(theta: float) -> Generator:
     def dplus(t):
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore", over="ignore"):
-            return -theta / (np.expm1(theta * t) * norm)
+            out = np.asarray(theta * t)
+            np.expm1(out, out=out)
+            out *= norm
+            np.divide(-theta, out, out=out)
+        return out
 
     def inverse(s):
         s = np.asarray(s, dtype=float)
-        sn = s * norm
+        sn = np.asarray(s * norm)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = -np.logaddexp(np.log(-np.expm1(-sn)), -theta - sn) / theta
-        return np.where(s <= 0.0, 1.0, out)
+            out = np.asarray(np.negative(sn))
+            np.expm1(out, out=out)
+            np.negative(out, out=out)
+            np.log(out, out=out)
+            np.logaddexp(out, np.subtract(-theta, sn, out=sn), out=out)
+            np.negative(out, out=out)
+            out /= theta
+        np.copyto(out, 1.0, where=s <= 0.0)
+        return out
 
     return Generator(phi, dplus, inverse, f"frank:{theta:g}")
 
@@ -159,7 +191,15 @@ def level_function(g: Generator, t, x):
 
 def archimedean_copula(g: Generator) -> CopulaModel:
     """Copula min(phi^-(phi(x0) + phi(y0)), x0, y0), x0 and y0 the inputs clipped
-    to phi's domain [0, 1], with the strict / non-strict Markov kernel."""
+    to phi's domain [0, 1], with the strict / non-strict Markov kernel.
+
+    The copula is exchangeable to the bit: C takes only a commutative sum and
+    min.  The kernel is split as K = finish(x, y, S) with the symmetric
+    S = D+phi(C), C clipped to [1e-300, 1], and finish the ratio
+    D+phi(x) / S with its edge rules; ``cdf`` and ``conditional`` declare
+    both (`CopulaModel`), and ``conditional(x)`` is that composition, with
+    the terms in x computed once.
+    """
     phi0 = g.phi(0.0)  # inf exactly when g is strict
 
     def _cdf_given(x):
@@ -176,28 +216,59 @@ def archimedean_copula(g: Generator) -> CopulaModel:
     def cdf(x, y):
         return _cdf_given(np.asarray(x, dtype=float))[1](np.asarray(y, dtype=float))
 
-    def conditional(x):
-        x = np.asarray(x, dtype=float)
+    def _symmetric_given(x):
+        """(phi(x0), y -> S(x, y) = D+phi(C(x, y))), C clipped to [1e-300, 1]."""
         px, cdf_at = _cdf_given(x)
+
+        def at(y):
+            C = np.asarray(cdf_at(y))
+            np.clip(C, 1e-300, 1.0, out=C)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                return np.asarray(g.dplus_phi(C))
+
+        return px, at
+
+    def _finish_given(x, px):
+        """(y, s) -> K(x, [0, y]) from s = S(x, y), written into s; px = phi(x0)."""
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             dx = g.dplus_phi(np.clip(x, 1e-300, 1.0))
         # non-strict: 0 below the level phi^-(phi(0) - phi(x))
         level = None if np.isinf(phi0) else g.inverse(phi0 - px)
         x_edge = (x <= 0.0) | (x >= 1.0)
 
+        def at(y, s):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                ratio = np.divide(dx, s, out=s)
+            np.copyto(ratio, 0.0, where=~np.isfinite(ratio))
+            np.clip(ratio, 0.0, 1.0, out=ratio)
+            if level is not None:
+                np.copyto(ratio, 0.0, where=y < level)
+            np.copyto(ratio, 1.0, where=y >= 1.0)
+            np.copyto(ratio, 1.0, where=x_edge)
+            return ratio
+
+        return at
+
+    def symmetric(x, y):
+        return _symmetric_given(np.asarray(x, dtype=float))[1](np.asarray(y, dtype=float))
+
+    def finish(x, y, s):
+        x = np.asarray(x, dtype=float)
+        return _finish_given(x, g.phi(_unit(x)))(np.asarray(y, dtype=float), s)
+
+    def conditional(x):
+        x = np.asarray(x, dtype=float)
+        px, s_at = _symmetric_given(x)
+        finish_at = _finish_given(x, px)
+
         def kernel(y):
             y = np.asarray(y, dtype=float)
-            C = cdf_at(y)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                ratio = dx / g.dplus_phi(np.clip(C, 1e-300, 1.0))
-            ratio = np.where(np.isfinite(ratio), ratio, 0.0)
-            out = np.clip(ratio, 0.0, 1.0)
-            if level is not None:
-                out = np.where(y < level, 0.0, out)
-            out = np.where(y >= 1.0, 1.0, out)
-            return np.where(x_edge, 1.0, out)
+            return finish_at(y, s_at(y))
 
         return kernel
+
+    cdf.exchangeable = True
+    conditional.exchangeable = ExchangeableKernel(symmetric, finish)
 
     def measures(m):
         # P(P+1)/2 <= m^2/8 for P pieces from 0: the O(P^2) sum is cheaper than the grid
@@ -206,7 +277,6 @@ def archimedean_copula(g: Generator) -> CopulaModel:
         pieces = len(g.knots[0]) - 1
         return piecewise_measures(g) if 4 * pieces * (pieces + 1) <= m * m else None
 
-    # archimedean copulas are symmetric
     return CopulaModel(
         cdf=cdf,
         conditional=conditional,

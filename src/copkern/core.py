@@ -1,9 +1,25 @@
 """Bivariate copulas represented by their CDF and conditional-CDF Markov kernel."""
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
+
+
+class ExchangeableKernel(NamedTuple):
+    """The Markov kernel of an exchangeable copula split as
+    K(x, [0, y]) = ``finish(x, y, symmetric(x, y))``, declared by setting it
+    as the ``exchangeable`` attribute of the model's ``conditional``.
+
+    ``symmetric(x, y) == symmetric(y, x)`` holds bit for bit, so on a square
+    lattice over one grid the costly part is evaluated on one triangle and
+    mirrored; ``finish`` adds what depends on the order of x and y, and may
+    write its result into the array `s` it is given.  Both are elementwise
+    and broadcast as `CopulaModel.kernel_cdf` does.
+    """
+
+    symmetric: Callable   # (x, y) -> S(x, y), a new array of the broadcast shape
+    finish: Callable      # (x, y, s) -> K(x, [0, y]) from s = S(x, y)
 
 
 @dataclass(frozen=True)
@@ -18,14 +34,22 @@ class CopulaModel:
     (scalars, vectors of one length, or an (m, 1) column against a (1, m)
     row) and compute on the arrays as given; the result has the broadcast
     shape.  Both are elementwise: a value depends only on its own (x, y), so
-    a block of x rows against the y row gives, bit for bit, the rows the
-    whole lattice has, which is what `lattice` relies on.  The kernel is
-    exact: a distribution function in y with values in [0, 1], which the
-    metrics evaluate as given.  The required ``transpose_factory(c)``
-    returns the transpose of the model `c` it is called with, with its own
-    exact kernel; a symmetric model is built with ``lambda c: c``.  Models
-    are immutable and safe for concurrent reads.  ``measures(m)`` is the exact
-    (D1(C, Pi), zeta1, r), or None where it has none cheaper than an m x m grid.
+    any tile of x rows against y columns gives, bit for bit, the values the
+    whole lattice has, which is what `square_tiles` and `lattice` rely on.
+    The kernel is exact: a distribution function in y with values in [0, 1],
+    which the metrics evaluate as given.  The required
+    ``transpose_factory(c)`` returns the transpose of the model `c` it is
+    called with, with its own exact kernel; a symmetric model is built with
+    ``lambda c: c``.  Models are immutable and safe for concurrent reads.
+    ``measures(m)`` is the exact (D1(C, Pi), zeta1, r), or None where it has
+    none cheaper than an m x m grid.
+
+    An exchangeable model declares it on the callables it describes, and
+    `square_tiles` then evaluates that callable's costly part on about half a
+    square lattice: ``cdf.exchangeable = True`` says ``cdf(x, y) ==
+    cdf(y, x)`` bit for bit, and ``conditional.exchangeable`` is the
+    kernel's `ExchangeableKernel` split.  A ``dataclasses.replace`` of either
+    callable so drops its declaration with it.
     """
 
     cdf: Callable
@@ -212,44 +236,100 @@ def transpose(c: CopulaModel) -> CopulaModel:
     return c.transpose_factory(c)
 
 
-# points one `lattice` block evaluates: at 2^15 float64 points each temporary
-# of a model call is 256 KB, so the dozen a kernel call holds stay in a
-# core's L2 cache (a 512^2 lattice in one call spills 2 MB temporaries)
+# points one lattice block or tile evaluates: at 2^15 float64 points each
+# temporary of a model call is 256 KB, so the dozen a kernel call holds stay
+# in a core's L2 cache (a 512^2 lattice in one call spills 2 MB temporaries)
 LATTICE_BLOCK = 2 ** 15
 
 
 def lattice_blocks(f: Callable, x, y):
-    """Yield (first_row, f(x_block[:, None], y[None, :])) over the rows of x, for
-    an elementwise f: blocks of at most LATTICE_BLOCK points (at least one row),
-    so a lattice of at most LATTICE_BLOCK points is one block.
+    """Yield (rows, cols, f(x[rows, None], y[None, cols])) over the rows of x,
+    for an elementwise f: cols is all of y, and each block has at most
+    LATTICE_BLOCK points (at least one row), so a lattice of at most
+    LATTICE_BLOCK points is one block.
 
     A reduction over these blocks never holds the whole lattice.
     """
     x, y = np.asarray(x, float), np.asarray(y, float)
     rows = max(1, LATTICE_BLOCK // max(1, len(y)))
     for i in range(0, len(x), rows):
-        yield i, f(x[i:i + rows, None], y[None, :])
+        yield slice(i, i + rows), slice(0, len(y)), f(x[i:i + rows, None], y[None, :])
+
+
+def has_exchangeable_cdf(c: CopulaModel) -> bool:
+    """Whether ``c.cdf`` declares ``cdf(x, y) == cdf(y, x)`` bit for bit."""
+    return getattr(c.cdf, "exchangeable", False) is True
+
+
+def square_tiles(c: CopulaModel, g, kernel: bool = False):
+    """Yield (rows, cols, block) tiles that cover the square lattice of `c`'s
+    CDF over the grid g once, or with `kernel` of its Markov kernel
+    K(g_i, [0, g_j]): block is the lattice's [rows, cols], rows and cols
+    slices of g.
+
+    A callable that declares nothing (see `CopulaModel`), or a lattice of
+    one block, gives the row blocks of `lattice_blocks`.  An exchangeable
+    CDF, or the symmetric part of a split kernel, is evaluated on the
+    upper-triangle panel [i0, i1) x [i0, n) of at most LATTICE_BLOCK points
+    (at least one row), which is yielded, then the mirror [i1, n) x [i0, i1)
+    built from the panel's transpose: about half the lattice's points.  A CDF mirror is a
+    transposed view of the panel; the kernel's ``finish`` is applied to the
+    panel and to a copy of its transpose.  Being elementwise, each tile
+    holds the row-walked lattice's bits.  A consumer reads the blocks and
+    writes into none of them.
+    """
+    g = np.asarray(g, float)
+    n = len(g)
+    if kernel:
+        symmetric, finish = getattr(c.conditional, "exchangeable", None) or (None, None)
+    else:
+        symmetric, finish = (c.cdf if has_exchangeable_cdf(c) else None), None
+    if symmetric is None or n * n <= LATTICE_BLOCK:
+        yield from lattice_blocks(c.kernel_cdf if kernel else c.cdf, g, g)
+        return
+    i0 = 0
+    while i0 < n:
+        i1 = min(n, i0 + max(1, LATTICE_BLOCK // (n - i0)))
+        rows, right, below = slice(i0, i1), slice(i0, n), slice(i1, n)
+        panel = symmetric(g[rows, None], g[None, right])
+        mirror = panel[:, i1 - i0:].T
+        if finish is not None:
+            # finish writes into what it is given: the mirror's copy first
+            mirror = finish(g[below, None], g[None, rows], mirror.copy())
+            panel = finish(g[rows, None], g[None, right], panel)
+        yield rows, right, panel
+        if i1 < n:
+            yield below, rows, mirror
+        i0 = i1
+
+
+def _filled(tiles, shape) -> np.ndarray:
+    """The lattice of the given shape that `tiles` cover."""
+    out = np.empty(shape)
+    for rows, cols, block in tiles:
+        out[rows, cols] = block
+        del block   # one block alive at a time, also while the next is made
+    return out
 
 
 def lattice(f: Callable, x, y) -> np.ndarray:
     """f(x_i, y_j) as a (len(x), len(y)) array, filled from `lattice_blocks`."""
-    out = np.empty((len(x), len(y)))
-    for i, block in lattice_blocks(f, x, y):
-        out[i:i + len(block)] = block
-        del block   # one block alive at a time, also while f makes the next
-    return out
+    return _filled(lattice_blocks(f, x, y), (len(x), len(y)))
 
 
-def cdf_lattice_blocks(c: CopulaModel, m: int):
-    """`lattice_blocks` of C(i/m, j/m) for i, j = 0..m: the blocks of `cdf_lattice`."""
-    g = np.arange(m + 1) / m
-    return lattice_blocks(c.cdf, g, g)
+def square_lattice(c: CopulaModel, g, kernel: bool = False) -> np.ndarray:
+    """The (len(g), len(g)) lattice of `square_tiles(c, g, kernel)`."""
+    return _filled(square_tiles(c, g, kernel), (len(g), len(g)))
+
+
+def cdf_grid(m: int) -> np.ndarray:
+    """i/m for i = 0..m: the grid of `cdf_lattice`."""
+    return np.arange(m + 1) / m
 
 
 def cdf_lattice(c: CopulaModel, m: int) -> np.ndarray:
     """C(i/m, j/m) for i, j = 0..m, an (m+1, m+1) array."""
-    g = np.arange(m + 1) / m
-    return lattice(c.cdf, g, g)
+    return square_lattice(c, cdf_grid(m))
 
 
 def checkerboard_approx(c: CopulaModel, N: int) -> CheckerboardMatrix:

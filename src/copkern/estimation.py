@@ -208,12 +208,12 @@ def reconstruct_generator(k) -> Generator:
     else:
         def phi(t):
             t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", over="ignore"):
                 return np.where(t < t1, phi1 * (t1 / t) ** alpha, table_phi(t))
 
         def dplus(t):
             t = np.asarray(t, dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 return np.where(t < t1, -alpha / t * phi1 * (t1 / t) ** alpha, table_dplus(t))
 
     def inverse(s):

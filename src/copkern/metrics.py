@@ -14,14 +14,22 @@ Damage no midpoint reaches passes; kernels varying in x faster than m
 resolves (the shift fixtures) fail, and so does a grid with a NaN cell.
 `d1_to_grid` runs the same check on the column sums it streams.
 
+Square lattices over one grid (`kernel_grid`, `core.cdf_lattice` and the
+streamed reductions) are walked by the tiles of `core.square_tiles`: row
+blocks, or where the model's CDF or kernel declares itself exchangeable
+(`core.CopulaModel`; every Archimedean copula does) panels of the upper
+triangle and their mirrors, so that CDF, or the symmetric part of that
+kernel, is evaluated on about half the lattice.  The tiles hold the
+row-walked values bit for bit.
+
 No reduction builds a second m^2 array beside its inputs.  `d_inf`,
-`d_inf_to_lattice` and `d1_to_grid` stream a model's lattice by the row
-blocks of `core.lattice_blocks`, so they never hold it whole; the others
-take abs or square in place on their own difference.  `pi_measures` keeps
-its one kernel grid materialized on purpose: freeing a 2 MB array raises
-glibc's dynamic mmap and trim thresholds, and with none ever freed the
-block working set of the exact plugin measures is trimmed and re-faulted
-on every block, which made a streamed version slower on small studies.
+`d_inf_to_lattice` and `d1_to_grid` stream a model's lattice tile by tile,
+so they never hold it whole; the others take abs or square in place on
+their own difference.  `pi_measures` keeps its one kernel grid
+materialized on purpose: freeing a 2 MB array raises glibc's dynamic mmap
+and trim thresholds, and with none ever freed the block working set of
+the exact plugin measures is trimmed and re-faulted on every block, which
+made a streamed version slower on small studies.
 """
 
 from dataclasses import dataclass, field
@@ -32,10 +40,12 @@ import numpy as np
 from ._accel import levy_distance
 from .core import (
     CopulaModel,
-    cdf_lattice_blocks,
+    cdf_grid,
+    has_exchangeable_cdf,
     lattice,
-    lattice_blocks,
     make_pi,
+    square_lattice,
+    square_tiles,
     sup_distance,
     transpose,
 )
@@ -73,28 +83,33 @@ def kernel_grid(c: CopulaModel, q: QuadratureSpec) -> np.ndarray:
     Each measure of one model is a reduction of this one array; r and
     `pi_measures` compare it with the midpoint vector, which is Pi's grid.
     """
-    x = midpoints(q.m)
-    return lattice(c.kernel_cdf, x, x)
+    return square_lattice(c, midpoints(q.m), kernel=True)
 
 
 def _block_sup(pairs) -> float:
-    """max |a - b| over paired blocks.  The max is order-free, so this is the
-    sup of the whole lattices bit for bit, and a NaN in any block gives NaN
-    as np.max does (the builtin max() would drop one after the first block)."""
+    """max |a - b| over paired tiles.  The max is order-free, so this is the
+    sup of the whole lattices bit for bit, and a NaN in any tile gives NaN
+    as np.max does (the builtin max() would drop one after the first tile)."""
     return float(np.max([sup_distance(a, b) for a, b in pairs]))
 
 
 def d_inf(c1: CopulaModel, c2: CopulaModel, q: QuadratureSpec = QuadratureSpec()):
     """Uniform distance max |C1 - C2| on the (m+1)^2 lattice (error <= 2/m),
-    reduced over paired row blocks: neither lattice is built."""
-    pairs = zip(cdf_lattice_blocks(c1, q.m), cdf_lattice_blocks(c2, q.m))
-    return _block_sup((a, b) for (_, a), (_, b) in pairs)
+    reduced over paired tiles: neither lattice is built.  The tiles are
+    those of `square_tiles` for an exchangeable CDF, if either model has
+    one, and the other model is evaluated on each tile's coordinates."""
+    if not has_exchangeable_cdf(c1):
+        c1, c2 = c2, c1      # |a - b| is symmetric in the pair
+    g = cdf_grid(q.m)
+    return _block_sup((a, c2.cdf(g[rows, None], g[None, cols]))
+                      for rows, cols, a in square_tiles(c1, g))
 
 
 def d_inf_to_lattice(c: CopulaModel, L: np.ndarray) -> float:
     """`d_inf` of `c` against another model whose `cdf_lattice` L is given,
-    bit for bit: c's blocks are reduced against the matching rows of L."""
-    return _block_sup((a, L[i:i + len(a)]) for i, a in cdf_lattice_blocks(c, len(L) - 1))
+    bit for bit: c's tiles are reduced against the matching tiles of L."""
+    tiles = square_tiles(c, cdf_grid(len(L) - 1))
+    return _block_sup((a, L[rows, cols]) for rows, cols, a in tiles)
 
 
 def d1_grids(K1: np.ndarray, K2: np.ndarray) -> float:
@@ -106,18 +121,18 @@ def d1_grids(K1: np.ndarray, K2: np.ndarray) -> float:
 def d1_to_grid(c: CopulaModel, K: np.ndarray) -> float:
     """D1 of `c` against another model whose m x m `kernel_grid` K is given.
 
-    c's kernel is reduced block by block against the matching rows of K, so
-    no m^2 array of c is built, and its column sums go through the check of
-    `checked_kernel_grid` (same ValueError).  The sum of |K_c - K| is taken
-    per block, so with more than one block (m > 181) it differs from
-    `d1_grids(kernel_grid(c, q), K)` at rounding level; with one it is equal.
+    c's kernel is reduced tile by tile (`core.square_tiles`) against the
+    matching tiles of K, so no m^2 array of c is built, and its column sums
+    go through the check of `checked_kernel_grid` (same ValueError).  The sum
+    of |K_c - K| is taken per tile, so with more than one tile (m > 181) it
+    differs from `d1_grids(kernel_grid(c, q), K)` at rounding level; with one
+    it is equal.
     """
     m = len(K)
-    x = midpoints(m)
     total, columns = 0.0, np.zeros(m)
-    for i, block in lattice_blocks(c.kernel_cdf, x, x):
-        columns += block.sum(axis=0)
-        diff = np.subtract(block, K[i:i + len(block)])
+    for rows, cols, block in square_tiles(c, midpoints(m), kernel=True):
+        columns[cols] += block.sum(axis=0)
+        diff = np.subtract(block, K[rows, cols])
         total += float(np.sum(np.abs(diff, out=diff)))
     _check_disintegration(c.label, columns / m, m)
     return total / K.size

@@ -1,12 +1,16 @@
+import functools
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copkern import archimedean
 from copkern.archimedean import (
     KendallFunction,
+    _log_abs_expm1,
     archimedean_copula,
     kendall_function,
     level_function,
@@ -16,12 +20,29 @@ from copkern.archimedean import (
     make_w_generator,
     piecewise_measures,
 )
-from copkern.core import make_w
+from copkern.core import (
+    ExchangeableKernel,
+    cdf_lattice,
+    has_exchangeable_cdf,
+    lattice,
+    make_pi,
+    make_w,
+    square_tiles,
+    sup_distance,
+)
 from copkern.estimation import empirical_kendall, pseudo_obs, reconstruct_generator
 from copkern.fixtures import strict_generators_approaching_w
-from copkern.metrics import QuadratureSpec, disintegration_defect, pi_measures
-from copkern.registry import make_copula
-from copkern.sampling import RngSpec, sample
+from copkern.metrics import (
+    QuadratureSpec,
+    d1_grids,
+    d1_to_grid,
+    d_inf,
+    disintegration_defect,
+    kernel_grid,
+    pi_measures,
+)
+from copkern.registry import FAMILIES, make_copula, parse_spec, registered_examples
+from copkern.sampling import RngSpec, SampleSet, sample
 
 _LN2 = np.log(2.0)
 
@@ -450,3 +471,187 @@ def _table(ts, phis):
 def test_piecewise_measures_checks(build, msg):
     with pytest.raises(ValueError, match=msg):
         piecewise_measures(build())
+
+
+def _tied_sample():
+    # six x values and four offsets: many pseudo-observations share ranks
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, 6, 300).astype(float)
+    return SampleSet(x=x, y=x + rng.integers(0, 4, 300))
+
+
+# every kind of Archimedean model the library builds: the registered specs,
+# the W generator, and plugin fits that are strict, non-strict or tied
+_EXCHANGEABLE_BUILDERS = {
+    **{spec: lambda spec=spec: make_copula(spec) for spec in registered_examples()
+       if FAMILIES[parse_spec(spec)[0]].kind == "archimedean"},
+    "w-generator": lambda: archimedean_copula(make_w_generator()),
+    "plugin-strict": lambda: archimedean_copula(
+        reconstruct_generator(kendall_function(make_gumbel(3.0)))),
+    "plugin-non-strict": lambda: archimedean_copula(_plugin_generator("clayton:2", 200, 1)),
+    "plugin-tied": lambda: archimedean_copula(
+        reconstruct_generator(empirical_kendall(pseudo_obs(_tied_sample())))),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _exchangeable_model(name):
+    return _EXCHANGEABLE_BUILDERS[name]()
+
+
+def test_exchangeable_builders_cover_every_kind_of_generator():
+    assert len(_EXCHANGEABLE_BUILDERS) == 7
+    for name in _EXCHANGEABLE_BUILDERS:
+        c = _exchangeable_model(name)
+        assert has_exchangeable_cdf(c)
+        assert isinstance(c.conditional.exchangeable, ExchangeableKernel)
+    assert reconstruct_generator(kendall_function(make_gumbel(3.0))).strict
+    assert not _plugin_generator("clayton:2", 200, 1).strict
+    assert pseudo_obs(_tied_sample()).had_ties
+
+
+_EDGE_FLOATS = (0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.5, 1.0 - 2.0 ** -53)
+_UNIT = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                  st.floats(0.0, 1.0, allow_nan=False, allow_subnormal=True))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_EXCHANGEABLE_BUILDERS)),
+       st.lists(st.tuples(_UNIT, _UNIT), min_size=1, max_size=40))
+def test_exchangeable_models_are_symmetric_to_the_bit(name, pairs):
+    # the declaration `square_tiles` mirrors on: C and the kernel's symmetric
+    # part S take the same bits at (x, y) and (y, x), as vectors and as lattices
+    c = _exchangeable_model(name)
+    split = c.conditional.exchangeable
+    x, y = np.array(pairs).T
+    for f in (c.cdf, split.symmetric):
+        assert np.array_equal(_bits(f(x, y)), _bits(f(y, x)))
+        assert np.array_equal(_bits(f(x[:, None], y[None, :])), _bits(f(y[:, None], x[None, :]).T))
+    # the kernel is its split, bit for bit
+    X, Y = x[:, None], y[None, :]
+    K = split.finish(X, Y, split.symmetric(X, Y))
+    assert np.array_equal(_bits(c.kernel_cdf(X, Y)), _bits(K))
+
+
+@pytest.mark.parametrize("m", [16, 181, 256, 512])
+@pytest.mark.parametrize("name", list(_EXCHANGEABLE_BUILDERS))
+def test_tiled_lattices_are_the_row_walked_lattices(name, m):
+    # kernel_grid and cdf_lattice walk mirrored tiles from m = 182 on; the
+    # row blocks of core.lattice are the reference
+    c = _exchangeable_model(name)
+    mid, edges = (np.arange(m) + 0.5) / m, np.arange(m + 1) / m
+    K, L = kernel_grid(c, QuadratureSpec(m=m)), cdf_lattice(c, m)
+    assert np.array_equal(_bits(K), _bits(lattice(c.kernel_cdf, mid, mid)))
+    assert np.array_equal(_bits(L), _bits(lattice(c.cdf, edges, edges)))
+    # d_inf evaluates the other model on the tiles of the exchangeable one
+    other = _exchangeable_model("clayton:2")
+    L_other, L_pi = cdf_lattice(other, m), cdf_lattice(make_pi(), m)
+    q = QuadratureSpec(m=m)
+    assert _bits(d_inf(c, other, q)) == _bits(sup_distance(L, L_other))
+    assert _bits(d_inf(make_pi(), c, q)) == _bits(sup_distance(L, L_pi))
+    # d1_to_grid sums per tile: equal to rounding
+    K_other = kernel_grid(other, q)
+    assert abs(d1_to_grid(c, K_other) - d1_grids(K, K_other)) <= 1e-15
+
+
+def test_square_tiles_cover_the_lattice_once_and_evaluate_about_half():
+    base = _exchangeable_model("clayton:2")
+    points = []
+    split = base.conditional.exchangeable
+
+    def counted(x, y):
+        points.append(np.broadcast(x, y).size)
+        return split.symmetric(x, y)
+
+    def conditional(x):
+        return base.conditional(x)
+
+    conditional.exchangeable = split._replace(symmetric=counted)
+    c = replace(base, conditional=conditional)
+    for n, share in ((182, 0.99), (512, 0.62), (2000, 0.52)):
+        g = (np.arange(n) + 0.5) / n
+        cover = np.zeros((n, n), dtype=int)
+        points.clear()
+        for rows, cols, block in square_tiles(c, g, kernel=True):
+            assert block.shape == cover[rows, cols].shape
+            cover[rows, cols] += 1
+        assert np.all(cover == 1)
+        assert sum(points) <= share * n * n
+    # a lattice of one block is one call of the kernel itself
+    points.clear()
+    assert len(list(square_tiles(c, np.linspace(0.0, 1.0, 181), kernel=True))) == 1
+    assert points == []
+
+
+def test_a_replaced_callable_drops_its_exchangeable_declaration():
+    # the declarations sit on the callables they describe, so a model whose
+    # kernel or CDF is replaced walks the new one, at m = 256 (many tiles) too
+    c, new = _exchangeable_model("clayton:2"), make_copula("clayton:3")
+    q = QuadratureSpec(m=256)
+    mid, edges = (np.arange(256) + 0.5) / 256, np.arange(257) / 256
+    calls = []
+
+    def conditional(x):
+        calls.append(np.shape(x))
+        return new.conditional(x)
+
+    k = replace(c, conditional=conditional)
+    assert np.array_equal(_bits(kernel_grid(k, q)), _bits(lattice(new.kernel_cdf, mid, mid)))
+    assert len(calls) == 2                   # the two row blocks of 256 x 256 points
+    assert np.array_equal(_bits(cdf_lattice(k, 256)), _bits(cdf_lattice(c, 256)))
+    cdf = replace(c, cdf=lambda x, y: new.cdf(x, y))
+    assert not has_exchangeable_cdf(cdf)
+    assert np.array_equal(_bits(cdf_lattice(cdf, 256)), _bits(lattice(new.cdf, edges, edges)))
+    assert np.array_equal(_bits(kernel_grid(cdf, q)), _bits(kernel_grid(c, q)))
+    # a replaced kernel that declares its own split is walked by that split
+    both = replace(c, conditional=new.conditional)
+    assert np.array_equal(_bits(kernel_grid(both, q)), _bits(kernel_grid(new, q)))
+
+
+# the allocating forms of the generators' D+phi and phi^-, which the
+# in-place forms must reproduce bit for bit
+def _clayton_reference(theta):
+    c = 2.0 ** theta - 1.0
+    return (lambda t: -theta * t ** (-theta - 1.0) / c,
+            lambda s: np.where(s <= 0.0, 1.0, (1.0 + c * s) ** (-1.0 / theta)))
+
+
+def _gumbel_reference(theta):
+    return (lambda t: -theta * (-np.log(t)) ** (theta - 1.0) / (t * _LN2 ** theta),
+            lambda s: np.where(s <= 0.0, 1.0, np.exp(-_LN2 * s ** (1.0 / theta))))
+
+
+def _frank_reference(theta):
+    norm = _log_abs_expm1(-theta) - _log_abs_expm1(-theta / 2.0)
+
+    def inverse(s):
+        sn = s * norm
+        out = -np.logaddexp(np.log(-np.expm1(-sn)), -theta - sn) / theta
+        return np.where(s <= 0.0, 1.0, out)
+
+    return lambda t: -theta / (np.expm1(theta * t) * norm), inverse
+
+
+# 1, 1.5, 2 and 3 put the exponents on numpy's scalar-power fast paths
+# (x ** 2, x ** 0.5, x ** -1 and the like)
+@pytest.mark.parametrize("theta", [1.0, 1.5, 2.0, 3.0, 7.3])
+@pytest.mark.parametrize("make, reference", [
+    (make_clayton, _clayton_reference),
+    (make_gumbel, _gumbel_reference),
+    (make_frank, _frank_reference),
+    (lambda th: make_frank(-th), lambda th: _frank_reference(-th)),
+], ids=["clayton", "gumbel", "frank", "frank-neg"])
+def test_in_place_generators_match_the_allocating_forms(make, reference, theta):
+    g, (dplus, inverse) = make(theta), reference(theta)
+    t = np.r_[0.0, 5e-324, 1e-300, 1e-10, np.linspace(0.0, 1.0, 1001), 1.0 - 2.0 ** -53]
+    s = np.r_[-1.0, 0.0, 5e-324, 1e-300, np.logspace(-300, 300, 601), np.inf]
+    with np.errstate(all="ignore"):
+        for got, want, arg in ((g.dplus_phi, dplus, t), (g.inverse, inverse, s)):
+            assert np.array_equal(_bits(got(arg)), _bits(want(arg)))
+            one = got(arg[7])
+            assert isinstance(one, np.ndarray) and one.shape == ()
+            assert _bits(one) == _bits(want(arg[7]))

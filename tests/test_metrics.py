@@ -411,6 +411,14 @@ def test_levy_distance_rejects_tables_of_different_shapes(f_shape, g_shape):
         levy_distance(np.broadcast_to(y, f_shape), np.broadcast_to(y, g_shape))
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 9), (1, 1, 1, 9)])
+def test_levy_distance_rejects_tables_of_more_than_two_dimensions(shape):
+    f = np.broadcast_to(np.linspace(0.0, 1.0, 9), shape)
+    with pytest.raises(ValueError, match=re.escape(f"1-D or (rows, m) CDF tables, got "
+                                                   f"{shape} and {shape}")):
+        levy_distance(f, f)
+
+
 def test_wcc_profile_self_is_zero():
     c = make_copula("clayton:2")
     prof = wcc_profile(c, c)
