@@ -302,9 +302,9 @@ def kendall_function(g: Generator) -> KendallFunction:
     return KendallFunction(eval=eval)
 
 
-# rows of piece pairs `piecewise_measures` reduces at once: 2^12 points per
-# temporary keep the two dozen it holds in a core's L1/L2 cache (one block of
-# 2^15 points ran 1.7x slower at P = 124)
+# points `piecewise_measures` reduces at once: 2^12 points per temporary keep
+# the two dozen it holds in a core's L1/L2 cache (one block of 2^15 points ran
+# 1.7x slower at P = 124)
 _PIECEWISE_BLOCK = 2 ** 12
 
 
@@ -316,30 +316,45 @@ def _positive_square_mean(a, b):
     return ap / np.maximum(ap - bn, 1e-300) * (ap * ap + ap * bp + bp * bp)
 
 
-def _piece_pair_sums(ts, phis, s, j):
+def _band_sums(ts, phis, s, j):
     """(2 sum int (kappa_ij^2 - kappa_{i,j-1}^2) Y_j dx, 3 D1) summed over the
-    bands j, a column of indices, of `piecewise_measures`.
+    bands j, ascending indices, of `piecewise_measures`.
 
-    Row j holds the points (t_i, Y_j(t_i)) of the level curve C = t_j,
-    Y_j(x) = phi^-(phi_j - phi(x)), and their mirrors (Y_j(t_i), t_i), which
-    lie on it too since C is symmetric: there Y_j crosses the knot t_i.
-    Sorted by x, each pair of neighbours bounds a segment on which x lies in
-    one piece i and Y_j is linear, integrated exactly from its two ends.
+    Band j holds x >= t_j, where Y_j(x) = phi^-(phi_j - phi(x)) leaves 1:
+    the knots (t_k, Y_j(t_k)), k >= j, and their mirrors (Y_j(t_k), t_k),
+    which lie on the level curve C = t_j too since C is symmetric: there Y_j
+    crosses the knot t_k.  Both lists ascend in x, so one merge orders them;
+    the bands are laid end to end.  Each pair of neighbours bounds a segment
+    on which x lies in one piece i and Y_j is linear, integrated exactly from
+    its two ends.
     """
     P = len(ts) - 1
-    v = np.interp(phis[j] - phis, phis[::-1], ts[::-1])     # Y_j(t_i)
-    x = np.concatenate([np.broadcast_to(ts, v.shape), v[:, ::-1]], axis=1)
-    y = np.concatenate([v, np.broadcast_to(ts[::-1], v.shape)], axis=1)
-    order = np.argsort(x, axis=1, kind="stable")
-    x, y = np.take_along_axis(x, order, 1), np.take_along_axis(y, order, 1)
-    # a segment's piece is the last knot at or left of it; mirrors are -1
-    piece = np.r_[np.arange(P + 1), np.full(P + 1, -1)][order]
-    i = np.minimum(np.maximum.accumulate(piece, axis=1)[:, :-1], P - 1)
-    w, yl, yr = np.diff(x, axis=1), y[:, :-1], y[:, 1:]
-    # K = kappa_ij = s_i / s_j on band j; the min makes the bands j > i
-    # (where Y_j = 1) add nothing
-    k_j = np.minimum(s[i] / s[j], 1.0)
-    k_prev = np.minimum(s[i] * np.r_[0.0, 1.0 / s[:-1]][j], 1.0)
+    n = P + 1 - j                               # knots of band j, and mirrors
+    start = np.cumsum(n) - n
+    a = np.arange(start[-1] + n[-1]) - np.repeat(start, n)
+    k = np.repeat(j, n) + a
+    yk = np.interp(phis[k - a] - phis[k], phis[::-1], ts[::-1])    # Y_j(t_k)
+    xm = yk[np.repeat(start + n - 1, n) - a]                       # mirror of t_{P-a}
+    # a mirror's slot in its band: its rank among the mirrors plus the knots
+    # at or left of it, the last of which is its piece.  The running max keeps
+    # the slots distinct where rounding puts two mirrors out of order across
+    # a knot
+    offset = np.repeat(2 * start - j, n)
+    last = np.maximum.accumulate(offset + np.searchsorted(ts, xm, side="right")) - offset
+    slot = offset + last + a
+    points = 2 * len(k)
+    x, y, piece = np.empty(points), np.empty(points), np.empty(points, dtype=np.intp)
+    knot = np.ones(points, dtype=bool)
+    knot[slot] = False
+    x[slot], y[slot], piece[slot] = xm, ts[P - a], last - 1
+    x[knot], y[knot], piece[knot] = ts[k], yk, k
+    w, yl, yr = np.diff(x), y[:-1], y[1:]
+    w[2 * start[1:] - 1] = 0.0                  # the step from one band to the next
+    i, jj = np.minimum(piece[:-1], P - 1), np.repeat(j, 2 * n)[:-1]
+    # K = kappa_ij = s_i / s_j on band j; the min holds it to 1 on the pieces
+    # i < j that rounding may put at a band's left end
+    k_j = np.minimum(s[i] / s[jj], 1.0)
+    k_prev = np.minimum(s[i] * np.concatenate(([0.0], 1.0 / s[:-1]))[jj], 1.0)
     r = np.sum(w * (yl + yr) * (k_j * k_j - k_prev * k_prev))
     d1 = np.sum(w * (_positive_square_mean(yl - k_prev, yr - k_prev)
                      - _positive_square_mean(yl - k_j, yr - k_j)))
@@ -381,11 +396,13 @@ def piecewise_measures(g: Generator):
             raise ValueError(f"the knot table of '{name}' is not decreasing and convex: "
                              "its slopes are not negative and non-decreasing")
         P = len(s)
-        rows = max(1, _PIECEWISE_BLOCK // (2 * P + 2))
+        # band j holds 2 (P + 1 - j) points; a block ends where their running
+        # count crosses a multiple of _PIECEWISE_BLOCK
+        ends = np.cumsum(2 * (P + 1 - np.arange(P)))
+        cuts = (np.flatnonzero(np.diff(ends // _PIECEWISE_BLOCK)) + 1).tolist()
         r_sum = d1_sum = 0.0
-        for j0 in range(0, P, rows):
-            j = np.arange(j0, min(P, j0 + rows))[:, None]
-            r_part, d1_part = _piece_pair_sums(ts, phis, s, j)
+        for j0, j1 in zip([0, *cuts], [*cuts, P]):
+            r_part, d1_part = _band_sums(ts, phis, s, np.arange(j0, j1))
             r_sum, d1_sum = r_sum + r_part, d1_sum + d1_part
         d1, r = d1_sum / 3.0, 6.0 * (1.0 - r_sum / 2.0) - 2.0
     if not (np.isfinite(d1) and np.isfinite(r)):

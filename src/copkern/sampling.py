@@ -1,7 +1,7 @@
 """Seeded sampling from any copula model via conditional-distribution inversion."""
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -9,11 +9,10 @@ from .core import CopulaModel, _bisect
 
 # most points one conditional_inverse call of `sample_many` inverts: a
 # batch amortizes the bisection's per-step numpy overhead over its draws.
-# With branch-free steps the cost per point still falls from 4096 to 8192
-# points on the closed-form families (by 10-20%; flat on a plugin-arch fit)
-# and is higher at 32768 than at 8192 on every model (2 shared cores,
-# numpy 2.4.6)
-BATCH_POINTS = 4096
+# With branch-free steps the cost per point falls from 4096 to 8192 points on
+# the closed-form families (by 10-20%; flat on a plugin-arch fit) and is
+# higher at 32768 than at 8192 on every model (2 shared cores, numpy 2.4.6)
+BATCH_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -51,29 +50,41 @@ def conditional_inverse(c: CopulaModel, x: np.ndarray, u: np.ndarray) -> np.ndar
     return _bisect(lambda y: np.asarray(kernel(y)) >= u, u, 60)[1]
 
 
-def batch_size(n: int) -> int:
-    """Samples of size n that `sample_many` inverts in one call: at most
-    BATCH_POINTS points, and at least one sample."""
-    return max(1, BATCH_POINTS // n)
+def batches(sizes: Sequence[int]) -> List[Tuple[int, int]]:
+    """(start, stop) of the consecutive runs of `sizes` that `sample_many`
+    inverts in one call each: each run holds at most BATCH_POINTS points, or
+    one size alone that is larger."""
+    out, start, points = [], 0, 0
+    for i, n in enumerate(sizes):
+        if i > start and points + n > BATCH_POINTS:
+            out.append((start, i))
+            start, points = i, 0
+        points += n
+    if start < len(sizes):
+        out.append((start, len(sizes)))
+    return out
 
 
-def sample_many(c: CopulaModel, n: int, rngs: Sequence[RngSpec]) -> List[SampleSet]:
-    """Draw n pairs with uniform margins from the copula `c` for each RngSpec.
+def sample_many(c: CopulaModel, sizes: Sequence[int],
+                rngs: Sequence[RngSpec]) -> List[SampleSet]:
+    """Draw sizes[i] pairs with uniform margins from the copula `c` for rngs[i].
 
-    Each spec draws its x and u from its own generator; the draws of up to
-    `batch_size(n)` specs are concatenated and inverted by one
+    Each spec draws its x and u from its own generator; the draws of each
+    run of `batches(sizes)` are concatenated and inverted by one
     `conditional_inverse` call.  The inversion is elementwise, so each
     SampleSet has the bytes it has when drawn alone.
     """
-    if n < 1:
+    if len(sizes) != len(rngs):
+        raise ValueError(f"{len(sizes)} sample sizes for {len(rngs)} generators")
+    if any(n < 1 for n in sizes):
         raise ValueError("sample size must be >= 1")
     out = []
-    k = batch_size(n)
-    for i in range(0, len(rngs), k):
-        chunk = rngs[i:i + k]
-        draws = [(g.random(n), g.random(n)) for g in (r.generator() for r in chunk)]
+    for start, stop in batches(sizes):
+        chunk = rngs[start:stop]
+        draws = [(g.random(n), g.random(n))
+                 for n, g in zip(sizes[start:stop], (r.generator() for r in chunk))]
         x, u = (np.concatenate(part) for part in zip(*draws))
-        ys = np.split(conditional_inverse(c, x, u), len(chunk))
+        ys = np.split(conditional_inverse(c, x, u), np.cumsum(sizes[start:stop - 1]))
         out += [SampleSet(x=xr, y=yr, seed=r.seed, stream=r.stream)
                 for r, (xr, _), yr in zip(chunk, draws, ys)]
     return out
@@ -81,5 +92,5 @@ def sample_many(c: CopulaModel, n: int, rngs: Sequence[RngSpec]) -> List[SampleS
 
 def sample(c: CopulaModel, n: int, rng: RngSpec) -> SampleSet:
     """Draw n pairs with uniform margins from the copula `c`."""
-    return sample_many(c, n, [rng])[0]
+    return sample_many(c, [n], [rng])[0]
 

@@ -11,7 +11,7 @@ import numpy as np
 from .estimation import chatterjee_r, plugin_zeta1_r, pseudo_obs
 from .metrics import QuadratureSpec, r_measure
 from .registry import make_copula
-from .sampling import RngSpec, SampleSet, batch_size, sample_many
+from .sampling import RngSpec, SampleSet, batches, sample_many
 
 # plugin estimator -> the structural assumption its model is fitted under
 PLUGINS = {"plugin-arch": "archimedean", "plugin-ev": "extreme-value"}
@@ -90,46 +90,55 @@ def _run_one(estimator: str, n: int, rep: int, seed: int, m: int, s: SampleSet,
     )
 
 
-def _run_chunk(args) -> List[StudyRecord]:
-    """The records of one chunk of an (estimator, n) cell: its samples come
-    from one `sample_many` call, and each then goes through `_run_one`."""
-    spec, knots, estimator, n, m, reps = args      # reps: [(replication, seed)]
-    c = make_copula(spec, knots=knots)
+def _draw(c, items) -> Tuple[List[SampleSet], List[float]]:
+    """The samples of `items`, [(estimator, n, replication, seed)], from one
+    `sample_many` call, and each one's share of its time: n over the points
+    of all."""
+    sizes = [n for _, n, _, _ in items]
     t0 = time.perf_counter()
-    samples = sample_many(c, n, [RngSpec(seed=seed, stream=0) for _, seed in reps])
-    draw_time = (time.perf_counter() - t0) / len(reps)
-    return [_run_one(estimator, n, rep, seed, m, s, draw_time)
-            for (rep, seed), s in zip(reps, samples)]
+    samples = sample_many(c, sizes, [RngSpec(seed=seed, stream=0) for *_, seed in items])
+    per_point = (time.perf_counter() - t0) / sum(sizes)
+    return samples, [per_point * n for n in sizes]
+
+
+def _run_chunk(args) -> List[StudyRecord]:
+    """The records of one chunk of consecutive items, which may span cells:
+    its samples come from one `_draw`, and each then goes through `_run_one`."""
+    spec, knots, m, items = args
+    samples, shares = _draw(make_copula(spec, knots=knots), items)
+    return [_run_one(est, n, rep, seed, m, s, share)
+            for (est, n, rep, seed), s, share in zip(items, samples, shares)]
 
 
 def run_study(cfg: StudyConfig, jobs: int = 1) -> StudyResult:
     """Run the full replication grid; record order is canonical regardless of jobs.
 
-    Each (estimator, n) cell runs in chunks of at most `batch_size(n)`
-    replications, one `sample_many` draw per chunk; a process pool maps over
-    the chunks, and a cell has at least as many chunks as workers where its
-    replications allow it.
+    The (estimator, n, replication) items, in the order of the config's
+    lists, split into min(items, jobs) parts of near-equal counts, and each part into chunks
+    of consecutive items of at most BATCH_POINTS sample points
+    (`sampling.batches`), so that a chunk is one `conditional_inverse` call
+    and may span cells; a process pool maps over the chunks.
     """
     if jobs < 1:
         raise ValueError(f"worker count must be >= 1, got {jobs}")
     # first, so that a model the kernel check rejects fails before any replication
     true_r = r_measure(make_copula(cfg.copula_spec, knots=cfg.knots), QuadratureSpec(m=512))
+    items = [(est, n, rep, replication_seed(cfg.base_seed, est, n, rep))
+             for est in cfg.estimators for n in cfg.sizes for rep in range(cfg.replications)]
+    # at least min(items, jobs) chunks, so that no worker of the pool idles
+    parts = min(len(items), jobs)
+    bounds = [len(items) * p // parts for p in range(parts + 1)]
     chunks = []
-    for est in cfg.estimators:
-        for n in cfg.sizes:
-            reps = [(rep, replication_seed(cfg.base_seed, est, n, rep))
-                    for rep in range(cfg.replications)]
-            # a cell of R replications splits into at least min(R, jobs) chunks,
-            # so that no worker of the pool idles on a small cell
-            k = min(batch_size(n), -(-cfg.replications // jobs))
-            chunks += [(cfg.copula_spec, cfg.knots, est, n, cfg.m, reps[i:i + k])
-                       for i in range(0, len(reps), k)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        part = items[lo:hi]
+        chunks += [(cfg.copula_spec, cfg.knots, cfg.m, part[start:stop])
+                   for start, stop in batches([n for _, n, _, _ in part])]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_run_chunk, chunks))
+            done = list(pool.map(_run_chunk, chunks))
     else:
-        parts = [_run_chunk(chunk) for chunk in chunks]
-    records = [r for part in parts for r in part]
+        done = [_run_chunk(chunk) for chunk in chunks]
+    records = [r for part in done for r in part]
     records.sort(key=lambda r: (r.estimator, r.n, r.replication))
     summary = summarize(records, true_r)
     return StudyResult(config=cfg, records=records, true_r=true_r, summary=summary)

@@ -1,10 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copkern._accel import dominance_counts, levy_distance
-from copkern.archimedean import kendall_function, piecewise_measures
+from copkern.archimedean import (
+    _positive_square_mean,
+    kendall_function,
+    make_w_generator,
+    piecewise_measures,
+)
 from copkern.estimation import (
     PseudoObservations,
     _average_ranks,
@@ -170,3 +177,81 @@ def test_exact_plugin_measures_lie_in_unit_interval(xy):
     g = reconstruct_generator(empirical_kendall(pseudo_obs(SampleSet(x=xy[0], y=xy[1]))))
     _, z, r = piecewise_measures(g)
     assert 0.0 <= z <= 1.0 and 0.0 <= r <= 1.0
+
+
+def _row_sorted_piece_pair_sums(ts, phis, s, j):
+    """The sums of `piecewise_measures` over the bands j, a column of indices,
+    each band holding all 2 (P + 1) points, stably sorted by x row by row."""
+    P = len(ts) - 1
+    v = np.interp(phis[j] - phis, phis[::-1], ts[::-1])     # Y_j(t_i)
+    x = np.concatenate([np.broadcast_to(ts, v.shape), v[:, ::-1]], axis=1)
+    y = np.concatenate([v, np.broadcast_to(ts[::-1], v.shape)], axis=1)
+    order = np.argsort(x, axis=1, kind="stable")
+    x, y = np.take_along_axis(x, order, 1), np.take_along_axis(y, order, 1)
+    # a segment's piece is the last knot at or left of it; mirrors are -1
+    piece = np.r_[np.arange(P + 1), np.full(P + 1, -1)][order]
+    i = np.minimum(np.maximum.accumulate(piece, axis=1)[:, :-1], P - 1)
+    w, yl, yr = np.diff(x, axis=1), y[:, :-1], y[:, 1:]
+    k_j = np.minimum(s[i] / s[j], 1.0)
+    k_prev = np.minimum(s[i] * np.r_[0.0, 1.0 / s[:-1]][j], 1.0)
+    r = np.sum(w * (yl + yr) * (k_j * k_j - k_prev * k_prev))
+    d1 = np.sum(w * (_positive_square_mean(yl - k_prev, yr - k_prev)
+                     - _positive_square_mean(yl - k_j, yr - k_j)))
+    return r, d1
+
+
+def _row_sorted_measures(g):
+    """(D1, zeta1, r) of `piecewise_measures` from the row-sorted sums."""
+    ts, phis = g.knots
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = np.diff(phis) / np.diff(ts)
+        r, d1 = _row_sorted_piece_pair_sums(ts, phis, s, np.arange(len(s))[:, None])
+    d1, r = d1 / 3.0, 6.0 * (1.0 - r / 2.0) - 2.0
+    return d1, 3.0 * d1, r
+
+
+@st.composite
+def convex_knot_tables(draw):
+    """Generators linear between P knots on the grid i / 1024, P from 1 to
+    300, with phi(0) up to about 1e82."""
+    P = draw(st.integers(1, 300))
+    top = draw(st.floats(0.0, 82.0))
+    tied = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ts = np.r_[0, np.sort(rng.choice(np.arange(1, 1024), P - 1, replace=False)), 1024] / 1024
+    if tied:
+        # few distinct integer slopes times one power of 2: phi and its slopes
+        # are exact, so the tied slopes stay tied
+        mags = np.sort(rng.integers(1, 8, P))[::-1] * 2.0 ** np.floor(top * np.log2(10) - 3)
+    else:
+        mags = np.sort(10.0 ** rng.uniform(top - 6, top, P))[::-1]
+    phis = np.r_[np.cumsum((mags * np.diff(ts))[::-1])[::-1], 0.0]
+    return replace(make_w_generator(), label="table", knots=(ts, phis))
+
+
+@settings(max_examples=100, deadline=None)
+@given(convex_knot_tables())
+def test_piecewise_measures_match_the_row_sorted_sums(g):
+    assert np.max(np.abs(np.array(piecewise_measures(g))
+                         - np.array(_row_sorted_measures(g)))) <= 1e-13
+
+
+@settings(max_examples=100, deadline=None)
+@given(tied_points().filter(lambda xy: 2 <= len(xy[0])
+                            and np.ptp(xy[0]) > 0 and np.ptp(xy[1]) > 0))
+def test_piecewise_measures_match_the_row_sorted_sums_on_tied_fits(xy):
+    g = reconstruct_generator(empirical_kendall(pseudo_obs(SampleSet(x=xy[0], y=xy[1]))))
+    assert np.max(np.abs(np.array(piecewise_measures(g))
+                         - np.array(_row_sorted_measures(g)))) <= 1e-13
+
+
+def test_piecewise_measures_merge_mirrors_that_rounding_puts_out_of_order():
+    # a valid convex table on which band 1's mirror of t_3 rounds to 0, left
+    # of its mirror of t_4 = 1e-300, across the knot t_1 = 1e-300
+    ts = np.array([0.0, 1e-300, 0.75, 0.875, 1.0])
+    phis = np.array([1.0 + 2.0 ** -52, 1.0, 2.0 ** -52, 2.0 ** -53, 0.0])
+    xm = np.interp(phis[1] - phis[[4, 3]], phis[::-1], ts[::-1])
+    assert xm[1] < ts[1] == xm[0]
+    g = replace(make_w_generator(), label="table", knots=(ts, phis))
+    assert np.max(np.abs(np.array(piecewise_measures(g))
+                         - np.array(_row_sorted_measures(g)))) <= 1e-13

@@ -5,7 +5,14 @@ from copkern.archimedean import Generator, archimedean_copula, make_clayton, mak
 from copkern.core import make_m, make_pi, make_w
 from copkern.estimation import empirical_kendall, pseudo_obs, reconstruct_generator, sample_fidelity
 from copkern.registry import make_copula
-from copkern.sampling import RngSpec, conditional_inverse, sample, sample_many
+from copkern.sampling import (
+    BATCH_POINTS,
+    RngSpec,
+    batches,
+    conditional_inverse,
+    sample,
+    sample_many,
+)
 
 
 def test_determinism_bit_identical():
@@ -115,8 +122,28 @@ def test_sample_rejects_bad_n():
 def test_sample_many_equals_one_sample_per_rng(spec):
     c = make_copula(spec)
     rngs = [RngSpec(seed=5), RngSpec(seed=6, stream=2)]
-    many = sample_many(c, 50, rngs)
+    many = sample_many(c, [50, 50], rngs)
     for s, r in zip(many, rngs):
         one = sample(c, 50, r)
         assert (s.seed, s.stream) == (one.seed, one.stream) == (r.seed, r.stream)
         assert s.x.tobytes() == one.x.tobytes() and s.y.tobytes() == one.y.tobytes()
+
+
+@pytest.mark.parametrize("sizes, runs", [
+    ([], []),
+    ([10000], [(0, 1)]),
+    ([10, 50, 1000], [(0, 3)]),
+    ([8192, 1], [(0, 1), (1, 2)]),
+    ([4000, 4192, 1, 10000, 5], [(0, 2), (2, 3), (3, 4), (4, 5)]),
+], ids=["empty", "one-large", "mixed", "full-then-one", "large-between"])
+def test_batches_pack_consecutive_sizes_by_points(sizes, runs):
+    # a run holds at most BATCH_POINTS points, or one larger size alone
+    assert BATCH_POINTS == 8192
+    assert batches(sizes) == runs
+
+
+def test_sample_many_checks_its_sizes():
+    with pytest.raises(ValueError, match="2 sample sizes for 1 generators"):
+        sample_many(make_pi(), [10, 10], [RngSpec(seed=0)])
+    with pytest.raises(ValueError, match="sample size must be >= 1"):
+        sample_many(make_pi(), [10, 0], [RngSpec(seed=0), RngSpec(seed=1)])
