@@ -194,49 +194,40 @@ def archimedean_copula(g: Generator) -> CopulaModel:
     to phi's domain [0, 1], with the strict / non-strict Markov kernel.
 
     The copula is exchangeable to the bit: C takes only a commutative sum and
-    min.  The kernel is split as K = finish(x, y, S) with the symmetric
-    S = D+phi(C), C clipped to [1e-300, 1], and finish the ratio
-    D+phi(x) / S with its edge rules; ``cdf`` and ``conditional`` declare
-    both (`CopulaModel`), and ``conditional(x)`` is that composition, with
-    the terms in x computed once.
+    min.  The kernel D+phi(x) / D+phi(C(x, y)), with its edge rules, is the
+    `ExchangeableKernel` whose ``given(x)`` computes phi(x0), D+phi(x), the
+    non-strict zero level and the x edges once; its symmetric part is
+    S = D+phi(C), C clipped to [1e-300, 1], and ``finish_at`` the ratio.
+    ``cdf`` and ``conditional`` both declare their symmetry (`CopulaModel`).
     """
     phi0 = g.phi(0.0)  # inf exactly when g is strict
 
-    def _cdf_given(x):
-        """(phi(x0), y -> C(x, y)), the terms in x computed once."""
-        x0 = _unit(x)
-        px = g.phi(x0)
-
-        def cdf_at(y):
-            y0 = _unit(y)
-            return np.minimum(g.inverse(px + g.phi(y0)), np.minimum(x0, y0))
-
-        return px, cdf_at
+    def cdf_at(x0, px, y):
+        """C(x, y) from x0 and px = phi(x0)."""
+        y0 = _unit(y)
+        return np.minimum(g.inverse(px + g.phi(y0)), np.minimum(x0, y0))
 
     def cdf(x, y):
-        return _cdf_given(np.asarray(x, dtype=float))[1](np.asarray(y, dtype=float))
+        x0 = _unit(x)
+        return cdf_at(x0, g.phi(x0), y)
 
-    def _symmetric_given(x):
-        """(phi(x0), y -> S(x, y) = D+phi(C(x, y))), C clipped to [1e-300, 1]."""
-        px, cdf_at = _cdf_given(x)
-
-        def at(y):
-            C = np.asarray(cdf_at(y))
-            np.clip(C, 1e-300, 1.0, out=C)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                return np.asarray(g.dplus_phi(C))
-
-        return px, at
-
-    def _finish_given(x, px):
-        """(y, s) -> K(x, [0, y]) from s = S(x, y), written into s; px = phi(x0)."""
+    def given(x):
+        x = np.asarray(x, dtype=float)
+        x0 = _unit(x)
+        px = g.phi(x0)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             dx = g.dplus_phi(np.clip(x, 1e-300, 1.0))
         # non-strict: 0 below the level phi^-(phi(0) - phi(x))
         level = None if np.isinf(phi0) else g.inverse(phi0 - px)
         x_edge = (x <= 0.0) | (x >= 1.0)
 
-        def at(y, s):
+        def symmetric_at(y):
+            C = np.asarray(cdf_at(x0, px, y))
+            np.clip(C, 1e-300, 1.0, out=C)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                return np.asarray(g.dplus_phi(C))
+
+        def finish_at(y, s):
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 ratio = np.divide(dx, s, out=s)
             np.copyto(ratio, 0.0, where=~np.isfinite(ratio))
@@ -247,28 +238,9 @@ def archimedean_copula(g: Generator) -> CopulaModel:
             np.copyto(ratio, 1.0, where=x_edge)
             return ratio
 
-        return at
-
-    def symmetric(x, y):
-        return _symmetric_given(np.asarray(x, dtype=float))[1](np.asarray(y, dtype=float))
-
-    def finish(x, y, s):
-        x = np.asarray(x, dtype=float)
-        return _finish_given(x, g.phi(_unit(x)))(np.asarray(y, dtype=float), s)
-
-    def conditional(x):
-        x = np.asarray(x, dtype=float)
-        px, s_at = _symmetric_given(x)
-        finish_at = _finish_given(x, px)
-
-        def kernel(y):
-            y = np.asarray(y, dtype=float)
-            return finish_at(y, s_at(y))
-
-        return kernel
+        return symmetric_at, finish_at
 
     cdf.exchangeable = True
-    conditional.exchangeable = ExchangeableKernel(symmetric, finish)
 
     def measures(m):
         # P(P+1)/2 <= m^2/8 for P pieces from 0: the O(P^2) sum is cheaper than the grid
@@ -279,7 +251,7 @@ def archimedean_copula(g: Generator) -> CopulaModel:
 
     return CopulaModel(
         cdf=cdf,
-        conditional=conditional,
+        conditional=ExchangeableKernel(given),
         label=f"archimedean[{g.label}]",
         transpose_factory=lambda c: c,
         measures=measures,

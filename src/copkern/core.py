@@ -1,25 +1,30 @@
 """Bivariate copulas represented by their CDF and conditional-CDF Markov kernel."""
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 
-class ExchangeableKernel(NamedTuple):
-    """The Markov kernel of an exchangeable copula split as
-    K(x, [0, y]) = ``finish(x, y, symmetric(x, y))``, declared by setting it
-    as the ``exchangeable`` attribute of the model's ``conditional``.
+@dataclass(frozen=True)
+class ExchangeableKernel:
+    """The Markov kernel of an exchangeable copula, as its model's ``conditional``.
 
-    ``symmetric(x, y) == symmetric(y, x)`` holds bit for bit, so on a square
-    lattice over one grid the costly part is evaluated on one triangle and
-    mirrored; ``finish`` adds what depends on the order of x and y, and may
-    write its result into the array `s` it is given.  Both are elementwise
-    and broadcast as `CopulaModel.kernel_cdf` does.
+    ``given(x)`` computes the terms in x alone once and returns
+    ``(symmetric_at, finish_at)``; calling the split with x returns
+    y -> K(x, [0, y]) = ``finish_at(y, symmetric_at(y))``.
+    ``given(x)[0](y) == given(y)[0](x)`` holds bit for bit, so on a square
+    lattice over one grid the costly part S is evaluated on one triangle and
+    mirrored; ``finish_at`` adds what depends on the order of x and y, and
+    may write its result into the array `s` it is given.  Both are
+    elementwise and broadcast as `CopulaModel.kernel_cdf` does.
     """
 
-    symmetric: Callable   # (x, y) -> S(x, y), a new array of the broadcast shape
-    finish: Callable      # (x, y, s) -> K(x, [0, y]) from s = S(x, y)
+    given: Callable   # x -> (y -> S(x, y), (y, s) -> K(x, [0, y]) from s = S(x, y))
+
+    def __call__(self, x):
+        symmetric_at, finish_at = self.given(x)
+        return lambda y: finish_at(np.asarray(y, dtype=float), symmetric_at(y))
 
 
 @dataclass(frozen=True)
@@ -47,9 +52,9 @@ class CopulaModel:
     An exchangeable model declares it on the callables it describes, and
     `square_tiles` then evaluates that callable's costly part on about half a
     square lattice: ``cdf.exchangeable = True`` says ``cdf(x, y) ==
-    cdf(y, x)`` bit for bit, and ``conditional.exchangeable`` is the
-    kernel's `ExchangeableKernel` split.  A ``dataclasses.replace`` of either
-    callable so drops its declaration with it.
+    cdf(y, x)`` bit for bit, and a ``conditional`` that is an
+    `ExchangeableKernel` is the kernel's split.  A ``dataclasses.replace``
+    of either callable so drops its declaration with it.
     """
 
     cdf: Callable
@@ -90,6 +95,13 @@ class CheckerboardMatrix:
                 and np.max(np.abs(m.sum(axis=1) - 1.0 / N)) <= _MASS_TOL):
             raise ValueError("checkerboard mass matrix is not doubly stochastic")
         object.__setattr__(self, "mass", m)
+
+
+def _require_int(value, what: str):
+    """ValueError naming `what` unless `value` is an integer; a float such as
+    50.0 is rejected too."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _unit(t):
@@ -269,34 +281,36 @@ def square_tiles(c: CopulaModel, g, kernel: bool = False):
 
     A callable that declares nothing (see `CopulaModel`), or a lattice of
     one block, gives the row blocks of `lattice_blocks`.  An exchangeable
-    CDF, or the symmetric part of a split kernel, is evaluated on the
-    upper-triangle panel [i0, i1) x [i0, n) of at most LATTICE_BLOCK points
-    (at least one row), which is yielded, then the mirror [i1, n) x [i0, i1)
-    built from the panel's transpose: about half the lattice's points.  A CDF mirror is a
-    transposed view of the panel; the kernel's ``finish`` is applied to the
-    panel and to a copy of its transpose.  Being elementwise, each tile
-    holds the row-walked lattice's bits.  A consumer reads the blocks and
-    writes into none of them.
+    CDF, or the symmetric part of an `ExchangeableKernel`, is evaluated on
+    the upper-triangle panel [i0, i1) x [i0, n) of at most LATTICE_BLOCK
+    points (at least one row), which is yielded, then the mirror
+    [i1, n) x [i0, i1) built from the panel's transpose: about half the
+    lattice's points.  A CDF mirror is a transposed view of the panel; the
+    kernel's ``given`` is applied to the panel's rows and to the mirror's,
+    and each ``finish_at`` to its own block, the mirror's a copy of the
+    panel's transpose.  Being elementwise, each tile holds the row-walked
+    lattice's bits.  A consumer reads the blocks and writes into none of them.
     """
     g = np.asarray(g, float)
     n = len(g)
     if kernel:
-        symmetric, finish = getattr(c.conditional, "exchangeable", None) or (None, None)
+        given = c.conditional.given if isinstance(c.conditional, ExchangeableKernel) else None
     else:
-        symmetric, finish = (c.cdf if has_exchangeable_cdf(c) else None), None
-    if symmetric is None or n * n <= LATTICE_BLOCK:
+        given = (lambda x: (lambda y: c.cdf(x, y), None)) if has_exchangeable_cdf(c) else None
+    if given is None or n * n <= LATTICE_BLOCK:
         yield from lattice_blocks(c.kernel_cdf if kernel else c.cdf, g, g)
         return
     i0 = 0
     while i0 < n:
         i1 = min(n, i0 + max(1, LATTICE_BLOCK // (n - i0)))
         rows, right, below = slice(i0, i1), slice(i0, n), slice(i1, n)
-        panel = symmetric(g[rows, None], g[None, right])
+        symmetric_at, finish_at = given(g[rows, None])
+        panel = symmetric_at(g[None, right])
         mirror = panel[:, i1 - i0:].T
-        if finish is not None:
-            # finish writes into what it is given: the mirror's copy first
-            mirror = finish(g[below, None], g[None, rows], mirror.copy())
-            panel = finish(g[rows, None], g[None, right], panel)
+        if finish_at is not None:
+            # finish_at writes into what it is given: the mirror's copy first
+            mirror = given(g[below, None])[1](g[None, rows], mirror.copy())
+            panel = finish_at(g[None, right], panel)
         yield rows, right, panel
         if i1 < n:
             yield below, rows, mirror
@@ -334,6 +348,7 @@ def cdf_lattice(c: CopulaModel, m: int) -> np.ndarray:
 
 def checkerboard_approx(c: CopulaModel, N: int) -> CheckerboardMatrix:
     """Cell masses of the N-checkerboard approximation of `c`."""
+    _require_int(N, "checkerboard resolution N")
     if N < 1:
         raise ValueError("checkerboard resolution must be >= 1")
     C = cdf_lattice(c, N)

@@ -1,6 +1,5 @@
 """Pickands dependence functions and Extreme-Value copulas with their kernels."""
 
-import inspect
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
@@ -23,10 +22,8 @@ class PickandsFunction:
     A(t) + (1 - t) D+A(t) at t = u / (u + v), as `CopulaModel.conditional`
     does for x.  u and v are broadcast-compatible arrays of at least one
     dimension; the two results are new arrays of their broadcast shape,
-    which the caller may overwrite.  Both are elementwise.  The callable may
-    also take the keyword ``derivative``: with ``derivative=False`` it skips
-    D1 l, which then reads None.  The library's tails take it, and the CDF
-    of `ev_copula` asks such a callable for l alone.
+    which the caller may overwrite.  Both are elementwise.  The CDF of
+    `ev_copula` reads the first of the pair, its kernel both.
     """
 
     a: Callable          # [0,1] -> [1/2,1], convex, a(0)=a(1)=1
@@ -35,14 +32,6 @@ class PickandsFunction:
     breakpoints: tuple   # points in [0,1] where D+A may jump; empty if it is continuous
     transpose_factory: Callable  # self -> Pickands function of A(1-x)
     stable_tail: Callable        # u -> (v -> (l(u, v), D1 l(u, v)))
-
-
-def _tail_alone(at, v):
-    """l(u, v) from the callable `at` of ``stable_tail(u)``: asked for l alone
-    when it takes the ``derivative`` keyword, the first of its pair otherwise."""
-    if "derivative" in inspect.signature(at).parameters:
-        return at(v, derivative=False)[0]
-    return at(v)[0]
 
 
 def _softplus(t):
@@ -70,13 +59,11 @@ def _power_mean_pickands(p: float, label: str) -> PickandsFunction:
     def stable_tail(u):
         pu = p * np.log(u)
 
-        def at(v, derivative=True):
+        def at(v):
             z = np.subtract(p * np.log(v), pu)
             q = _softplus(z)
-            d1_m = None
-            if derivative:
-                d1_m = np.multiply(q, 1.0 / p - 1.0, out=z)
-                np.exp(d1_m, out=d1_m)              # D_u M_p
+            d1_m = np.multiply(q, 1.0 / p - 1.0, out=z)
+            np.exp(d1_m, out=d1_m)                  # D_u M_p
             q /= p
             m = np.exp(q, out=q)
             m *= u                                  # M_p = u e^(q / p)
@@ -84,8 +71,7 @@ def _power_mean_pickands(p: float, label: str) -> PickandsFunction:
                 return m, d1_m
             ell = u + v
             ell -= m
-            if derivative:
-                np.subtract(1.0, d1_m, out=d1_m)
+            np.subtract(1.0, d1_m, out=d1_m)
             return ell, d1_m
 
         return at
@@ -95,7 +81,7 @@ def _power_mean_pickands(p: float, label: str) -> PickandsFunction:
         t = np.atleast_1d(x)
         # the logs of 0 at the ends give NaN; A reads 1 there
         with np.errstate(divide="ignore", invalid="ignore"):
-            val = stable_tail(t)(1.0 - t, derivative=False)[0].reshape(x.shape)
+            val = stable_tail(t)(1.0 - t)[0].reshape(x.shape)
         return np.where((x <= 0.0) | (x >= 1.0), 1.0, val)
 
     def dplus(x):
@@ -114,11 +100,11 @@ def _pickands_tail(a: Callable, dplus_a: Callable) -> Callable:
     D1 l = A(t) + (1 - t) D+A(t), with s = u + v and t = u / s."""
 
     def stable_tail(u):
-        def at(v, derivative=True):
+        def at(v):
             s = u + v
             t = u / s
             a_t = a(t)
-            return s * a_t, a_t + (1.0 - t) * dplus_a(t) if derivative else None
+            return s * a_t, a_t + (1.0 - t) * dplus_a(t)
 
         return at
 
@@ -207,7 +193,7 @@ def ev_copula(p: PickandsFunction) -> CopulaModel:
     def cdf(x, y):
         x, y = _unit(x), _unit(y)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ell = _tail_alone(p.stable_tail(_neg_log(x)), _neg_log(y))
+            ell = p.stable_tail(_neg_log(x))(_neg_log(y))[0]
         val = np.exp(np.negative(ell, out=ell), out=ell)
         np.copyto(val, x, where=y >= 1.0)
         np.copyto(val, y, where=x >= 1.0)

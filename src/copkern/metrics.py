@@ -16,11 +16,12 @@ resolves (the shift fixtures) fail, and so does a grid with a NaN cell.
 
 Square lattices over one grid (`kernel_grid`, `core.cdf_lattice` and the
 streamed reductions) are walked by the tiles of `core.square_tiles`: row
-blocks, or where the model's CDF or kernel declares itself exchangeable
-(`core.CopulaModel`; every Archimedean copula does) panels of the upper
-triangle and their mirrors, so that CDF, or the symmetric part of that
-kernel, is evaluated on about half the lattice.  The tiles hold the
-row-walked values bit for bit.
+blocks, or where the model's CDF declares itself exchangeable or its
+kernel is a `core.ExchangeableKernel` (`core.CopulaModel`; every
+Archimedean copula does both) panels of the upper triangle and their
+mirrors, so that CDF, or the symmetric part of that kernel, is evaluated
+on about half the lattice.  The tiles hold the row-walked values bit for
+bit.
 
 No reduction builds a second m^2 array beside its inputs.  `d_inf`,
 `d_inf_to_lattice` and `d1_to_grid` stream a model's lattice tile by tile,
@@ -40,6 +41,7 @@ import numpy as np
 from ._accel import levy_distance
 from .core import (
     CopulaModel,
+    _require_int,
     cdf_grid,
     has_exchangeable_cdf,
     lattice,
@@ -60,8 +62,7 @@ class QuadratureSpec:
     m: int = 512
 
     def __post_init__(self):
-        if not isinstance(self.m, (int, np.integer)):
-            raise ValueError(f"quadrature resolution m must be an integer, got {self.m!r}")
+        _require_int(self.m, "quadrature resolution m")
         if self.m < 8:
             raise ValueError("quadrature resolution must be >= 8")
 

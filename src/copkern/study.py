@@ -8,6 +8,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .core import _require_int
 from .estimation import chatterjee_r, plugin_zeta1_r, pseudo_obs
 from .metrics import QuadratureSpec, r_measure
 from .registry import make_copula
@@ -30,6 +31,7 @@ class StudyConfig:
 
     def __post_init__(self):
         QuadratureSpec(m=self.m)  # rejects m < 8 before any replication runs
+        _require_int(self.replications, "replication count")
         if self.replications < 1:
             raise ValueError("replication count must be >= 1")
         if not self.estimators:
@@ -39,6 +41,8 @@ class StudyConfig:
                 raise ValueError(f"unknown estimator '{e}' (known: {', '.join(ESTIMATORS)})")
         if not self.sizes:
             raise ValueError("sample size list must be non-empty")
+        for n in self.sizes:
+            _require_int(n, "a sample size")
         if any(n < 10 for n in self.sizes):
             raise ValueError("sample sizes must be >= 10")
         # a repeated cell would run every replication twice under the same seeds
@@ -119,6 +123,7 @@ def run_study(cfg: StudyConfig, jobs: int = 1) -> StudyResult:
     (`sampling.batches`), so that a chunk is one `conditional_inverse` call
     and may span cells; a process pool maps over the chunks.
     """
+    _require_int(jobs, "worker count")
     if jobs < 1:
         raise ValueError(f"worker count must be >= 1, got {jobs}")
     # first, so that a model the kernel check rejects fails before any replication

@@ -504,7 +504,8 @@ def test_exchangeable_builders_cover_every_kind_of_generator():
     for name in _EXCHANGEABLE_BUILDERS:
         c = _exchangeable_model(name)
         assert has_exchangeable_cdf(c)
-        assert isinstance(c.conditional.exchangeable, ExchangeableKernel)
+        assert isinstance(c.conditional, ExchangeableKernel)
+        assert not hasattr(c.conditional, "exchangeable")
     assert reconstruct_generator(kendall_function(make_gumbel(3.0))).strict
     assert not _plugin_generator("clayton:2", 200, 1).strict
     assert pseudo_obs(_tied_sample()).had_ties
@@ -524,16 +525,22 @@ def _bits(a):
        st.lists(st.tuples(_UNIT, _UNIT), min_size=1, max_size=40))
 def test_exchangeable_models_are_symmetric_to_the_bit(name, pairs):
     # the declaration `square_tiles` mirrors on: C and the kernel's symmetric
-    # part S take the same bits at (x, y) and (y, x), as vectors and as lattices
+    # part S = given(x)[0](y) take the same bits at (x, y) and (y, x), as
+    # vectors and as lattices
     c = _exchangeable_model(name)
-    split = c.conditional.exchangeable
+    given = c.conditional.given
+
+    def symmetric(x, y):
+        return given(x)[0](y)
+
     x, y = np.array(pairs).T
-    for f in (c.cdf, split.symmetric):
+    for f in (c.cdf, symmetric):
         assert np.array_equal(_bits(f(x, y)), _bits(f(y, x)))
         assert np.array_equal(_bits(f(x[:, None], y[None, :])), _bits(f(y[:, None], x[None, :]).T))
-    # the kernel is its split, bit for bit
+    # the kernel is the composition of its split, bit for bit
     X, Y = x[:, None], y[None, :]
-    K = split.finish(X, Y, split.symmetric(X, Y))
+    symmetric_at, finish_at = given(X)
+    K = finish_at(Y, symmetric_at(Y))
     assert np.array_equal(_bits(c.kernel_cdf(X, Y)), _bits(K))
 
 
@@ -561,17 +568,17 @@ def test_tiled_lattices_are_the_row_walked_lattices(name, m):
 def test_square_tiles_cover_the_lattice_once_and_evaluate_about_half():
     base = _exchangeable_model("clayton:2")
     points = []
-    split = base.conditional.exchangeable
 
-    def counted(x, y):
-        points.append(np.broadcast(x, y).size)
-        return split.symmetric(x, y)
+    def counted(x):
+        symmetric_at, finish_at = base.conditional.given(x)
 
-    def conditional(x):
-        return base.conditional(x)
+        def counted_at(y):
+            points.append(np.broadcast(x, y).size)
+            return symmetric_at(y)
 
-    conditional.exchangeable = split._replace(symmetric=counted)
-    c = replace(base, conditional=conditional)
+        return counted_at, finish_at
+
+    c = replace(base, conditional=ExchangeableKernel(counted))
     for n, share in ((182, 0.99), (512, 0.62), (2000, 0.52)):
         g = (np.arange(n) + 0.5) / n
         cover = np.zeros((n, n), dtype=int)
@@ -581,10 +588,10 @@ def test_square_tiles_cover_the_lattice_once_and_evaluate_about_half():
             cover[rows, cols] += 1
         assert np.all(cover == 1)
         assert sum(points) <= share * n * n
-    # a lattice of one block is one call of the kernel itself
+    # a lattice of one block is one call of the kernel, over all of it
     points.clear()
     assert len(list(square_tiles(c, np.linspace(0.0, 1.0, 181), kernel=True))) == 1
-    assert points == []
+    assert points == [181 * 181]
 
 
 def test_a_replaced_callable_drops_its_exchangeable_declaration():

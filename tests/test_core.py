@@ -114,6 +114,13 @@ def test_checkerboard_approx_rejects_zero():
         checkerboard_approx(make_pi(), 0)
 
 
+@pytest.mark.parametrize("N", [2.5, 2.0, np.float64(2)], ids=["2.5", "2.0", "f64"])
+def test_checkerboard_approx_rejects_a_non_integer_resolution(N):
+    # a float resolution is named as such, not read as a board that is not doubly stochastic
+    with pytest.raises(ValueError, match="checkerboard resolution N must be an integer"):
+        checkerboard_approx(make_pi(), N)
+
+
 def test_checkerboard_copula_uniform_equals_pi():
     cb = checkerboard_copula(CheckerboardMatrix(np.full((2, 2), 0.25)))
     assert cb.cdf(0.5, 0.5) == pytest.approx(0.25)

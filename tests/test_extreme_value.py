@@ -201,38 +201,28 @@ def test_ev_kernel_computes_the_x_terms_once_per_conditional():
 @pytest.mark.parametrize("p", [make_galambos(3.0), make_gumbel_pickands(2.0),
                                make_piecewise_linear_pickands(paper_pwl_knots())],
                          ids=["galambos", "gumbel-ev", "piecewise"])
-def test_ev_cdf_reads_a_tail_with_or_without_the_derivative_keyword(p):
-    # the library's tails are asked for l alone; a callable of v only, as
-    # a user may write, gives its pair, and the CDF has the same bits
+def test_ev_cdf_reads_a_tail_of_v_alone_once_per_call(p):
+    # a stable tail is u -> (v -> (l, D1 l)) and nothing else: the CDF takes
+    # l from one call of a callable of v alone, with the library's bits
     asked = []
 
     def v_only(u):
         at = p.stable_tail(u)
 
         def at_v(v):
-            asked.append("pair")
+            asked.append(np.shape(v))
             return at(v)
-
-        return at_v
-
-    def keyword(u):
-        at = p.stable_tail(u)
-
-        def at_v(v, derivative=True):
-            asked.append(derivative)
-            ell, d1 = at(v, derivative=derivative)
-            assert (d1 is None) == (not derivative)
-            return ell, d1
 
         return at_v
 
     g = np.r_[0.0, 1e-300, np.linspace(0.0, 1.0, 33), 1.0]
     want = ev_copula(p).cdf(g[:, None], g[None, :])
-    for tail, call in ((v_only, "pair"), (keyword, False)):
+    cdf = ev_copula(replace(p, stable_tail=v_only)).cdf
+    for _ in range(2):
         asked.clear()
-        got = ev_copula(replace(p, stable_tail=tail)).cdf(g[:, None], g[None, :])
+        got = cdf(g[:, None], g[None, :])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert asked == [call]
+        assert asked == [(1, len(g))]
 
 
 def _power_form(theta, galambos):

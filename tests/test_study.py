@@ -56,12 +56,23 @@ _GOOD = dict(copula_spec="gumbel:3", sizes=(10,), replications=1,
     ({"sizes": ()}, "sample size list must be non-empty"),
     ({"sizes": (10, 9)}, "sample sizes must be >= 10"),
     ({"m": 4}, "quadrature resolution must be >= 8"),
+    ({"replications": 2.5}, "replication count must be an integer, got 2.5"),
+    ({"sizes": (10, 50.0)}, "a sample size must be an integer, got 50.0"),
 ], ids=["replications", "no-estimators", "unknown-estimator", "no-sizes", "small-size",
-        "small-m"])
+        "small-m", "float-replications", "float-size"])
 def test_study_config_checks(override, msg):
     StudyConfig(**_GOOD)
     with pytest.raises(ValueError, match=msg):
         StudyConfig(**{**_GOOD, **override})
+
+
+@pytest.mark.parametrize("jobs, msg", [(0, "worker count must be >= 1, got 0"),
+                                       (1.5, "worker count must be an integer, got 1.5"),
+                                       (2.0, "worker count must be an integer, got 2.0")],
+                         ids=["zero", "float", "integral-float"])
+def test_run_study_checks_the_worker_count(jobs, msg):
+    with pytest.raises(ValueError, match=msg):
+        run_study(StudyConfig(**_GOOD), jobs=jobs)
 
 
 def test_process_pool_matches_serial_run():
