@@ -43,8 +43,8 @@ class KendallFunction:
 
 
 def make_clayton(theta: float) -> Generator:
-    if theta <= 0:
-        raise ValueError("Clayton parameter must be positive")
+    if not 0 < theta < np.inf:
+        raise ValueError(f"Clayton parameter must be positive and must be finite, got {theta}")
     c = 2.0 ** theta - 1.0
     if c == 0.0:
         raise ValueError(f"Clayton parameter {theta:g} is beyond floating point: "
@@ -76,8 +76,8 @@ def make_clayton(theta: float) -> Generator:
 
 
 def make_gumbel(theta: float) -> Generator:
-    if theta < 1:
-        raise ValueError("Gumbel parameter must be >= 1")
+    if not 1 <= theta < np.inf:
+        raise ValueError(f"Gumbel parameter must be >= 1 and must be finite, got {theta}")
 
     def phi(t):
         t = np.asarray(t, dtype=float)
@@ -123,8 +123,8 @@ def make_frank(theta: float) -> Generator:
     logaddexp form for both signs that neither cancels nor overflows.
     From theta ~ 1490 e^{-theta/2} underflows to 0; such theta are rejected.
     """
-    if theta == 0:
-        raise ValueError("Frank parameter must be nonzero")
+    if theta == 0 or not np.isfinite(theta):
+        raise ValueError(f"Frank parameter must be nonzero and must be finite, got {theta}")
     l1 = _log_abs_expm1(-theta)
     norm = l1 - _log_abs_expm1(-theta / 2.0)
     if not (np.isfinite(norm) and norm > 0):

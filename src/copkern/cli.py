@@ -15,7 +15,7 @@ import numpy as np
 
 from .archimedean import kendall_function
 from .core import cdf_lattice, checkerboard_approx, checkerboard_copula, sup_distance
-from .estimation import chatterjee_r, plugin_zeta1_r, pseudo_obs
+from .estimation import ESTIMATORS, EmpiricalKendall, estimate
 from .fixtures import strip_copula
 from .metrics import WCC_STATS, QuadratureSpec, checked_kernel_grid, d1_to_grid, d_inf
 from .metrics import d_inf_to_lattice, levy_distance, measures, wcc_grid
@@ -29,7 +29,7 @@ from .registry import (
     read_knots_csv,
 )
 from .sampling import RngSpec, SampleSet, sample
-from .study import ESTIMATORS, PLUGINS, StudyConfig, run_study
+from .study import StudyConfig, run_study
 
 _FLOAT_FMT = "%.17g"
 
@@ -132,20 +132,15 @@ def _read_sample_csv(path: str) -> SampleSet:
 def cmd_estimate(args):
     _check_seeds(args, "seed")
     s = _read_sample_csv(args.input)
-    q = QuadratureSpec(m=args.m)
-    report = {"mode": args.mode, "n": s.n, "input": args.input}
-    if args.mode == "chatterjee":
-        report["r"] = chatterjee_r(s, np.random.default_rng(args.seed))
-    else:
-        p = pseudo_obs(s)
-        which = PLUGINS[args.mode]
-        report["zeta1"], report["r"], fit = plugin_zeta1_r(p, which, q)
+    r, z, fit = estimate(s, args.mode, args.seed, QuadratureSpec(m=args.m))
+    report = {"mode": args.mode, "n": s.n, "input": args.input, "r": r}
+    if fit is not None:
         grid = np.linspace(0.0, 1.0, 101)
-        if which == "archimedean":
+        if isinstance(fit, EmpiricalKendall):
             table, column, values = "kendall_table", "f", fit.eval(grid)
         else:
             table, column, values = "pickands_table", "a", fit.a(grid)
-        report[table] = {"t": grid.tolist(), column: values.tolist()}
+        report["zeta1"], report[table] = z, {"t": grid.tolist(), column: values.tolist()}
     _emit_json(report, args.out)
 
 

@@ -97,11 +97,13 @@ class CheckerboardMatrix:
         object.__setattr__(self, "mass", m)
 
 
-def _require_int(value, what: str):
-    """ValueError naming `what` unless `value` is an integer; a float such as
-    50.0 is rejected too."""
+def _require_int(value, what: str, least: int = None):
+    """ValueError naming `what` unless `value` is an integer, and one at least
+    `least` when that is given; a float such as 50.0 is rejected too."""
     if not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
 
 
 def _unit(t):
@@ -348,9 +350,7 @@ def cdf_lattice(c: CopulaModel, m: int) -> np.ndarray:
 
 def checkerboard_approx(c: CopulaModel, N: int) -> CheckerboardMatrix:
     """Cell masses of the N-checkerboard approximation of `c`."""
-    _require_int(N, "checkerboard resolution N")
-    if N < 1:
-        raise ValueError("checkerboard resolution must be >= 1")
+    _require_int(N, "checkerboard resolution N", 1)
     C = cdf_lattice(c, N)
     mass = C[1:, 1:] - C[:-1, 1:] - C[1:, :-1] + C[:-1, :-1]
     return CheckerboardMatrix(mass)

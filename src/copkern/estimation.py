@@ -1,6 +1,6 @@
 """Nonparametric estimators: ranks, empirical copula, Chatterjee's coefficient,
-empirical Kendall distribution, generator reconstruction, and the CFG Pickands
-estimator with its convexification."""
+empirical Kendall distribution, generator reconstruction, the CFG Pickands
+estimator with its convexification, and `estimate`, which dispatches on a name."""
 
 from dataclasses import dataclass
 
@@ -15,6 +15,10 @@ from .metrics import QuadratureSpec, measures, zeta1  # noqa: F401
 from .sampling import RngSpec, SampleSet, sample
 
 _EULER_GAMMA = 0.5772156649015329
+
+# plugin estimator -> the structural assumption its model is fitted under
+PLUGINS = {"plugin-arch": "archimedean", "plugin-ev": "extreme-value"}
+ESTIMATORS = ("chatterjee", *PLUGINS)
 
 
 @dataclass(frozen=True)
@@ -38,8 +42,7 @@ class EmpiricalKendall:
         t = np.asarray(t, dtype=float)
         n = len(self.w_values)
         raw = np.searchsorted(self.w_values, t, side="right") / n
-        out = np.maximum(raw, np.clip(t, 0.0, 1.0))
-        return np.where(t >= 1.0, 1.0, np.minimum(out, 1.0))
+        return np.maximum(raw, np.clip(t, 0.0, 1.0))
 
 
 def _average_ranks(z: np.ndarray) -> tuple[np.ndarray, int]:
@@ -309,3 +312,13 @@ def plugin_zeta1_r(
         raise ValueError("structural assumption must be 'archimedean' or 'extreme-value'")
     _, z, r = measures(model, q)
     return z, r, fit
+
+
+def estimate(s: SampleSet, estimator: str, seed: int, q: QuadratureSpec):
+    """(r, zeta1, fit) of `estimator`, one of ESTIMATORS, on the sample `s`: Chatterjee's
+    r, its x-ties broken by `np.random.default_rng(seed)`, with no zeta1 or fit, or
+    `plugin_zeta1_r` at `q` under the structural assumption that PLUGINS names."""
+    if estimator == "chatterjee":
+        return chatterjee_r(s, np.random.default_rng(seed)), None, None
+    z, r, fit = plugin_zeta1_r(pseudo_obs(s), PLUGINS[estimator], q)
+    return r, z, fit

@@ -113,15 +113,15 @@ def _pickands_tail(a: Callable, dplus_a: Callable) -> Callable:
 
 def make_galambos(theta: float) -> PickandsFunction:
     """Galambos Pickands function A(x) = 1 - (x^-theta + (1-x)^-theta)^(-1/theta)."""
-    if theta <= 0:
-        raise ValueError("Galambos parameter must be positive")
+    if not 0 < theta < np.inf:
+        raise ValueError(f"Galambos parameter must be positive and must be finite, got {theta}")
     return _power_mean_pickands(-theta, f"galambos:{theta:g}")
 
 
 def make_gumbel_pickands(theta: float) -> PickandsFunction:
     """Gumbel-Hougaard Pickands function A(x) = (x^theta + (1-x)^theta)^(1/theta)."""
-    if theta < 1:
-        raise ValueError("Gumbel Pickands parameter must be >= 1")
+    if not 1 <= theta < np.inf:
+        raise ValueError(f"Gumbel Pickands parameter must be >= 1 and must be finite, got {theta}")
     return _power_mean_pickands(theta, f"gumbel-ev:{theta:g}")
 
 

@@ -223,6 +223,7 @@ def partial_distance(c1: CopulaModel, c2: CopulaModel, q: QuadratureSpec = Quadr
 
 def golden_xs(count: int = 25) -> np.ndarray:
     """Low-discrepancy abscissae frac(i * golden ratio), dodging dyadic points."""
+    _require_int(count, "golden abscissa count", 1)
     return np.modf((np.arange(1, count + 1)) * _GOLDEN)[0]
 
 
@@ -232,6 +233,7 @@ def wcc_grid(c: CopulaModel, xs: Sequence[float] = None, y_grid: int = 512) -> n
     Callers must pick `xs` outside known lambda-null exceptional sets; the
     default uses a golden-ratio sequence which avoids dyadic rationals.
     """
+    _require_int(y_grid, "wcc resolution y_grid", 2)
     xs = golden_xs() if xs is None else np.asarray(xs, dtype=float)
     return lattice(c.kernel_cdf, xs, np.linspace(0.0, 1.0, y_grid + 1))
 
@@ -252,5 +254,6 @@ def wcc_profile(c1: CopulaModel, c2: CopulaModel, xs: Sequence[float] = None,
 
 def disintegration_defect(c: CopulaModel, ys: Sequence[float] = None, m: int = 2000):
     """Max defect of the disintegration identity: integral of K(x,[0,y]) dx = y."""
+    _require_int(m, "disintegration resolution m", 1)
     ys = np.linspace(0.05, 0.95, 19) if ys is None else np.asarray(ys, dtype=float)
     return _column_defect(lattice(c.kernel_cdf, midpoints(m), ys), ys)

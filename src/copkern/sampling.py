@@ -5,7 +5,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import CopulaModel, _bisect
+from .core import CopulaModel, _bisect, _require_int
 
 # most points one conditional_inverse call of `sample_many` inverts: a
 # batch amortizes the bisection's per-step numpy overhead over its draws.
@@ -76,8 +76,8 @@ def sample_many(c: CopulaModel, sizes: Sequence[int],
     """
     if len(sizes) != len(rngs):
         raise ValueError(f"{len(sizes)} sample sizes for {len(rngs)} generators")
-    if any(n < 1 for n in sizes):
-        raise ValueError("sample size must be >= 1")
+    for n in sizes:
+        _require_int(n, "sample size", 1)
     out = []
     for start, stop in batches(sizes):
         chunk = rngs[start:stop]

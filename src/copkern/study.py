@@ -1,5 +1,6 @@
 """Replication-study runner: seeded Monte-Carlo comparison of r estimators."""
 
+import functools
 import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -9,14 +10,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import _require_int
-from .estimation import chatterjee_r, plugin_zeta1_r, pseudo_obs
+from .estimation import ESTIMATORS, estimate
 from .metrics import QuadratureSpec, r_measure
 from .registry import make_copula
 from .sampling import RngSpec, SampleSet, batches, sample_many
-
-# plugin estimator -> the structural assumption its model is fitted under
-PLUGINS = {"plugin-arch": "archimedean", "plugin-ev": "extreme-value"}
-ESTIMATORS = ("chatterjee", *PLUGINS)
 
 
 @dataclass(frozen=True)
@@ -31,9 +28,7 @@ class StudyConfig:
 
     def __post_init__(self):
         QuadratureSpec(m=self.m)  # rejects m < 8 before any replication runs
-        _require_int(self.replications, "replication count")
-        if self.replications < 1:
-            raise ValueError("replication count must be >= 1")
+        _require_int(self.replications, "replication count", 1)
         if not self.estimators:
             raise ValueError("estimator list must be non-empty")
         for e in self.estimators:
@@ -75,15 +70,12 @@ def replication_seed(base_seed: int, estimator: str, n: int, rep: int) -> int:
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
 
 
-def _run_one(estimator: str, n: int, rep: int, seed: int, m: int, s: SampleSet,
+def _run_one(estimator: str, n: int, rep: int, seed: int, q: QuadratureSpec, s: SampleSet,
              draw_time: float) -> StudyRecord:
     """The record of one replication from its drawn sample `s`; `draw_time` is
     its share of the time that drew it, added to its own in `wall_time`."""
     t0 = time.perf_counter()
-    if estimator == "chatterjee":
-        value = chatterjee_r(s, np.random.default_rng(seed))
-    else:
-        _, value, _ = plugin_zeta1_r(pseudo_obs(s), PLUGINS[estimator], QuadratureSpec(m=m))
+    value, _, _ = estimate(s, estimator, seed, q)
     return StudyRecord(
         estimator=estimator,
         n=n,
@@ -94,24 +86,17 @@ def _run_one(estimator: str, n: int, rep: int, seed: int, m: int, s: SampleSet,
     )
 
 
-def _draw(c, items) -> Tuple[List[SampleSet], List[float]]:
-    """The samples of `items`, [(estimator, n, replication, seed)], from one
-    `sample_many` call, and each one's share of its time: n over the points
-    of all."""
+def _run_chunk(cfg: StudyConfig, items) -> List[StudyRecord]:
+    """The records of one chunk of consecutive items, [(estimator, n, replication,
+    seed)], which may span cells: one model, one quadrature and one `sample_many`
+    call, whose time each record's `draw_time` shares by n over the chunk's points."""
+    c, q = make_copula(cfg.copula_spec, knots=cfg.knots), QuadratureSpec(m=cfg.m)
     sizes = [n for _, n, _, _ in items]
     t0 = time.perf_counter()
     samples = sample_many(c, sizes, [RngSpec(seed=seed, stream=0) for *_, seed in items])
     per_point = (time.perf_counter() - t0) / sum(sizes)
-    return samples, [per_point * n for n in sizes]
-
-
-def _run_chunk(args) -> List[StudyRecord]:
-    """The records of one chunk of consecutive items, which may span cells:
-    its samples come from one `_draw`, and each then goes through `_run_one`."""
-    spec, knots, m, items = args
-    samples, shares = _draw(make_copula(spec, knots=knots), items)
-    return [_run_one(est, n, rep, seed, m, s, share)
-            for (est, n, rep, seed), s, share in zip(items, samples, shares)]
+    return [_run_one(est, n, rep, seed, q, s, per_point * n)
+            for (est, n, rep, seed), s in zip(items, samples)]
 
 
 def run_study(cfg: StudyConfig, jobs: int = 1) -> StudyResult:
@@ -121,11 +106,10 @@ def run_study(cfg: StudyConfig, jobs: int = 1) -> StudyResult:
     lists, split into min(items, jobs) parts of near-equal counts, and each part into chunks
     of consecutive items of at most BATCH_POINTS sample points
     (`sampling.batches`), so that a chunk is one `conditional_inverse` call
-    and may span cells; a process pool maps over the chunks.
+    and may span cells; a process pool maps `_run_chunk` over the chunks,
+    and each record's value comes from `estimation.estimate`.
     """
-    _require_int(jobs, "worker count")
-    if jobs < 1:
-        raise ValueError(f"worker count must be >= 1, got {jobs}")
+    _require_int(jobs, "worker count", 1)
     # first, so that a model the kernel check rejects fails before any replication
     true_r = r_measure(make_copula(cfg.copula_spec, knots=cfg.knots), QuadratureSpec(m=512))
     items = [(est, n, rep, replication_seed(cfg.base_seed, est, n, rep))
@@ -136,13 +120,12 @@ def run_study(cfg: StudyConfig, jobs: int = 1) -> StudyResult:
     chunks = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         part = items[lo:hi]
-        chunks += [(cfg.copula_spec, cfg.knots, cfg.m, part[start:stop])
-                   for start, stop in batches([n for _, n, _, _ in part])]
+        chunks += [part[start:stop] for start, stop in batches([n for _, n, _, _ in part])]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(_run_chunk, chunks))
+            done = list(pool.map(functools.partial(_run_chunk, cfg), chunks))
     else:
-        done = [_run_chunk(chunk) for chunk in chunks]
+        done = [_run_chunk(cfg, chunk) for chunk in chunks]
     records = [r for part in done for r in part]
     records.sort(key=lambda r: (r.estimator, r.n, r.replication))
     summary = summarize(records, true_r)

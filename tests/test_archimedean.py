@@ -31,6 +31,7 @@ from copkern.core import (
     sup_distance,
 )
 from copkern.estimation import empirical_kendall, pseudo_obs, reconstruct_generator
+from copkern.extreme_value import make_galambos, make_gumbel_pickands
 from copkern.fixtures import strict_generators_approaching_w
 from copkern.metrics import (
     QuadratureSpec,
@@ -397,6 +398,17 @@ def test_kendall_function_is_1_at_1(build):
 def test_generator_parameter_checks(build, msg):
     with pytest.raises(ValueError, match=msg):
         build()
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("make", [make_clayton, make_gumbel, make_frank, make_galambos,
+                                  make_gumbel_pickands],
+                         ids=["clayton", "gumbel", "frank", "galambos", "gumbel-ev"])
+def test_family_factories_reject_non_finite_parameters(make, theta):
+    # a NaN passed the `<` tests: make_clayton(nan)'s kernel read 0 and
+    # make_galambos(inf)'s CDF NaN; the registry checks only its own specs
+    with pytest.raises(ValueError, match=f"parameter must be .* must be finite, got {theta}"):
+        make(theta)
 
 
 def _plugin_generator(spec, n, seed):

@@ -35,7 +35,7 @@ from copkern.registry import (
     read_knots_csv,
 )
 from copkern.sampling import RngSpec, sample
-from copkern.study import replication_seed
+from copkern.study import StudyConfig, replication_seed, run_study
 
 
 def run(args):
@@ -211,6 +211,22 @@ def test_estimate_plugin_modes(tmp_path):
     rep = read_json(out)
     assert 0.65 <= rep["zeta1"] <= 0.85
     assert "pickands_table" in rep
+
+
+@pytest.mark.parametrize("spec,estimator", [("gumbel:3", "chatterjee"),
+                                            ("gumbel:3", "plugin-arch"),
+                                            ("galambos:3", "plugin-ev")])
+def test_sample_and_estimate_reproduce_a_study_record(tmp_path, spec, estimator):
+    # run_study and the CLI reach a value through the same path, to the bit
+    cfg = StudyConfig(copula_spec=spec, sizes=(50,), replications=1,
+                      estimators=(estimator,), base_seed=7, m=16)
+    (rec,) = run_study(cfg).records
+    s, out = tmp_path / "s.csv", tmp_path / "e.json"
+    assert run(["sample", "--copula", spec, "--n", "50", "--seed", str(rec.seed),
+                "--out", str(s)]) == 0
+    assert run(["estimate", str(s), "--mode", estimator, "--seed", str(rec.seed),
+                "--m", str(cfg.m), "--out", str(out)]) == 0
+    assert np.float64(read_json(out)["r"]).tobytes() == np.float64(rec.value).tobytes()
 
 
 def test_estimate_plugin_ev_comonotone_is_exactly_m(tmp_path):

@@ -76,6 +76,22 @@ def test_quadrature_spec_rejects_a_non_integer_m(m):
     assert QuadratureSpec(m=np.int64(256)).m == 256
 
 
+@pytest.mark.parametrize("call, msg", [
+    (lambda c: golden_xs(2.5), "golden abscissa count must be an integer, got 2.5"),
+    (lambda c: golden_xs(-3), "golden abscissa count must be >= 1, got -3"),
+    (lambda c: disintegration_defect(c, m=2.5), "resolution m must be an integer, got 2.5"),
+    (lambda c: disintegration_defect(c, m=0), "disintegration resolution m must be >= 1, got 0"),
+    (lambda c: wcc_grid(c, y_grid=1), "wcc resolution y_grid must be >= 2, got 1"),
+    (lambda c: wcc_profile(c, make_pi(), y_grid=1), "y_grid must be >= 2, got 1"),
+], ids=["golden-float", "golden-negative", "defect-float-m", "defect-zero-m", "wcc-grid-1",
+        "wcc-profile-1"])
+def test_integer_arguments_are_checked_where_they_enter(call, msg):
+    # unchecked, m = 2.5 read a defect of 0.303 on gumbel:3 and y_grid = 1 a
+    # WCC distance of 0 between gumbel:3 and Pi
+    with pytest.raises(ValueError, match=msg):
+        call(make_copula("gumbel:3"))
+
+
 def test_d1_m_pi_is_one_third():
     # int int |1{x<=y} - y| dx dy = int 2y(1-y) dy = 1/3
     assert d1(make_m(), make_pi(), Q) == pytest.approx(1.0 / 3.0, abs=2e-3)

@@ -151,6 +151,27 @@ def test_empirical_copula_cdf_matches_brute_force(xy, data):
     assert isinstance(scalar, float) and scalar == expected[0]
 
 
+def _clamped_kendall_eval(k, t):
+    """EmpiricalKendall.eval with its two former clamps at 1, which never act:
+    the count and clip(t) both lie in [0, 1]."""
+    t = np.asarray(t, dtype=float)
+    raw = np.searchsorted(k.w_values, t, side="right") / len(k.w_values)
+    out = np.maximum(raw, np.clip(t, 0.0, 1.0))
+    return np.where(t >= 1.0, 1.0, np.minimum(out, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_points().filter(lambda xy: np.ptp(xy[0]) > 0 and np.ptp(xy[1]) > 0),
+       st.lists(st.floats() | st.floats(-0.5, 1.5), max_size=30))
+def test_empirical_kendall_eval_matches_the_clamped_form(xy, ts):
+    # NaN, +-inf, values below 0 and above 1, the atoms and their neighbours
+    k = empirical_kendall(pseudo_obs(SampleSet(x=xy[0], y=xy[1])))
+    w = k.w_values
+    t = np.r_[ts, np.nan, np.inf, -np.inf, 0.0, 1.0, w, np.nextafter(w, 2.0),
+              np.nextafter(w, -1.0)]
+    assert k.eval(t).tobytes() == _clamped_kendall_eval(k, t).tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(tied_points().filter(lambda xy: np.ptp(xy[0]) > 0 and np.ptp(xy[1]) > 0))
 def test_reconstructed_generator_is_exact_on_the_step_estimate(xy):

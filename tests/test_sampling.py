@@ -147,3 +147,7 @@ def test_sample_many_checks_its_sizes():
         sample_many(make_pi(), [10, 10], [RngSpec(seed=0)])
     with pytest.raises(ValueError, match="sample size must be >= 1"):
         sample_many(make_pi(), [10, 0], [RngSpec(seed=0), RngSpec(seed=1)])
+    with pytest.raises(ValueError, match="sample size must be an integer, got 2.5"):
+        sample_many(make_pi(), [10, 2.5], [RngSpec(seed=0), RngSpec(seed=1)])
+    with pytest.raises(ValueError, match="sample size must be an integer, got 50.0"):
+        sample(make_pi(), 50.0, RngSpec(seed=0))

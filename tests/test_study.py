@@ -5,6 +5,7 @@ import copkern.sampling as sampling
 import copkern.study as study
 from copkern.archimedean import archimedean_copula
 from copkern.estimation import (
+    PLUGINS,
     chatterjee_r,
     empirical_kendall,
     plugin_zeta1_r,
@@ -112,7 +113,7 @@ def test_run_study_records_replay_through_sample(monkeypatch, spec, estimator):
         if estimator == "chatterjee":
             value = chatterjee_r(s, np.random.default_rng(r.seed))
         else:
-            value = plugin_zeta1_r(pseudo_obs(s), study.PLUGINS[estimator],
+            value = plugin_zeta1_r(pseudo_obs(s), PLUGINS[estimator],
                                    QuadratureSpec(m=16))[1]
         assert np.float64(value).tobytes() == np.float64(r.value).tobytes()
 
@@ -135,7 +136,9 @@ def test_packed_draw_of_mixed_sizes_replays_through_sample(monkeypatch, build):
                         lambda c, x, u: inverted.append(len(x)) or original(c, x, u))
     clock = iter([2.0, 5.5])
     monkeypatch.setattr(study.time, "perf_counter", lambda: next(clock))
-    samples, shares = study._draw(c, items)
+    monkeypatch.setattr(study, "make_copula", lambda spec, knots: c)
+    monkeypatch.setattr(study, "_run_one", lambda *args: args[5:])
+    samples, shares = zip(*study._run_chunk(StudyConfig(**_GOOD), items))
     monkeypatch.undo()
     assert inverted == [1060]
     for (_, n, _, seed), s in zip(items, samples):
