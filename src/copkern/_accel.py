@@ -3,9 +3,9 @@
 ``dominance_counts`` gives the strict pairwise dominance counts behind the
 empirical Kendall distribution in O(n log^2 n) by counting over merge levels;
 ``levy_distance`` resolves the Levy metric between tabulated CDFs, row by
-row, by one binary search over grid shifts, each step checked for all rows by
-``_levy_check``.  F is padded into its shifted windows once per
-``levy_distance`` call, not once per search step.
+row, by one binary search over grid shifts bracketed by the sup distance,
+each step checked for all rows by ``_levy_check``.  F is padded into its
+shifted windows once per ``levy_distance`` call, not once per search step.
 """
 
 import numpy as np
@@ -69,9 +69,13 @@ def levy_distance(f, g):
     of each row pair as an array; tables of different shapes are an error.
     The result is resolved to the grid step, which is what metrizing weak
     convergence of conditional laws with atoms requires.  One binary search
-    over index shifts advances every row at once; a shift of m - 1 is taken,
-    not checked.  On monotone rows the check holds from some shift on, so
-    each row gets the smallest shift that passes `_levy_check`.
+    over index shifts advances every row at once.  A row's search runs over
+    [0, k] with k = ceil(max|F - G| (m - 1)), capped at m - 1, when the
+    check passes at k, and over [0, m - 1] otherwise; a shift of m - 1 is
+    taken, not checked.  On rows that are nondecreasing and inside [0, 1]
+    each side of the check is a monotone rounding of monotone terms, so the
+    check holds from some shift on: each such row gets the smallest shift
+    that passes `_levy_check`, the shift a search over [0, m - 1] gives.
     """
     f = np.asarray(f, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
@@ -88,8 +92,11 @@ def levy_distance(f, g):
     n = len(rows_f)
     padded = np.concatenate((np.zeros((n, m - 1)), rows_f, np.ones((n, m - 1))), axis=1)
     windows = np.lib.stride_tricks.sliding_window_view(padded, m, axis=1)
-    lo = np.zeros(n, dtype=np.int64)
-    hi = np.where(_levy_check(windows, rows_g, lo), 0, m - 1)
+    # the sup distance brackets the shift: fmin reads a NaN row as m - 1
+    sup = np.max(np.abs(rows_f - rows_g), axis=1)
+    hi = np.fmin(np.ceil(sup * (m - 1)), m - 1).astype(np.int64)
+    hi = np.where(_levy_check(windows, rows_g, hi), hi, m - 1)
+    lo = np.full(n, -1, dtype=np.int64)    # shift 0 is searched like any other
     while np.any(unsettled := hi - lo > 1):
         mid = (lo + hi) // 2
         ok = _levy_check(windows, rows_g, mid)

@@ -120,7 +120,7 @@ def make_frank(theta: float) -> Generator:
 
     The normalizer is about e^{-theta/2} for theta > 0 and |theta|/2 for
     theta < 0, so phi, D+phi and the inverse use one log|expm1| / expm1 /
-    logaddexp form for both signs that neither cancels nor overflows.
+    log-sum-exp form for both signs that neither cancels nor overflows.
     From theta ~ 1490 e^{-theta/2} underflows to 0; such theta are rejected.
     """
     if theta == 0 or not np.isfinite(theta):
@@ -144,14 +144,23 @@ def make_frank(theta: float) -> Generator:
         return out
 
     def inverse(s):
+        # -log(e^a + e^b) / theta with a = log(1 - e^-sn), b = -theta - sn and
+        # sn = s norm; the log-sum-exp is max(a, b) + log1p(e^-|a - b|)
         s = np.asarray(s, dtype=float)
-        sn = np.asarray(s * norm)
+        b = np.asarray(s * norm)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.asarray(np.negative(sn))
+            out = np.asarray(np.negative(b))
             np.expm1(out, out=out)
             np.negative(out, out=out)
             np.log(out, out=out)
-            np.logaddexp(out, np.subtract(-theta, sn, out=sn), out=out)
+            np.subtract(-theta, b, out=b)
+            d = np.asarray(np.subtract(out, b))
+            np.maximum(out, b, out=out)
+            np.abs(d, out=d)
+            np.negative(d, out=d)
+            np.exp(d, out=d)
+            np.log1p(d, out=d)
+            out += d
             np.negative(out, out=out)
             out /= theta
         np.copyto(out, 1.0, where=s <= 0.0)

@@ -51,7 +51,8 @@ class CopulaModel:
 
     An exchangeable model declares it on the callables it describes, and
     `square_tiles` then evaluates that callable's costly part on about half a
-    square lattice: ``cdf.exchangeable = True`` says ``cdf(x, y) ==
+    square lattice (62% of the points at m = 512, where the panels' diagonal
+    blocks are large): ``cdf.exchangeable = True`` says ``cdf(x, y) ==
     cdf(y, x)`` bit for bit, and a ``conditional`` that is an
     `ExchangeableKernel` is the kernel's split.  A ``dataclasses.replace``
     of either callable so drops its declaration with it.
@@ -287,11 +288,13 @@ def square_tiles(c: CopulaModel, g, kernel: bool = False):
     the upper-triangle panel [i0, i1) x [i0, n) of at most LATTICE_BLOCK
     points (at least one row), which is yielded, then the mirror
     [i1, n) x [i0, i1) built from the panel's transpose: about half the
-    lattice's points.  A CDF mirror is a transposed view of the panel; the
-    kernel's ``given`` is applied to the panel's rows and to the mirror's,
-    and each ``finish_at`` to its own block, the mirror's a copy of the
-    panel's transpose.  Being elementwise, each tile holds the row-walked
-    lattice's bits.  A consumer reads the blocks and writes into none of them.
+    lattice's points, 62% of them at n = 513, since each panel also holds
+    its whole diagonal block [i0, i1) x [i0, i1).  A CDF mirror is a
+    transposed view of the panel; the kernel's ``given`` is applied to the
+    panel's rows and to the mirror's, and each ``finish_at`` to its own
+    block, the mirror's a copy of the panel's transpose.  Being elementwise,
+    each tile holds the row-walked lattice's bits.  A consumer reads the
+    blocks and writes into none of them.
     """
     g = np.asarray(g, float)
     n = len(g)

@@ -49,7 +49,7 @@ def _average_ranks(z: np.ndarray) -> tuple[np.ndarray, int]:
     """1-based ranks, each tie group at its mean rank, and the number of groups."""
     order = np.argsort(z, kind="mergesort")
     sz = z[order]
-    bounds = np.flatnonzero(np.r_[True, sz[1:] != sz[:-1], True])
+    bounds = np.flatnonzero(np.concatenate(([True], sz[1:] != sz[:-1], [True])))
     lo, hi = bounds[:-1], bounds[1:]
     ranks = np.empty(len(z))
     ranks[order] = np.repeat((lo + hi + 1) / 2, hi - lo)
@@ -291,8 +291,8 @@ def convexify_pickands(raw: dict) -> PickandsFunction:
     while True:
         above = np.diff(t)[:-1] * (g[2:] - g[:-2]) <= (t[2:] - t[:-2]) * np.diff(g)[:-1]
         if not above.any():
-            return make_piecewise_linear_pickands(list(zip(t, g)), label="cfg")
-        keep = np.r_[True, ~above, True]
+            return make_piecewise_linear_pickands(np.column_stack((t, g)), label="cfg")
+        keep = np.concatenate(([True], ~above, [True]))
         t, g = t[keep], g[keep]
 
 

@@ -23,7 +23,9 @@ class PickandsFunction:
     does for x.  u and v are broadcast-compatible arrays of at least one
     dimension; the two results are new arrays of their broadcast shape,
     which the caller may overwrite.  Both are elementwise.  The CDF of
-    `ev_copula` reads the first of the pair, its kernel both.
+    `ev_copula` reads the first of the pair, its kernel both.  A symmetric
+    function's ``transpose_factory`` is `_self_transpose`, which `ev_copula`
+    reads as the symmetry of l.
     """
 
     a: Callable          # [0,1] -> [1/2,1], convex, a(0)=a(1)=1
@@ -92,7 +94,15 @@ def _power_mean_pickands(p: float, label: str) -> PickandsFunction:
         val = np.where(x <= 0.0, -1.0, val)
         return np.clip(np.where(x >= 1.0, 1.0, val), -1.0, 1.0)
 
-    return PickandsFunction(a, dplus, label, (), lambda q: q, stable_tail)  # M_p is symmetric
+    return PickandsFunction(a, dplus, label, (), _self_transpose, stable_tail)
+
+
+def _self_transpose(p: PickandsFunction) -> PickandsFunction:
+    """The transpose factory of a symmetric Pickands function, A(1 - x) = A(x),
+    such as the power mean's.  `ev_copula` takes it as the mark of a
+    symmetric l and reads the CDF in an order that makes it exchangeable to
+    the bit."""
+    return p
 
 
 def _pickands_tail(a: Callable, dplus_a: Callable) -> Callable:
@@ -137,9 +147,14 @@ def make_piecewise_linear_pickands(
     constant right-hand slope (left-hand slope at x = 1); it may jump at
     every knot, so the knots are the breakpoints.
     """
-    pts = sorted((float(x), float(v)) for x, v in knots)
-    xs = np.array([p[0] for p in pts])
-    vs = np.array([p[1] for p in pts])
+    k = np.asarray(knots, dtype=float)
+    if k.size == 0:
+        k = k.reshape(0, 2)
+    if k.ndim != 2 or k.shape[1] != 2:
+        raise ValueError(f"pickands knots must be (x, A(x)) pairs, got an array of shape "
+                         f"{k.shape}")
+    order = np.lexsort((k[:, 1], k[:, 0]))        # by x, then by A(x)
+    xs, vs = k[order, 0], k[order, 1]
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
         raise ValueError("pickands knots must be finite")
     if len(xs) < 2 or xs[0] != 0.0 or xs[-1] != 1.0:
@@ -159,7 +174,7 @@ def make_piecewise_linear_pickands(
         raise ValueError("pickands slope bound violated: |D+A| <= 1")
 
     def mirror(q):  # A(1-x) interpolates the mirrored knots (1-x_i, a_i)
-        return make_piecewise_linear_pickands(list(zip(1.0 - xs, vs)), q.label + "^t")
+        return make_piecewise_linear_pickands(np.column_stack((1.0 - xs, vs)), q.label + "^t")
 
     a, dplus_a = _piecewise_linear(xs, vs)
     return PickandsFunction(a, dplus_a, label, tuple(xs.tolist()), mirror,
@@ -184,16 +199,27 @@ def ev_copula(p: PickandsFunction) -> CopulaModel:
     `conditional(x)` computes u and the terms of l in u alone once.  At x = 1
     or y = 1 the log of u = 0 or v = 0 is -inf; the edge rules replace what
     that gives.  The model's `measures` are the exact `ev_measures(p)`.
+
+    When `p` is its own transpose (its factory is `_self_transpose`: Galambos
+    and Gumbel-EV), l is symmetric, and the CDF reads it at (max(u, v),
+    min(u, v)): C(x, y) == C(y, x) holds to the bit, and the CDF declares
+    ``exchangeable`` (`CopulaModel`).  Cells with x <= y read l in that order
+    anyway.  The kernel's D1 l depends on the order, so it is not split.
     """
 
     def _neg_log(t):
         # at least 1-d, so that `stable_tail` and the edge rules work in place
         return -np.log(np.clip(np.atleast_1d(t), _TINY, 1.0))
 
+    symmetric = p.transpose_factory is _self_transpose
+
     def cdf(x, y):
         x, y = _unit(x), _unit(y)
+        u, v = _neg_log(x), _neg_log(y)
+        if symmetric:
+            u, v = np.maximum(u, v), np.minimum(u, v)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ell = p.stable_tail(_neg_log(x))(_neg_log(y))[0]
+            ell = p.stable_tail(u)(v)[0]
         val = np.exp(np.negative(ell, out=ell), out=ell)
         np.copyto(val, x, where=y >= 1.0)
         np.copyto(val, y, where=x >= 1.0)
@@ -222,6 +248,8 @@ def ev_copula(p: PickandsFunction) -> CopulaModel:
     def transpose_factory(c):
         pt = transpose_pickands(p)
         return c if pt is p else ev_copula(pt)
+
+    cdf.exchangeable = symmetric
 
     return CopulaModel(
         cdf=cdf,

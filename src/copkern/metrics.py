@@ -18,7 +18,8 @@ Square lattices over one grid (`kernel_grid`, `core.cdf_lattice` and the
 streamed reductions) are walked by the tiles of `core.square_tiles`: row
 blocks, or where the model's CDF declares itself exchangeable or its
 kernel is a `core.ExchangeableKernel` (`core.CopulaModel`; every
-Archimedean copula does both) panels of the upper triangle and their
+Archimedean copula does both, and a Galambos or Gumbel-EV copula declares
+its CDF) panels of the upper triangle and their
 mirrors, so that CDF, or the symmetric part of that kernel, is evaluated
 on about half the lattice.  The tiles hold the row-walked values bit for
 bit.

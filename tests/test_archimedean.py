@@ -649,10 +649,44 @@ def _frank_reference(theta):
 
     def inverse(s):
         sn = s * norm
-        out = -np.logaddexp(np.log(-np.expm1(-sn)), -theta - sn) / theta
+        a, b = np.log(-np.expm1(-sn)), -theta - sn
+        out = -(np.maximum(a, b) + np.log1p(np.exp(-np.abs(a - b)))) / theta
         return np.where(s <= 0.0, 1.0, out)
 
     return lambda t: -theta / (np.expm1(theta * t) * norm), inverse
+
+
+def _frank_logaddexp_inverse(theta):
+    # the inverse with numpy's logaddexp for the log-sum-exp
+    norm = _log_abs_expm1(-theta) - _log_abs_expm1(-theta / 2.0)
+
+    def inverse(s):
+        sn = s * norm
+        out = -np.logaddexp(np.log(-np.expm1(-sn)), -theta - sn) / theta
+        return np.where(s <= 0.0, 1.0, out)
+
+    return inverse
+
+
+def _ulps(a, b):
+    """Units in the last place between same-shaped float arrays, read on the
+    integer line that orders every float (-0.0 and 0.0 both at 0)."""
+    def line(x):
+        i = np.asarray(x, dtype=float).view(np.int64)
+        return np.where(i < 0, np.int64(np.iinfo(np.int64).min) - i, i)
+
+    return np.abs(line(a) - line(b))
+
+
+@pytest.mark.parametrize("theta", [0.5, -0.5, 3.0, -3.0, 5.0, -5.0, 300.0, -300.0, 1000.0, 1400.0])
+def test_frank_inverse_is_within_4_ulp_of_the_logaddexp_form(theta):
+    s = np.r_[-1.0, 0.0, 5e-324, 1e-300, np.logspace(-300, 300, 601), np.inf]
+    with np.errstate(all="ignore"):
+        got, want = make_frank(theta).inverse(s), _frank_logaddexp_inverse(theta)(s)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert np.max(_ulps(got[finite], want[finite])) <= 4
 
 
 # 1, 1.5, 2 and 3 put the exponents on numpy's scalar-power fast paths

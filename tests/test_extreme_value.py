@@ -6,7 +6,7 @@ import pytest
 
 import copkern.extreme_value as ev
 from copkern.archimedean import archimedean_copula, make_gumbel
-from copkern.core import transpose
+from copkern.core import LATTICE_BLOCK, lattice, square_lattice, transpose
 from copkern.estimation import cfg_estimator, convexify_pickands, pseudo_obs
 from copkern.extreme_value import (
     ev_copula,
@@ -90,6 +90,32 @@ def test_gumbel_pickands_midpoint_value():
 def test_pwl_validation_errors(knots, msg):
     with pytest.raises(ValueError, match=msg):
         make_piecewise_linear_pickands(knots)
+
+
+def test_pwl_knots_are_sorted_by_x_then_value():
+    # the knots may come in any order, as pairs or as array rows; a repeated
+    # x is named whatever its order, and a row that is no pair is rejected
+    knots = np.array(paper_pwl_knots())
+    want = make_piecewise_linear_pickands(knots)
+    t = np.linspace(0.0, 1.0, 101)
+    for order in ([3, 1, 0, 2], [2, 3, 1, 0]):
+        got = make_piecewise_linear_pickands([tuple(knots[i]) for i in order])
+        assert got.breakpoints == want.breakpoints
+        assert np.array_equal(got.a(t), want.a(t))
+        assert np.array_equal(got.dplus_a(t), want.dplus_a(t))
+    # a CFG fit's knots, shuffled, sort as Python sorts the pairs
+    fit = convexify_pickands(cfg_estimator(pseudo_obs(sample(make_copula("galambos:3"), 100,
+                                                             RngSpec(5)))))
+    rows = np.column_stack((fit.breakpoints, fit.a(np.array(fit.breakpoints))))
+    rows = rows[np.random.default_rng(0).permutation(len(rows))]
+    pairs = sorted((float(x), float(v)) for x, v in rows)
+    got = make_piecewise_linear_pickands(rows)
+    assert got.breakpoints == tuple(x for x, _ in pairs) == fit.breakpoints
+    assert np.array_equal(got.a(np.array(got.breakpoints)), [v for _, v in pairs])
+    with pytest.raises(ValueError, match="strictly increasing x"):
+        make_piecewise_linear_pickands([(1.0, 1.0), (0.5, 0.9), (0.0, 1.0), (0.5, 0.7)])
+    with pytest.raises(ValueError, match=r"\(x, A\(x\)\) pairs, got an array of shape \(2, 3\)"):
+        make_piecewise_linear_pickands([(0.0, 1.0, 0.0), (1.0, 1.0, 0.0)])
 
 
 def test_gumbel_is_both_archimedean_and_extreme_value():
@@ -218,11 +244,58 @@ def test_ev_cdf_reads_a_tail_of_v_alone_once_per_call(p):
     g = np.r_[0.0, 1e-300, np.linspace(0.0, 1.0, 33), 1.0]
     want = ev_copula(p).cdf(g[:, None], g[None, :])
     cdf = ev_copula(replace(p, stable_tail=v_only)).cdf
+    # a symmetric p is read at (max(u, v), min(u, v)), both of the broadcast shape
+    shape = (len(g), len(g)) if transpose_pickands(p) is p else (1, len(g))
     for _ in range(2):
         asked.clear()
         got = cdf(g[:, None], g[None, :])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert asked == [(1, len(g))]
+        assert asked == [shape]
+
+
+# 0, the smallest subnormal, a tiny normal, interior points and 1: more
+# points than one lattice block, so `square_lattice` mirrors panels
+_EDGE_GRID = np.r_[0.0, 5e-324, 1e-300, 1e-10, np.linspace(0.0, 1.0, 257)[1:-1], 0.999999, 1.0]
+_SYMMETRIC = [(make_galambos, 0.2), *((make, theta) for make in (make_galambos,
+              make_gumbel_pickands) for theta in (1.0, 3.0, 100.0, 1e300))]
+
+
+def _parent_order_cdf(p, x, y):
+    """The EV CDF with l read at (u, v) = (-ln x, -ln y) as given, with the
+    edge rules of `ev_copula`: the form before the canonical order."""
+    x, y = np.broadcast_arrays(np.clip(x, 0.0, 1.0), np.clip(y, 0.0, 1.0))
+    u = -np.log(np.clip(x, np.finfo(float).tiny, 1.0))
+    v = -np.log(np.clip(y, np.finfo(float).tiny, 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = np.exp(-p.stable_tail(u)(v)[0])
+    val = np.where(y >= 1.0, x, val)
+    val = np.where(x >= 1.0, y, val)
+    return np.where((x <= 0.0) | (y <= 0.0), 0.0, val)
+
+
+@pytest.mark.parametrize("make, theta", _SYMMETRIC,
+                         ids=[f"{m.__name__}-{t:g}" for m, t in _SYMMETRIC])
+def test_symmetric_ev_cdfs_are_exchangeable_to_the_bit(make, theta):
+    p = make(theta)
+    c = ev_copula(p)
+    assert c.cdf.exchangeable is True
+    g = _EDGE_GRID
+    assert len(g) ** 2 > LATTICE_BLOCK
+    got = c.cdf(g[:, None], g[None, :])
+    assert np.array_equal(got.view(np.int64), got.T.view(np.int64))
+    # the square tiles, a mirrored upper triangle, hold the row-walked lattice's bits
+    assert np.array_equal(square_lattice(c, g).view(np.int64),
+                          lattice(c.cdf, g, g).view(np.int64))
+    # cells with x <= y read l in the order they are given, as before
+    upper = g[:, None] <= g[None, :]
+    want = _parent_order_cdf(p, g[:, None], g[None, :])
+    assert np.array_equal(got[upper].view(np.int64), want[upper].view(np.int64))
+
+
+def test_asymmetric_ev_cdfs_declare_nothing():
+    raw = cfg_estimator(pseudo_obs(sample(make_copula("galambos:3"), 100, RngSpec(7))))
+    for p in (convexify_pickands(raw), make_piecewise_linear_pickands(paper_pwl_knots())):
+        assert getattr(ev_copula(p).cdf, "exchangeable", False) is False
 
 
 def _power_form(theta, galambos):

@@ -4,8 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from copkern._accel import levy_distance
+from copkern import cli
+from copkern._accel import _levy_check, levy_distance
 from copkern.archimedean import archimedean_copula
 from copkern.core import (
     cdf_lattice,
@@ -404,8 +407,30 @@ def test_levy_distance_rows_match_a_linear_scan():
         assert type(one) is float and one == want[0]
 
 
+def _levy_unbracketed(f, g):
+    """The Levy shifts of a binary search over [0, m - 1] from a check at
+    shift 0, with no sup-distance bracket: the oracle of the bracketed one."""
+    rows_f, rows_g = np.atleast_2d(np.asarray(f, float), np.asarray(g, float))
+    n, m = rows_f.shape
+    padded = np.concatenate((np.zeros((n, m - 1)), rows_f, np.ones((n, m - 1))), axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, m, axis=1)
+    lo = np.zeros(n, dtype=np.int64)
+    hi = np.where(_levy_check(windows, rows_g, lo), 0, m - 1)
+    while np.any(unsettled := hi - lo > 1):
+        mid = (lo + hi) // 2
+        ok = _levy_check(windows, rows_g, mid)
+        hi = np.where(unsettled & ok, mid, hi)
+        lo = np.where(unsettled & ~ok, mid, lo)
+    return hi / (m - 1)
+
+
+def _assert_levy_matches_the_unbracketed_search(f, g):
+    got, want = np.atleast_1d(levy_distance(f, g)), _levy_unbracketed(f, g)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (got, want)
+
+
 @pytest.mark.parametrize("spec,N", [("clayton:2", 8), ("clayton:2", 32), ("galambos:3", 16),
-                                    ("strip:5", 8)])
+                                    ("strip:5", 8), ("strip:5", 64)])
 def test_levy_distance_of_checkerboard_wcc_grids_matches_a_linear_scan(spec, N):
     target = strip_copula(5) if spec == "strip:5" else make_copula(spec)
     board = checkerboard_copula(checkerboard_approx(target, N))
@@ -413,6 +438,74 @@ def test_levy_distance_of_checkerboard_wcc_grids_matches_a_linear_scan(spec, N):
     got = levy_distance(K1, K2)
     want = np.array([_levy_scan(a, b) for a, b in zip(K1, K2)])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for f, g in ((K1, K2), (K2, K1), (K2, wcc_grid(make_pi()))):
+        _assert_levy_matches_the_unbracketed_search(f, g)
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--copula", "clayton:3"],
+    ["converge", "--copula", "galambos:3"],
+    ["approximate", "--copula", "clayton:2"],
+    ["approximate", "--copula", "strip:5"],
+])
+def test_levy_distance_on_the_command_tables_matches_the_unbracketed_search(
+        argv, tmp_path, monkeypatch):
+    # the tables that measure-sweep's converge and approximate commands reduce
+    tables = []
+
+    def recorded(f, g):
+        tables.append((f, g))
+        return levy_distance(f, g)
+
+    monkeypatch.setattr(cli, "levy_distance", recorded)
+    cli.main([*argv, "--out", str(tmp_path / "out.csv")])
+    assert tables
+    for f, g in tables:
+        _assert_levy_matches_the_unbracketed_search(f, g)
+
+
+@st.composite
+def _cdf_table_pairs(draw):
+    """Stacked nondecreasing tables in [0, 1] and a second stack, each row
+    continuous, stepped, constant or equal to its partner."""
+    m, rows = draw(st.integers(2, 40)), draw(st.integers(1, 4))
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+
+    def row():
+        kind = draw(st.sampled_from(["sorted", "steps", "zero", "one"]))
+        if kind in ("zero", "one"):
+            return np.full(m, 0.0 if kind == "zero" else 1.0)
+        values = np.sort(draw(st.lists(unit, min_size=m, max_size=m)))
+        return np.round(values * 3) / 3 if kind == "steps" else values
+
+    f = np.array([row() for _ in range(rows)])
+    g = np.array([f[r] if draw(st.booleans()) else row() for r in range(rows)])
+    return f, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cdf_table_pairs())
+@example((np.ones((1, 9)), np.r_[np.zeros(8), 1.0][None, :]))         # shift m - 1
+@example((np.linspace(0.0, 1.0, 9)[None, :], np.linspace(0.0, 1.0, 9)[None, :]))  # shift 0
+@example((np.linspace(0.0, 1.0, 9)[None, :], np.linspace(0.0, 1.0 - 1e-13, 9)[None, :]))
+def test_levy_distance_of_nondecreasing_tables_matches_the_unbracketed_search(fg):
+    f, g = fg
+    _assert_levy_matches_the_unbracketed_search(f, g)
+    _assert_levy_matches_the_unbracketed_search(g, f)
+
+
+def test_levy_distance_keeps_the_full_bracket_where_the_sup_bracket_fails():
+    # G leaves [0, 1], so no shift passes: the bracket falls back to m - 1,
+    # which is taken unchecked, as in the unbracketed search
+    f = np.linspace(0.0, 1.0, 33)
+    g = np.vstack([f, f + 2.0, np.full(33, np.nan)])
+    assert np.array_equal(levy_distance(f[None, :].repeat(3, 0), g), [0.0, 1.0, 1.0])
+    _assert_levy_matches_the_unbracketed_search(f[None, :].repeat(3, 0), g)
+    # F dips, so the check fails at the sup bracket k = 1 (eps 0.25) and the
+    # search runs over [0, m - 1]
+    f, g = np.array([0.0, 0.5, 0.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.1, 0.1, 0.1])
+    assert levy_distance(f, g) == 0.5
+    _assert_levy_matches_the_unbracketed_search(f, g)
 
 
 def test_levy_distance_rejects_a_one_point_table():
