@@ -19,7 +19,6 @@ from .core import (
     checkerboard_copula,
     checkerboard_measures,
     make_m,
-    make_marshall_olkin,
     make_pi,
     make_w,
     transpose,
@@ -43,6 +42,7 @@ from .extreme_value import (
     ev_measures,
     make_galambos,
     make_gumbel_pickands,
+    make_marshall_olkin,
     make_piecewise_linear_pickands,
     max_stability_check,
     paper_pwl_knots,

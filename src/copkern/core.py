@@ -162,41 +162,6 @@ def make_w() -> CopulaModel:
     )
 
 
-def make_marshall_olkin(alpha: float, beta: float) -> CopulaModel:
-    """Marshall-Olkin copula M_{alpha,beta} with its two-branch Markov kernel."""
-    if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
-        raise ValueError("Marshall-Olkin parameters must lie in [0,1]")
-    a, b = alpha, beta
-
-    def cdf(x, y):
-        x, y = _unit(x), _unit(y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            upper = np.where(x > 0, x ** (1.0 - a) * y, 0.0)
-            lower = np.where(y > 0, x * y ** (1.0 - b), 0.0)
-        return np.where(x ** a >= y ** b, upper, lower)
-
-    def conditional(x):
-        x = np.asarray(x, float)
-        inside, xa = x > 0, x ** a
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = (1.0 - a) * x ** (-a)
-
-        def kernel(y):
-            y = _unit(y)
-            with np.errstate(invalid="ignore"):
-                below = np.where(inside, slope * y, 0.0)
-            return np.clip(np.where(y ** b < xa, below, y ** (1.0 - b)), 0.0, 1.0)
-
-        return kernel
-
-    return CopulaModel(
-        cdf=cdf,
-        conditional=conditional,
-        label=f"marshall-olkin:{a}:{b}",
-        transpose_factory=lambda c: make_marshall_olkin(b, a),
-    )
-
-
 def _bisect(at_or_below: Callable, like: np.ndarray, steps: int):
     """Bracket (lo, hi), shaped like `like`, of a monotone root in [0, 1] after
     `steps` halvings; ``at_or_below(mid)`` is True where the root is <= mid.

@@ -1,11 +1,18 @@
-"""Pickands dependence functions and Extreme-Value copulas with their kernels."""
+"""Pickands dependence functions and Extreme-Value copulas with their kernels.
 
-from dataclasses import dataclass
+An Extreme-Value copula reads its Pickands function A through the stable tail
+l(u, v) = (u + v) A(u / (u + v)) and its derivative in u: the power mean's in
+log-sum-exp form (Galambos, Gumbel-EV), and a piecewise-linear A's from the
+piece of t = u / (u + v), looked up once per point.  Marshall-Olkin is the
+Extreme-Value copula of a three-knot piecewise-linear A.
+"""
+
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .core import CopulaModel, _piecewise_linear, _unit, sup_distance
+from .core import CopulaModel, _piecewise_linear, _unit, make_pi, sup_distance
 
 # x and y are clipped to this before their log, so u = -ln x is finite for every x > 0
 _TINY = np.finfo(float).tiny
@@ -105,22 +112,6 @@ def _self_transpose(p: PickandsFunction) -> PickandsFunction:
     return p
 
 
-def _pickands_tail(a: Callable, dplus_a: Callable) -> Callable:
-    """`PickandsFunction.stable_tail` from A and D+A: l = s A(t) and
-    D1 l = A(t) + (1 - t) D+A(t), with s = u + v and t = u / s."""
-
-    def stable_tail(u):
-        def at(v):
-            s = u + v
-            t = u / s
-            a_t = a(t)
-            return s * a_t, a_t + (1.0 - t) * dplus_a(t)
-
-        return at
-
-    return stable_tail
-
-
 def make_galambos(theta: float) -> PickandsFunction:
     """Galambos Pickands function A(x) = 1 - (x^-theta + (1-x)^-theta)^(-1/theta)."""
     if not 0 < theta < np.inf:
@@ -145,7 +136,11 @@ def make_piecewise_linear_pickands(
     Rejects knot lists violating the Pickands constraints, naming the failed
     invariant in the error message.  The right derivative is the piecewise
     constant right-hand slope (left-hand slope at x = 1); it may jump at
-    every knot, so the knots are the breakpoints.
+    every knot, so the knots are the breakpoints.  The stable tail looks up
+    the piece k of t = u / (u + v) once, with one ``searchsorted`` over the
+    inner knots, and reads A(t) = slope_k (t - x_k) + A(x_k), the formula of
+    ``np.interp``, and D1 l = A(t) + (1 - t) slope_k from it, in place on
+    the arrays of s = u + v and t.
     """
     k = np.asarray(knots, dtype=float)
     if k.size == 0:
@@ -176,9 +171,27 @@ def make_piecewise_linear_pickands(
     def mirror(q):  # A(1-x) interpolates the mirrored knots (1-x_i, a_i)
         return make_piecewise_linear_pickands(np.column_stack((1.0 - xs, vs)), q.label + "^t")
 
+    inner = xs[1:-1]    # t lies on piece k where inner[k - 1] <= t < inner[k]
+
+    def stable_tail(u):
+        def at(v):
+            s = u + v
+            t = u / s
+            k = np.searchsorted(inner, t, side="right")
+            slope = slopes[k]
+            a_t = np.subtract(t, xs[k])
+            a_t *= slope
+            a_t += vs[k]                    # A(t)
+            s *= a_t                        # l = s A(t)
+            d1 = np.subtract(1.0, t, out=t)
+            d1 *= slope
+            d1 += a_t                       # D1 l = A(t) + (1 - t) D+A(t)
+            return s, d1
+
+        return at
+
     a, dplus_a = _piecewise_linear(xs, vs)
-    return PickandsFunction(a, dplus_a, label, tuple(xs.tolist()), mirror,
-                            _pickands_tail(a, dplus_a))
+    return PickandsFunction(a, dplus_a, label, tuple(xs.tolist()), mirror, stable_tail)
 
 
 def paper_pwl_knots() -> list:
@@ -258,6 +271,24 @@ def ev_copula(p: PickandsFunction) -> CopulaModel:
         transpose_factory=transpose_factory,
         measures=lambda m: ev_measures(p),
     )
+
+
+def make_marshall_olkin(alpha: float, beta: float) -> CopulaModel:
+    """Marshall-Olkin copula M_{alpha,beta}: the Extreme-Value copula of
+    A(t) = max(1 - alpha t, 1 - beta (1 - t)), with knots (0, 1), (t, A(t))
+    and (1, 1) at the kink t = beta / (alpha + beta), rounded so that t and
+    1 - t are both floats: A(t) then rounds to at least max(t, 1 - t), and
+    the slopes -alpha and beta stay in [-1, 1] however short a piece is.
+    Where t is not inside (0, 1) (alpha beta = 0, or t within 6e-17 of 0 or
+    1) the copula is Pi, which the closed form then is to rounding."""
+    if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
+        raise ValueError("Marshall-Olkin parameters must lie in [0,1]")
+    label = f"marshall-olkin:{alpha}:{beta}"
+    t = 1.0 - (1.0 - beta / (alpha + beta)) if alpha + beta > 0.0 else 0.0
+    if not 0.0 < t < 1.0:
+        return replace(make_pi(), label=label)
+    knots = [(0.0, 1.0), (t, max(1.0 - alpha * t, 1.0 - beta * (1.0 - t))), (1.0, 1.0)]
+    return replace(ev_copula(make_piecewise_linear_pickands(knots, label)), label=label)
 
 
 # ev_measures integrates in t by Gauss-Legendre with _EV_NODES nodes on each

@@ -9,11 +9,12 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .archimedean import archimedean_copula, make_clayton, make_frank, make_gumbel
-from .core import CopulaModel, make_m, make_marshall_olkin, make_pi, make_w
+from .core import CopulaModel, make_m, make_pi, make_w
 from .extreme_value import (
     ev_copula,
     make_galambos,
     make_gumbel_pickands,
+    make_marshall_olkin,
     make_piecewise_linear_pickands,
 )
 

@@ -20,7 +20,6 @@ from copkern.core import (
     has_exchangeable_cdf,
     lattice,
     make_m,
-    make_marshall_olkin,
     make_pi,
     make_w,
     sup_distance,
@@ -34,7 +33,7 @@ from copkern.estimation import (
     pseudo_obs,
     reconstruct_generator,
 )
-from copkern.extreme_value import ev_copula
+from copkern.extreme_value import ev_copula, make_marshall_olkin
 from copkern.fixtures import shift_copula, strip_copula
 from copkern.metrics import QuadratureSpec, d_inf, d_inf_to_lattice
 from copkern.registry import FAMILIES, make_copula, parse_spec, registered_examples
@@ -83,6 +82,8 @@ def test_marshall_olkin_kernel_boundary():
     # alpha = beta = 1/2 at the boundary case y^beta = x^alpha: upper branch
     mo = make_marshall_olkin(0.5, 0.5)
     assert mo.kernel_cdf(0.25, 0.5) == pytest.approx(0.5 ** 0.5, abs=1e-12)
+    # on the curve itself, (0.25, 0.25), the upper branch y^(1 - beta) = 0.5
+    assert mo.kernel_cdf(0.25, 0.25) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_transpose_marshall_olkin_swaps_params():

@@ -6,13 +6,14 @@ import pytest
 
 import copkern.extreme_value as ev
 from copkern.archimedean import archimedean_copula, make_gumbel
-from copkern.core import LATTICE_BLOCK, lattice, square_lattice, transpose
+from copkern.core import LATTICE_BLOCK, _unit, lattice, make_pi, square_lattice, transpose
 from copkern.estimation import cfg_estimator, convexify_pickands, pseudo_obs
 from copkern.extreme_value import (
     ev_copula,
     ev_measures,
     make_galambos,
     make_gumbel_pickands,
+    make_marshall_olkin,
     make_piecewise_linear_pickands,
     max_stability_check,
     paper_pwl_knots,
@@ -539,3 +540,158 @@ def test_ev_measures_of_the_power_mean_at_large_theta(p, want):
     d, z, r = ev_measures(p)
     assert abs(r - want) <= 1e-13
     assert 0.0 <= z <= 1.0 and d == z / 3.0
+
+
+def _pickands_tail(a, dplus_a):
+    """The stable tail l = s A(t), D1 l = A(t) + (1 - t) D+A(t), s = u + v and
+    t = u / s, read through A and D+A: the generic form the piecewise-linear
+    Pickands function used before it looked its piece up once."""
+
+    def stable_tail(u):
+        def at(v):
+            s = u + v
+            t = u / s
+            a_t = a(t)
+            return s * a_t, a_t + (1.0 - t) * dplus_a(t)
+
+        return at
+
+    return stable_tail
+
+
+def _pwl_tables():
+    fits = [convexify_pickands(cfg_estimator(pseudo_obs(sample(make_copula("galambos:3"), n,
+                                                               RngSpec(seed=3)))))
+            for n in (50, 2000)]
+    tables = [make_piecewise_linear_pickands(paper_pwl_knots()), *fits,
+              make_piecewise_linear_pickands([(0.0, 1.0), (0.5, 0.5), (1.0, 1.0)], "m"),
+              make_piecewise_linear_pickands([(0.0, 1.0), (1.0, 1.0)], "pi")]
+    return tables + [transpose_pickands(p) for p in tables]
+
+
+@pytest.mark.parametrize("p", _pwl_tables(), ids=lambda p: p.label)
+def test_pwl_stable_tail_matches_the_generic_form_to_the_bit(p):
+    # u and v hold 0, where t = u / (u + v) is 0, 1 or (at u = v = 0) NaN
+    logs = np.r_[0.0, 1e-300, 1e-12, 1e-3, np.linspace(0.01, 5.0, 40), 30.0, 700.0,
+                 -np.log(np.finfo(float).tiny)]
+    u, v = logs[:, None], logs[None, :]
+    ref = replace(p, stable_tail=_pickands_tail(p.a, p.dplus_a))
+    with np.errstate(invalid="ignore"):
+        got, want = p.stable_tail(u)(v), ref.stable_tail(u)(v)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    assert np.array(ev_measures(p)).tobytes() == np.array(ev_measures(ref)).tobytes()
+
+
+def _mo_closed_form(alpha, beta):
+    """CDF and kernel of Marshall-Olkin MO(alpha, beta) in closed form, as the
+    library wrote them before building MO as an EV copula: the reference.
+    C = x^(1 - alpha) y where x^alpha >= y^beta and x y^(1 - beta) below;
+    K = (1 - alpha) x^-alpha y where y^beta < x^alpha and y^(1 - beta) above."""
+
+    def cdf(x, y):
+        x, y = _unit(x), _unit(y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            upper = np.where(x > 0, x ** (1.0 - alpha) * y, 0.0)
+            lower = np.where(y > 0, x * y ** (1.0 - beta), 0.0)
+        return np.where(x ** alpha >= y ** beta, upper, lower)
+
+    def kernel(x, y):
+        x, y = np.asarray(x, float), _unit(y)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            below = np.where(x > 0, (1.0 - alpha) * x ** (-alpha) * y, 0.0)
+        return np.clip(np.where(y ** beta < x ** alpha, below, y ** (1.0 - beta)), 0.0, 1.0)
+
+    return cdf, kernel
+
+
+_MO_PARAMS = [(a, b) for a in (0.0, 0.05, 0.5, 1.0) for b in (0.0, 0.05, 0.5, 1.0)] + [
+    (1e-300, 0.5), (0.5, 1e-300)]
+
+
+@pytest.mark.parametrize("alpha, beta", _MO_PARAMS)
+def test_marshall_olkin_matches_its_closed_form(alpha, beta):
+    c = make_marshall_olkin(alpha, beta)
+    cdf, kernel = _mo_closed_form(alpha, beta)
+    g = np.r_[0.0, 5e-324, 1e-300, 1e-12, np.arange(1, 256) / 256, 1.0 - 1e-12, 1.0]
+    X, Y = g[:, None], g[None, :]
+    assert np.max(np.abs(c.cdf(X, Y) - cdf(X, Y))) <= 2.3e-16
+    K, want = c.kernel_cdf(X, Y), kernel(X, Y)
+    assert np.all((K >= 0.0) & (K <= 1.0))
+    assert np.max(np.abs(K - want)[4:-1]) <= 4e-15
+    # e^(u - l) at u = -ln x near 690 loses about u eps, and x = 5e-324 is
+    # read as the smallest normal number; the closed form's alpha = 1 row there
+    # is NaN (0 * inf), the EV kernel's is finite
+    near_0 = np.abs(K - want)[1:4]
+    assert np.isnan(near_0).any() == (alpha == 1.0 and beta > 0.0)
+    assert np.nanmax(near_0) <= 1e-12
+    # the rows x = 0 and x = 1 follow the edge rule of the model that is built:
+    # Pi's kernel y, or 1 for an EV copula
+    edge = np.clip(g, 0.0, 1.0) if c.measures(0) == (0.0, 0.0, 0.0) else 1.0
+    assert np.all(K[[0, -1]] == edge)
+
+
+@pytest.mark.parametrize("alpha, beta", _MO_PARAMS)
+def test_marshall_olkin_measures_are_exact(alpha, beta):
+    # K integrates to r = (2 beta (1 - alpha)^2 + 6 alpha) / (3 alpha + beta - 2 alpha beta) - 2
+    c = make_marshall_olkin(alpha, beta)
+    d, z, r = c.measures(2048)
+    want = 0.0 if alpha + beta == 0.0 else (
+        (2.0 * beta * (1.0 - alpha) ** 2 + 6.0 * alpha) / (3.0 * alpha + beta - 2.0 * alpha * beta)
+        - 2.0)
+    assert abs(r - want) <= 1e-14
+    assert d == z / 3.0
+    assert abs(z - pi_measures(c, QuadratureSpec(m=2048))[1]) <= 4.0 / 2048
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (1e-300, 0.5),
+                                         (0.5, 1e-300)])
+def test_marshall_olkin_off_the_open_interval_is_pi(alpha, beta):
+    # the kink beta / (alpha + beta) is 0 or 1, or rounds to 1 (1e-300, 0.5) or,
+    # where 1 - t is a float too, to 0 (0.5, 1e-300): the closed form is x y
+    c, pi = make_marshall_olkin(alpha, beta), make_pi()
+    g = np.linspace(0.0, 1.0, 33)
+    X, Y = g[:, None], g[None, :]
+    assert c.label == f"marshall-olkin:{alpha}:{beta}"
+    assert c.cdf(X, Y).tobytes() == pi.cdf(X, Y).tobytes()
+    assert c.kernel_cdf(X, Y).tobytes() == pi.kernel_cdf(X, Y).tobytes()
+    assert c.measures(64) == (0.0, 0.0, 0.0)
+
+
+_MO_EXTREMES = (0.0, 1e-300, 1e-16, 1e-15, 1e-13, 1e-9, 1e-7, 0.3, 1.0 - 1e-9, 1.0 - 1e-16, 1.0)
+
+
+@pytest.mark.parametrize("alpha", _MO_EXTREMES)
+def test_marshall_olkin_builds_at_extreme_parameters(alpha):
+    # with the kink beta / (alpha + beta) as rounded and A there 1 - alpha t,
+    # seven of these pairs, such as (1e-13, 1) and (1, 1e-16), had a slope
+    # outside [-1, 1] by more than the knot check's 1e-10
+    g = np.r_[0.0, 1e-300, 1e-12, np.arange(1, 64) / 64, 1.0 - 1e-12, 1.0]
+    X, Y = g[:, None], g[None, :]
+    for beta in _MO_EXTREMES:
+        c = make_marshall_olkin(alpha, beta)
+        cdf = _mo_closed_form(alpha, beta)[0]
+        assert np.max(np.abs(c.cdf(X, Y) - cdf(X, Y))) <= 2.3e-16
+        # the EV kernel e^(u - l) D1 l reads 1 - 4 ulp where the closed form's
+        # y^0 is 1, so it is nondecreasing in y to rounding (3.6e-15 at (0.3, 1))
+        K = c.kernel_cdf(X, Y)
+        assert np.all((K >= 0.0) & (K <= 1.0)) and np.all(np.diff(K, axis=1) >= -1e-14)
+        want = 0.0 if alpha + beta == 0.0 else (
+            (2.0 * beta * (1.0 - alpha) ** 2 + 6.0 * alpha)
+            / (3.0 * alpha + beta - 2.0 * alpha * beta) - 2.0)
+        assert abs(c.measures(64)[2] - want) <= 1e-14
+
+
+def test_marshall_olkin_is_the_ev_copula_of_its_knots():
+    # A(t) = max(1 - 0.5 t, 1 - 0.7 (1 - t)) at the kink t = 0.7 / 1.2, where
+    # 1 - t is a float already
+    c, t = make_marshall_olkin(0.5, 0.7), 0.7 / 1.2
+    p = make_piecewise_linear_pickands([(0.0, 1.0), (t, max(1.0 - 0.5 * t, 1.0 - 0.7 * (1.0 - t))),
+                                        (1.0, 1.0)])
+    ref = ev_copula(p)
+    g = np.linspace(0.0, 1.0, 33)
+    X, Y = g[:, None], g[None, :]
+    assert c.label == "marshall-olkin:0.5:0.7"
+    assert c.cdf(X, Y).tobytes() == ref.cdf(X, Y).tobytes()
+    assert c.kernel_cdf(X, Y).tobytes() == ref.kernel_cdf(X, Y).tobytes()
+    assert c.measures(64) == ev_measures(p)
